@@ -1,8 +1,9 @@
 // M1 — microbenchmarks of the substrate itself (google-benchmark).
 //
 // Not a paper result; these keep the simulator honest as an artifact: step
-// rate of the kernel, channel op costs, protocol step costs, ranking, and
-// the throughput of the two analysis engines (exploration, mirror attack).
+// rate of the kernel, channel op costs, protocol step costs, ranking, the
+// throughput of the two analysis engines (exploration, mirror attack), and
+// the cost of building and reading one session checkpoint record.
 #include <benchmark/benchmark.h>
 
 #include "channel/del_channel.hpp"
@@ -10,11 +11,13 @@
 #include "channel/schedulers.hpp"
 #include "common.hpp"
 #include "knowledge/explorer.hpp"
+#include "proto/session_adapter.hpp"
 #include "proto/suite.hpp"
 #include "seq/repetition_free.hpp"
 #include "sim/engine.hpp"
 #include "spec/temporal.hpp"
 #include "stp/attack.hpp"
+#include "store/session_log.hpp"
 
 namespace {
 
@@ -183,5 +186,73 @@ void BM_MirrorAttack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirrorAttack);
+
+// Session checkpoints at tape lengths 0, 128 and 1024: a record's cost
+// should grow only with the bytes it copies.
+
+/// A Stenning receiver endpoint that has written `len` items.
+std::unique_ptr<proto::ReceiverSessionEndpoint> receiver_at(std::size_t len) {
+  const int domain = 8;
+  seq::Sequence x(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    x[i] = static_cast<seq::DataItem>(i % domain);
+  }
+  auto ep = std::make_unique<proto::ReceiverSessionEndpoint>(
+      proto::make_stenning(domain).receiver, x);
+  for (std::size_t i = 0; i < len; ++i) {
+    ep->on_deliver(static_cast<sim::MsgId>(i) * domain + x[i]);
+    (void)ep->step();
+  }
+  return ep;
+}
+
+store::SessionManifest manifest_at(std::size_t len) {
+  const auto ep = receiver_at(len);
+  store::SessionManifest m;
+  m.session = 4242;
+  m.epoch = 2;
+  m.seq = 123456;
+  m.proto_tag = store::proto_tag_of(ep->name());
+  m.position = ep->items_done();
+  m.endpoint_state = ep->save_state();
+  return m;
+}
+
+void BM_ManifestToPayload(benchmark::State& state) {
+  const auto m = manifest_at(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const std::string payload = m.to_payload();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m.to_payload().size()));
+}
+BENCHMARK(BM_ManifestToPayload)->Arg(0)->Arg(128)->Arg(1024);
+
+void BM_ManifestFromPayload(benchmark::State& state) {
+  const std::string payload =
+      manifest_at(static_cast<std::size_t>(state.range(0))).to_payload();
+  for (auto _ : state) {
+    const auto m = store::SessionManifest::from_payload(payload);
+    benchmark::DoNotOptimize(m->endpoint_state.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_ManifestFromPayload)->Arg(0)->Arg(128)->Arg(1024);
+
+void BM_ReceiverSaveState(benchmark::State& state) {
+  const auto ep = receiver_at(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const std::string blob = ep->save_state();
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ep->save_state().size()));
+}
+BENCHMARK(BM_ReceiverSaveState)->Arg(0)->Arg(128)->Arg(1024);
 
 }  // namespace

@@ -13,7 +13,11 @@
 # schedule fails the stage instead of hanging it.  The bench-smoke stages
 # also leave BENCH_smoke.json, BENCH_r4_mux.json, BENCH_r5_durable_mux.json,
 # BENCH_r6_trace.json, and BENCH_r7_fabric.json reports at the repo root
-# (CI uploads them as artifacts).
+# (CI uploads them as artifacts).  The perfbench stage runs the benchmark
+# (perfbench/run.py, built into .bench_build/) on mux_restart and sim_soak
+# for 3 s each, untraced and traced, and fails unless every run reports
+# "correct": true — so a change to an interface the benchmark wraps fails
+# here rather than at benchmark time.
 #
 # Exits nonzero on the first failing stage.
 set -euo pipefail
@@ -22,7 +26,7 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 TEST_TIMEOUT=300  # seconds per test
 
-STAGES=(tier1 bench recovery stabilization net durable-mux trace fabric asan tsan)
+STAGES=(tier1 bench recovery stabilization net durable-mux trace fabric perfbench asan tsan)
 
 ensure_build() {
   cmake -B build -S . >/dev/null
@@ -80,6 +84,26 @@ stage_fabric() {
   ./build/bench/validate_bench_json BENCH_r7_fabric.json
 }
 
+stage_perfbench() {
+  echo "== perfbench: the benchmark's output checks on mux_restart and sim_soak, untraced and traced =="
+  local w t out
+  for w in mux_restart sim_soak; do
+    for t in 0 1; do
+      out="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 --trace "$t")" || {
+        echo "${out}"
+        echo "perfbench: ${w} --trace ${t} failed" >&2
+        return 1
+      }
+      if [[ "$(tail -n 1 <<<"${out}")" != *'"correct": true'* ]]; then
+        echo "${out}"
+        echo "perfbench: ${w} --trace ${t} is not correct" >&2
+        return 1
+      fi
+      echo "perfbench: ${w} --trace ${t} correct"
+    done
+  done
+}
+
 stage_asan() {
   echo "== sanitizers: ASan+UBSan configure + build + ctest (build/asan/) =="
   cmake -B build/asan -S . -DSTPX_SANITIZE=ON >/dev/null
@@ -106,6 +130,7 @@ run_stage() {
     durable-mux)   stage_durable_mux ;;
     trace)         stage_trace ;;
     fabric)        stage_fabric ;;
+    perfbench)     stage_perfbench ;;
     asan)          stage_asan ;;
     tsan)          stage_tsan ;;
     *)
@@ -122,8 +147,8 @@ case "${1:-}" in
     ;;
   --stage)
     [[ $# -ge 2 ]] || { echo "check.sh: --stage needs a name (try --list)" >&2; exit 2; }
-    # A single stage still needs binaries; tier1 builds its own.
-    [[ "$2" == "tier1" || "$2" == "asan" || "$2" == "tsan" ]] || ensure_build
+    # A single stage still needs binaries; these stages build their own.
+    [[ "$2" == "tier1" || "$2" == "perfbench" || "$2" == "asan" || "$2" == "tsan" ]] || ensure_build
     run_stage "$2"
     echo "== check.sh: stage $2 PASS =="
     exit 0

@@ -52,22 +52,19 @@ void SessionMux::add_session(
   STPX_EXPECT(endpoint != nullptr, "SessionMux: null endpoint");
   STPX_EXPECT(id != kFabricSession,
               "SessionMux: kFabricSession is reserved for probes");
-  for (const auto& [known, idx] : index_) {
-    (void)idx;
-    STPX_EXPECT(known != id, "SessionMux: duplicate session id");
-  }
+  const bool fresh = index_.try_emplace(id, sessions_.size()).second;
+  STPX_EXPECT(fresh, "SessionMux: duplicate session id");
   auto s = std::make_unique<Session>();
   s->id = id;
   s->is_sender = is_sender;
   s->endpoint = std::move(endpoint);
-  index_.emplace_back(id, sessions_.size());
+  s->proto_tag = store::proto_tag_of(s->endpoint->name());
   sessions_.push_back(std::move(s));
 }
 
 void SessionMux::start() {
   STPX_EXPECT(!started_, "SessionMux: start called twice");
   started_ = true;
-  std::sort(index_.begin(), index_.end());
   const std::size_t shard_count =
       std::max<std::size_t>(1, std::min(cfg_.workers, std::max<std::size_t>(
                                                           1, sessions_.size())));
@@ -155,12 +152,7 @@ RehydrateReport SessionMux::rehydrate(
   rep.records_scanned = scan.records_scanned;
   rep.records_skipped = scan.records_skipped;
   for (const auto& [id, m] : scan.newest) {
-    bool hosted = false;
-    for (const auto& [known, idx] : index_) {
-      (void)idx;
-      hosted = hosted || known == id;
-    }
-    if (hosted) {
+    if (index_.contains(id)) {
       // The id is already live here (e.g. a handoff log that still names
       // a session this mux also manifests): the resident session wins.
       ++rep.collisions;
@@ -251,10 +243,8 @@ void SessionMux::answer_probe(const Frame& probe) {
 }
 
 void SessionMux::route(const Frame& f) {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), f.session,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (it == index_.end() || it->first != f.session) {
+  const auto it = index_.find(f.session);
+  if (it == index_.end()) {
     n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -316,10 +306,11 @@ void SessionMux::sweep(Shard& shard) {
   ++shard.sweep_no;
   for (const std::size_t idx : shard.members) {
     Session& s = *sessions_[idx];
-    std::deque<Frame> arrived;
+    std::vector<Frame>& arrived = shard.arrived;
     {
       std::lock_guard<std::mutex> hold(shard.mu);
-      arrived.swap(s.inbox);
+      arrived.assign(s.inbox.begin(), s.inbox.end());
+      s.inbox.clear();  // keeps the deque's first block for the next frames
     }
     const bool got_inbound = !arrived.empty();
     for (const Frame& f : arrived) deliver(s, f);
@@ -505,24 +496,31 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
     Session& s = *sessions_[idx];
     if (!s.dirty && !force) continue;
     s.dirty = false;
+    const std::uint64_t position = s.endpoint->items_done();
+    const bool completed = s.state == SessionState::kCompleted;
+    std::string state = s.endpoint->save_state();
+    // Session, role, epoch, proto_tag and owner are fixed for the
+    // generation, so an unchanged (position, completed, state) means
+    // nothing moved: no record (keepalive-only sweeps cost no log growth).
+    if (s.checkpointed && position == s.ckpt_position &&
+        completed == s.ckpt_completed && state == s.ckpt_state) {
+      continue;
+    }
     store::SessionManifest m;
     m.session = s.id;
     m.is_sender = s.is_sender;
     m.epoch = epoch_;
-    m.seq = 0;  // assigned below, only when the state actually moved
-    m.proto_tag = store::proto_tag_of(s.endpoint->name());
-    m.position = s.endpoint->items_done();
-    m.completed = s.state == SessionState::kCompleted;
-    m.owner = cfg_.backend_id;
-    m.endpoint_state = s.endpoint->save_state();
-    // With seq pinned to 0 the payload is a pure state signature:
-    // identical signature -> nothing moved -> no record (keepalive-only
-    // sweeps cost no log growth).
-    std::string sig = m.to_payload();
-    if (sig == s.last_sig) continue;
-    s.last_sig = std::move(sig);
     m.seq = ckpt_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    m.proto_tag = s.proto_tag;
+    m.position = position;
+    m.completed = completed;
+    m.owner = cfg_.backend_id;
+    m.endpoint_state = std::move(state);
     std::string payload = m.to_payload();
+    s.checkpointed = true;
+    s.ckpt_position = position;
+    s.ckpt_completed = completed;
+    s.ckpt_state = std::move(m.endpoint_state);
     batch_bytes += payload.size();
     batch.push_back(std::move(payload));
   }

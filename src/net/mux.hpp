@@ -59,6 +59,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -393,6 +394,7 @@ class SessionMux {
     bool is_sender = false;
     bool rehydrated = false;  // re-admitted from a manifest
     std::unique_ptr<proto::ISessionEndpoint> endpoint;
+    std::uint64_t proto_tag = 0;  // proto_tag_of(endpoint name), at admission
     SessionState state = SessionState::kActive;
     // --- inbox: filled by the pump under the shard mutex ----------------
     std::deque<Frame> inbox;
@@ -405,7 +407,12 @@ class SessionMux {
     std::size_t items_reported = 0;  // probe on_item high-water mark
     bool refin_pending = false;      // completed receiver saw a retransmit
     bool dirty = false;              // state may have moved since last flush
-    std::string last_sig;            // last checkpointed state signature
+    // What the last manifest record said — the only fields that move
+    // within a generation — so an unchanged session writes no record.
+    bool checkpointed = false;
+    std::uint64_t ckpt_position = 0;
+    bool ckpt_completed = false;
+    std::string ckpt_state;
     // Receiver frames gated on durability: held until the covering
     // checkpoint commits, released by flush_shard (bounded; overflow
     // drops the oldest — indistinguishable from wire loss).
@@ -418,6 +425,9 @@ class SessionMux {
   struct Shard {
     std::mutex mu;  // guards the inboxes of this shard's sessions
     std::vector<std::size_t> members;  // indices into sessions_
+    // Worker-private: each session's inbox is drained into this one
+    // buffer, reused across sweeps, so a sweep allocates nothing.
+    std::vector<Frame> arrived;
     std::uint64_t sweep_no = 0;        // drives the checkpoint cadence
     std::size_t slot = 0;              // index into slots_
     std::size_t idx = 0;               // own index (probe attribution)
@@ -457,7 +467,7 @@ class SessionMux {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<StoreSlot>> slots_;
   // id -> sessions_ index; read-only after start().
-  std::vector<std::pair<std::uint32_t, std::size_t>> index_;
+  std::unordered_map<std::uint32_t, std::size_t> index_;
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<bool> flush_on_stop_{false};  // armed by drain()

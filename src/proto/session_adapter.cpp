@@ -14,11 +14,9 @@ namespace {
 // versa).  The protocol blob nests inside as one length-prefixed vec.
 constexpr std::int64_t kSenderAdapterTag = 201;
 constexpr std::int64_t kReceiverAdapterTag = 202;
-
-std::vector<std::int64_t> nested_tokens(const std::string& blob) {
-  auto toks = util::blob_tokens(blob);
-  return toks ? std::move(*toks) : std::vector<std::int64_t>{};
-}
+/// Room for the receiver blob's own tokens (tag, flag, tape length, inner
+/// length) around the tape and inner texts, so save_state() allocates once.
+constexpr std::size_t kReceiverHeaderBytes = 64;
 }  // namespace
 
 SenderSessionEndpoint::SenderSessionEndpoint(
@@ -44,8 +42,8 @@ std::string SenderSessionEndpoint::save_state() const {
   util::BlobWriter w;
   w.i64(kSenderAdapterTag);
   w.boolean(finished_);
-  w.vec(nested_tokens(sender_->save_state()));
-  return w.str();
+  w.nested(sender_->save_state());
+  return std::move(w).take();
 }
 
 bool SenderSessionEndpoint::restore_state(const std::string& blob) {
@@ -94,17 +92,28 @@ std::optional<sim::MsgId> ReceiverSessionEndpoint::step() {
       return std::nullopt;
     }
     y_.push_back(item);
+    tape_text_.i64(item);
   }
   return eff.send;
 }
 
 std::string ReceiverSessionEndpoint::save_state() const {
+  const std::string inner = receiver_->save_state();
+  const std::string& tape = tape_text_.str();
   util::BlobWriter w;
+  w.reserve(kReceiverHeaderBytes + tape.size() + inner.size());
   w.i64(kReceiverAdapterTag);
   w.boolean(safety_ok_);
-  write_items(w, y_);
-  w.vec(nested_tokens(receiver_->save_state()));
-  return w.str();
+  // The tape as write_items() would render it: its length, then its text.
+  w.u64(y_.size());
+  w.canonical(tape);
+  w.nested(inner);
+  return std::move(w).take();
+}
+
+void ReceiverSessionEndpoint::rewrite_tape_text() {
+  tape_text_ = util::BlobWriter{};
+  for (const seq::DataItem item : y_) tape_text_.i64(item);
 }
 
 bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
@@ -118,6 +127,7 @@ bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
     return false;
   }
   y_.assign(tape.begin(), tape.end());
+  rewrite_tape_text();
   safety_ok_ = saved_ok;
   // The tape is externalized state.  A restored tape that is not a prefix
   // of the expected sequence means the durable log attests to a delivery
@@ -131,6 +141,7 @@ bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
   // cannot be kept — a cold receiver re-delivers from the front, and
   // appending that onto a non-empty y_ would double-deliver.
   y_.clear();
+  rewrite_tape_text();
   receiver_->start();
   return false;
 }

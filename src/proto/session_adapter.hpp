@@ -30,6 +30,7 @@
 #include <string>
 
 #include "sim/process.hpp"
+#include "util/blob.hpp"
 
 namespace stpx::proto {
 
@@ -128,9 +129,15 @@ class ReceiverSessionEndpoint final : public ISessionEndpoint {
   const seq::Sequence& expected() const { return expected_; }
 
  private:
+  /// Re-render tape_text_ from y_ after a restore or a cold start.
+  void rewrite_tape_text();
+
   std::unique_ptr<sim::IReceiver> receiver_;
   seq::Sequence expected_;
   seq::Sequence y_;
+  /// y_ as canonical blob text, extended write by write, so save_state()
+  /// copies the tape instead of printing it again on every checkpoint.
+  util::BlobWriter tape_text_;
   bool safety_ok_ = true;
 };
 

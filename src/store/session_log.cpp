@@ -1,6 +1,8 @@
 #include "store/session_log.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string_view>
 #include <utility>
 
 #include "util/blob.hpp"
@@ -11,6 +13,37 @@ namespace {
 // Distinct from every per-protocol state tag (those are small ints like
 // 101/102), so a protocol blob fed to from_payload is rejected outright.
 constexpr std::int64_t kManifestTag = 7001;
+
+/// The fixed fields of a record, in payload order: tag, session,
+/// is_sender, epoch, seq, proto_tag, position, completed, owner.
+using FixedFields = std::array<std::int64_t, 9>;
+/// Room for the fixed fields and the blob length, each at most 20 chars
+/// plus a separator, so to_payload() allocates once.
+constexpr std::size_t kFixedBytes = 10 * 21;
+
+/// The manifest the fixed fields describe (endpoint_state left empty), or
+/// nullopt when one is out of its range.
+std::optional<SessionManifest> from_fields(const FixedFields& f) {
+  const auto [tag, session, is_sender, epoch, seq, proto_tag, position,
+              completed, owner] = f;
+  constexpr std::int64_t kMaxU32 = 0xFFFFFFFF;
+  const auto flag = [](std::int64_t v) { return v == 0 || v == 1; };
+  if (tag != kManifestTag || session < 0 || session > kMaxU32 ||
+      !flag(is_sender) || epoch < 0 || seq < 0 || proto_tag < 0 ||
+      position < 0 || !flag(completed) || owner < 0 || owner > kMaxU32) {
+    return std::nullopt;
+  }
+  SessionManifest m;
+  m.session = static_cast<std::uint32_t>(session);
+  m.is_sender = is_sender == 1;
+  m.epoch = static_cast<std::uint64_t>(epoch);
+  m.seq = static_cast<std::uint64_t>(seq);
+  m.proto_tag = static_cast<std::uint64_t>(proto_tag);
+  m.position = static_cast<std::uint64_t>(position);
+  m.completed = completed == 1;
+  m.owner = static_cast<std::uint32_t>(owner);
+  return m;
+}
 }  // namespace
 
 std::uint64_t proto_tag_of(const std::string& name) {
@@ -24,6 +57,7 @@ std::uint64_t proto_tag_of(const std::string& name) {
 
 std::string SessionManifest::to_payload() const {
   util::BlobWriter w;
+  w.reserve(kFixedBytes + endpoint_state.size());
   w.i64(kManifestTag);
   w.u64(session);
   w.boolean(is_sender);
@@ -33,31 +67,39 @@ std::string SessionManifest::to_payload() const {
   w.u64(position);
   w.boolean(completed);
   w.u64(owner);
-  const auto inner = util::blob_tokens(endpoint_state);
-  // save_state() produces blob text by construction; treat anything else
-  // as an empty (cold-start) state rather than corrupting the record.
-  w.vec(inner ? *inner : std::vector<std::int64_t>{});
-  return w.str();
+  // save_state() produces canonical blob text by construction, copied
+  // as-is; anything else is normalised, and unparseable text becomes an
+  // empty (cold-start) state rather than corrupting the record.
+  w.nested(endpoint_state);
+  return std::move(w).take();
 }
 
 std::optional<SessionManifest> SessionManifest::from_payload(
     const std::string& payload) {
-  util::BlobReader r(payload);
-  std::int64_t tag = 0;
-  SessionManifest m;
-  std::uint64_t session = 0;
-  std::uint64_t owner = 0;
-  std::vector<std::int64_t> inner;
-  if (!r.i64(tag) || tag != kManifestTag || !r.u64(session) ||
-      !r.boolean(m.is_sender) || !r.u64(m.epoch) || !r.u64(m.seq) ||
-      !r.u64(m.proto_tag) || !r.u64(m.position) || !r.boolean(m.completed) ||
-      !r.u64(owner) || !r.vec(inner) || !r.done() ||
-      session > 0xFFFFFFFFULL || owner > 0xFFFFFFFFULL) {
-    return std::nullopt;
+  FixedFields f{};
+  // Canonical text (everything to_payload() writes) is read in place and
+  // its endpoint state copied verbatim.
+  util::CanonicalScanner scan(payload);
+  bool canonical = true;
+  for (std::int64_t& v : f) canonical = canonical && scan.next(v);
+  std::int64_t length = 0;
+  std::string_view state;
+  if (canonical && scan.next(length) && length >= 0 &&
+      scan.tokens(static_cast<std::size_t>(length), state) && scan.done()) {
+    auto m = from_fields(f);
+    if (m) m->endpoint_state.assign(state);
+    return m;
   }
-  m.session = static_cast<std::uint32_t>(session);
-  m.owner = static_cast<std::uint32_t>(owner);
-  m.endpoint_state = util::blob_join(inner);
+  // Anything else is read by the normalising parser, which rejoins the
+  // endpoint state into canonical text.
+  util::BlobReader r(payload);
+  for (std::int64_t& v : f) {
+    if (!r.i64(v)) return std::nullopt;
+  }
+  std::vector<std::int64_t> inner;
+  if (!r.vec(inner) || !r.done()) return std::nullopt;
+  auto m = from_fields(f);
+  if (m) m->endpoint_state = util::blob_join(inner);
   return m;
 }
 

@@ -24,7 +24,11 @@
 // rehydration factories use it to refuse to feed a blob saved by one
 // protocol into another.  endpoint_state is the opaque
 // ISessionEndpoint::save_state() blob, nested as one length-prefixed
-// vec so the outer record stays a flat token list.
+// vec so the outer record stays a flat token list.  Payloads are
+// canonical blob text (util/blob.hpp): to_payload() counts a canonical
+// endpoint_state and copies it verbatim, and from_payload() copies it
+// back out of a canonical payload, so a record costs a copy of its bytes
+// rather than a parse-and-print of the tape inside it.
 
 #include <cstdint>
 #include <map>

@@ -1,9 +1,12 @@
 // Durable-session conformance suite for the wire layer
 // (ctest -L durable_mux_smoke):
 //
-//   * session manifest records — codec round-trip, malformed rejection,
-//     protocol fingerprints, newest-per-session folding by (epoch, seq)
-//     regardless of byte order, and drain-path compaction;
+//   * session manifest records — a golden payload, codec round-trip,
+//     malformed rejection, byte identity of the cached-text paths against
+//     a reference codec (random and non-canonical input, adapters through
+//     writes, restores and cold starts), protocol fingerprints,
+//     newest-per-session folding by (epoch, seq) regardless of byte order,
+//     and drain-path compaction;
 //   * store replay + FileStore fsync batching — group commit, the
 //     sync_every_n / sync_interval knobs, and torn-write recovery after a
 //     batched tail loss;
@@ -22,10 +25,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +48,7 @@
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 #include "util/expect.hpp"
+#include "util/rng.hpp"
 
 namespace stpx {
 namespace {
@@ -79,6 +88,13 @@ store::SessionManifest sample_manifest() {
   return m;
 }
 
+TEST(SessionManifest, PayloadMatchesGolden) {
+  // The on-disk format: these bytes must never drift.
+  EXPECT_EQ(sample_manifest().to_payload(),
+            "7001 51966 0 3 41 3698354264939363239 7 1 0 "
+            "9 202 1 3 0 1 2 4 102 3");
+}
+
 TEST(SessionManifest, PayloadRoundTrip) {
   const auto m = sample_manifest();
   const auto back = store::SessionManifest::from_payload(m.to_payload());
@@ -115,6 +131,269 @@ TEST(SessionManifest, RejectsMalformedPayloads) {
   }
   // Trailing garbage never parses (r.done() is part of the contract).
   EXPECT_FALSE(store::SessionManifest::from_payload(good + " 9").has_value());
+
+  // Text the canonical reader hands over to the full parser, which still
+  // rejects it: an out-of-range token, junk inside the endpoint state, a
+  // blob length past the end or below zero, a negative unsigned field.
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string p = good;
+    p.replace(p.find(from), from.size(), to);
+    return p;
+  };
+  for (const std::string& bad :
+       {replaced(" 51966 ", " 99999999999999999999 "),
+        replaced(" 4 102 ", " 4x 102 "), replaced(" 9 202 ", " 12 202 "),
+        replaced(" 9 202 ", " -1 202 "), replaced(" 41 ", " -41 ")}) {
+    EXPECT_FALSE(store::SessionManifest::from_payload(bad).has_value()) << bad;
+  }
+  // Non-canonical spellings of the same record still parse, to the same
+  // manifest, with the endpoint state rejoined canonically.
+  for (const std::string& rough :
+       {" " + good, good + " ", replaced(" 3 41 ", "  3 +41 "),
+        replaced(" 7 1 0 ", " 007 1 -0 "), replaced(" 102 3", " 102  +3")}) {
+    const auto m = store::SessionManifest::from_payload(rough);
+    ASSERT_TRUE(m.has_value()) << rough;
+    EXPECT_EQ(m->to_payload(), good) << rough;
+  }
+}
+
+// Reference codec: the blob format as plain strtoll / to_string code,
+// independent of util/blob, so the cached-text paths are held byte for
+// byte against what records have always been.
+
+std::optional<std::vector<std::int64_t>> ref_tokens(const std::string& text) {
+  std::vector<std::int64_t> out;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (text[i] == ' ') {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < text.size() && text[i] != ' ') ++i;
+    const std::string tok = text.substr(start, i - start);
+    errno = 0;
+    char* end = nullptr;
+    const long long v = std::strtoll(tok.c_str(), &end, 10);
+    if (errno != 0 || end == tok.c_str() || *end != '\0') return std::nullopt;
+    out.push_back(v);
+  }
+  return out;
+}
+
+std::string ref_join(const std::vector<std::int64_t>& values) {
+  std::string out;
+  for (const std::int64_t v : values) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(v);
+  }
+  return out;
+}
+
+/// `head` followed by `blob` nested as a length-prefixed vec.
+std::string ref_nest(std::vector<std::int64_t> head, const std::string& blob) {
+  const auto inner = ref_tokens(blob).value_or(std::vector<std::int64_t>{});
+  head.push_back(static_cast<std::int64_t>(inner.size()));
+  head.insert(head.end(), inner.begin(), inner.end());
+  return ref_join(head);
+}
+
+std::string ref_payload(const store::SessionManifest& m) {
+  return ref_nest({7001, m.session, m.is_sender,
+                   static_cast<std::int64_t>(m.epoch),
+                   static_cast<std::int64_t>(m.seq),
+                   static_cast<std::int64_t>(m.proto_tag),
+                   static_cast<std::int64_t>(m.position), m.completed,
+                   m.owner},
+                  m.endpoint_state);
+}
+
+std::optional<store::SessionManifest> ref_from_payload(const std::string& p) {
+  const auto toks = ref_tokens(p);
+  if (!toks || toks->size() < 10) return std::nullopt;
+  const std::vector<std::int64_t>& v = *toks;
+  const auto flag = [](std::int64_t b) { return b == 0 || b == 1; };
+  const auto u32 = [](std::int64_t u) { return u >= 0 && u <= 0xFFFFFFFF; };
+  if (v[0] != 7001 || !u32(v[1]) || !flag(v[2]) || v[3] < 0 || v[4] < 0 ||
+      v[5] < 0 || v[6] < 0 || !flag(v[7]) || !u32(v[8]) || v[9] < 0 ||
+      static_cast<std::size_t>(v[9]) != v.size() - 10) {
+    return std::nullopt;
+  }
+  store::SessionManifest m;
+  m.session = static_cast<std::uint32_t>(v[1]);
+  m.is_sender = v[2] == 1;
+  m.epoch = static_cast<std::uint64_t>(v[3]);
+  m.seq = static_cast<std::uint64_t>(v[4]);
+  m.proto_tag = static_cast<std::uint64_t>(v[5]);
+  m.position = static_cast<std::uint64_t>(v[6]);
+  m.completed = v[7] == 1;
+  m.owner = static_cast<std::uint32_t>(v[8]);
+  m.endpoint_state = ref_join({v.begin() + 10, v.end()});
+  return m;
+}
+
+std::string show(const std::optional<store::SessionManifest>& m) {
+  if (!m) return "none";
+  return ref_join({m->session, m->is_sender,
+                   static_cast<std::int64_t>(m->epoch),
+                   static_cast<std::int64_t>(m->seq),
+                   static_cast<std::int64_t>(m->proto_tag),
+                   static_cast<std::int64_t>(m->position), m->completed,
+                   m->owner}) +
+         " | " + m->endpoint_state;
+}
+
+std::vector<std::int64_t> random_tokens(Rng& rng) {
+  std::vector<std::int64_t> out(rng.below(40));
+  for (auto& v : out) {
+    switch (rng.below(4)) {
+      case 0: v = rng.range(-9, 9); break;
+      case 1: v = rng.range(-100000, 100000); break;
+      case 2: v = static_cast<std::int64_t>(rng()); break;
+      default:
+        v = rng.chance(0.5) ? std::numeric_limits<std::int64_t>::max()
+                            : std::numeric_limits<std::int64_t>::min();
+    }
+  }
+  return out;
+}
+
+/// One non-canonical edit of blob text: a doubled, leading or trailing
+/// space, or a '+' or a leading zero on a token.  Some edits keep the
+/// text parseable, some do not ("0-5").
+std::string roughen(Rng& rng, std::string text) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == ' ') starts.push_back(i + 1);
+  }
+  const std::size_t at = starts[rng.index_into(starts)];
+  switch (rng.below(5)) {
+    case 0: text.insert(at, " "); break;
+    case 1: text.insert(0, " "); break;
+    case 2: text.push_back(' '); break;
+    case 3: text.insert(at, "+"); break;
+    default: text.insert(at, "0"); break;
+  }
+  return text;
+}
+
+const std::vector<std::string>& non_canonical_blobs() {
+  static const std::vector<std::string> blobs = {
+      "+5", "007", "-0", "1  2", "1 2 ", " 3", "", "12345678901234567890",
+      "00000000000000000001", "9223372036854775808", "-9223372036854775809",
+      "9223372036854775807 -9223372036854775808", "\t5", "5\t", "1 x 2"};
+  return blobs;
+}
+
+store::SessionManifest random_manifest(Rng& rng, std::string endpoint_state) {
+  store::SessionManifest m;
+  m.session = static_cast<std::uint32_t>(rng());
+  m.is_sender = rng.chance(0.5);
+  m.epoch = 1 + rng.below(1000);
+  m.seq = rng() >> 1;
+  // Now and then past INT64_MAX: printed negative, refused on the way in.
+  m.proto_tag = rng.chance(0.9) ? rng() >> 1 : rng();
+  m.position = rng.below(1 << 20);
+  m.completed = rng.chance(0.5);
+  m.owner = static_cast<std::uint32_t>(rng());
+  m.endpoint_state = std::move(endpoint_state);
+  return m;
+}
+
+TEST(SessionManifest, CodecMatchesReference_Property) {
+  Rng rng(0x5E55);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string state;
+    switch (rng.below(3)) {
+      case 0: state = ref_join(random_tokens(rng)); break;
+      case 1: state = rng.pick(non_canonical_blobs()); break;
+      default: state = roughen(rng, ref_join(random_tokens(rng))); break;
+    }
+    const auto m = random_manifest(rng, state);
+    const std::string payload = m.to_payload();
+    ASSERT_EQ(payload, ref_payload(m)) << "endpoint state [" << state << "]";
+    EXPECT_EQ(show(store::SessionManifest::from_payload(payload)),
+              show(ref_from_payload(payload)))
+        << payload;
+    const std::string rough = roughen(rng, payload);
+    EXPECT_EQ(show(store::SessionManifest::from_payload(rough)),
+              show(ref_from_payload(rough)))
+        << "[" << rough << "]";
+  }
+}
+
+/// The adapter blob by the reference codec: tag, safety flag, the tape as
+/// a vec, the wrapped receiver's own blob nested.
+std::string ref_receiver_blob(const proto::ReceiverSessionEndpoint& ep,
+                              const sim::IReceiver& inner) {
+  std::vector<std::int64_t> head{202, ep.safety_ok(),
+                                 static_cast<std::int64_t>(ep.output().size())};
+  head.insert(head.end(), ep.output().begin(), ep.output().end());
+  return ref_nest(std::move(head), inner.save_state());
+}
+
+TEST(SessionManifest, EndpointBlobsMatchReference_Property) {
+  Rng rng(0xB10B);
+  const auto check = [](const proto::ReceiverSessionEndpoint& ep,
+                        const sim::IReceiver& inner) {
+    const std::string blob = ep.save_state();
+    ASSERT_EQ(blob, ref_receiver_blob(ep, inner));
+    store::SessionManifest m;
+    m.position = ep.items_done();
+    m.endpoint_state = blob;
+    const std::string payload = m.to_payload();
+    ASSERT_EQ(payload, ref_payload(m));
+    const auto back = store::SessionManifest::from_payload(payload);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->endpoint_state, blob);
+  };
+  const auto write_next = [](proto::ReceiverSessionEndpoint& ep) {
+    const std::size_t i = ep.items_done();
+    ep.on_deliver(data_id(i, ep.expected()[i]));
+    (void)ep.step();
+  };
+  for (std::uint32_t trial = 0; trial < 40; ++trial) {
+    const auto x = seq_for(trial, 2 + rng.below(300));
+    // Writes: the cached tape text grows with every item.
+    auto pair = proto::make_stenning(kDomain);
+    const sim::IReceiver& inner = *pair.receiver;
+    proto::ReceiverSessionEndpoint ep(std::move(pair.receiver), x);
+    const std::size_t progress = 1 + rng.below(x.size() - 1);
+    check(ep, inner);
+    while (ep.items_done() < progress) {
+      write_next(ep);
+      check(ep, inner);
+    }
+    // Restore: the text is rebuilt from the restored tape, whether the
+    // blob was canonical or had to be normalised.
+    std::string blob = ep.save_state();
+    if (rng.chance(0.5)) blob = roughen(rng, blob);
+    auto fresh = proto::make_stenning(kDomain);
+    const sim::IReceiver& inner2 = *fresh.receiver;
+    proto::ReceiverSessionEndpoint back(std::move(fresh.receiver), x);
+    (void)back.restore_state(blob);
+    check(back, inner2);
+    write_next(back);
+    check(back, inner2);
+    // Cold-start fallback: an unusable protocol state drops the tape, and
+    // its text with it.
+    std::vector<std::int64_t> cold{202, 1,
+                                   static_cast<std::int64_t>(back.items_done())};
+    cold.insert(cold.end(), back.output().begin(), back.output().end());
+    cold.push_back(0);
+    EXPECT_FALSE(back.restore_state(ref_join(cold)));
+    EXPECT_EQ(back.items_done(), 0u);
+    check(back, inner2);
+    write_next(back);
+    check(back, inner2);
+    // The sender adapter nests its protocol's blob the same way.
+    auto sp = proto::make_stenning(kDomain);
+    const sim::ISender& sender = *sp.sender;
+    proto::SenderSessionEndpoint sep(std::move(sp.sender), x);
+    if (rng.chance(0.5)) sep.finish();
+    EXPECT_EQ(sep.save_state(),
+              ref_nest({201, sep.done()}, sender.save_state()));
+  }
 }
 
 TEST(SessionManifest, NewerThanOrdersByEpochThenSeq) {
@@ -1083,6 +1362,44 @@ TEST(DurableMux, ClientRehydratesSenderManifestsAndServerDeclinesThem) {
                                      [&](std::uint32_t) { return x; });
   EXPECT_EQ(srep.sessions, 0u);
   EXPECT_EQ(srep.declined, 1u);
+}
+
+TEST(DurableMux, SenderRecordsFollowItsStateWhilePositionStandsStill) {
+  // A sender's position stays 0 until the FIN while its protocol state
+  // moves with every ack, so the flush must dedupe on the endpoint state
+  // too; deduping on position alone would log only the first record.
+  const std::uint32_t kId = 3;
+  const auto x = seq_for(kId, 8);
+  store::MemStore st;
+  st.reset();
+  auto wire = net::make_loopback();
+  net::MuxConfig ccfg;
+  ccfg.session_stores = {&st};
+  net::StpClient client(wire.a.get(), ccfg);
+  net::StpServer server(wire.b.get(), net::MuxConfig{});
+  auto pair = proto::make_stenning(kDomain);
+  client.add_session(kId, std::move(pair.sender), x);
+  server.add_session(kId, std::move(pair.receiver), x);
+  client.mux().start();
+  server.mux().start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!client.mux().all_terminal() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(client.mux().all_terminal());
+  client.mux().kill();  // crash-shaped: no compaction, every record stays
+  server.mux().stop();
+
+  std::set<std::string> states;
+  for (const std::string& p : st.replay().payloads) {
+    const auto m = store::SessionManifest::from_payload(p);
+    if (m && m->is_sender && !m->completed) {
+      EXPECT_EQ(m->position, 0u);
+      states.insert(m->endpoint_state);
+    }
+  }
+  EXPECT_GT(states.size(), 2u);
 }
 
 // --------------------------------------------------------------------------
