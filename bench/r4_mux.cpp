@@ -33,6 +33,7 @@ namespace {
 
 using namespace stpx;
 using namespace stpx::bench;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 constexpr std::size_t kSeqLen = 8;
@@ -72,8 +73,8 @@ struct PointResult {
   double sessions_per_sec = 0.0;
   double items_per_sec = 0.0;
   obs::Percentiles rtt;
-  net::NetStats client_stats;
-  net::NetStats server_stats;
+  obs::CounterTable<net::MuxCounter>::Snapshot client_stats;
+  obs::CounterTable<net::MuxCounter>::Snapshot server_stats;
   std::uint64_t wire_dropped = 0;
 };
 
@@ -134,7 +135,7 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
   if (secs > 0.0) {
     res.sessions_per_sec = static_cast<double>(res.completed) / secs;
     res.items_per_sec =
-        static_cast<double>(res.server_stats.items_done) / secs;
+        static_cast<double>(res.server_stats[MuxCounter::kItemsDone]) / secs;
   }
 
   if (attach_metrics) {
@@ -178,10 +179,11 @@ int main(int argc, char** argv) {
                    fmt1(res.wall_ms), fmt1(res.sessions_per_sec),
                    fmt1(res.items_per_sec), fmt1(res.rtt.p50),
                    fmt1(res.rtt.p99),
-                   std::to_string(res.client_stats.frames_sent +
-                                  res.server_stats.frames_sent),
-                   std::to_string(res.client_stats.frames_received +
-                                  res.server_stats.frames_received),
+                   std::to_string(res.client_stats[MuxCounter::kFramesSent] +
+                                  res.server_stats[MuxCounter::kFramesSent]),
+                   std::to_string(
+                       res.client_stats[MuxCounter::kFramesReceived] +
+                       res.server_stats[MuxCounter::kFramesReceived]),
                    std::to_string(res.wire_dropped)});
   }
   std::cout << "\n" << table.to_ascii();

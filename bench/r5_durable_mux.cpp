@@ -48,6 +48,7 @@ namespace {
 
 using namespace stpx;
 using namespace stpx::bench;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 constexpr std::size_t kSeqLen = 6;
@@ -195,9 +196,9 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
           t_kill - t0)
           .count();
   const auto gen1 = server.mux().stats();
-  res.ckpt_flushes = gen1.checkpoint_flushes;
-  res.ckpt_records = gen1.checkpoint_records;
-  res.ckpt_bytes = gen1.checkpoint_bytes;
+  res.ckpt_flushes = gen1[MuxCounter::kCheckpointFlushes];
+  res.ckpt_records = gen1[MuxCounter::kCheckpointRecords];
+  res.ckpt_bytes = gen1[MuxCounter::kCheckpointBytes];
 
   // Restart: generation 2 on the same endpoint and stores, rehydration
   // timed end to end (log scan + newest-per-session fold + restores).
@@ -244,11 +245,13 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
   const auto gen2_stats = gen2.mux().stats();
   if (phase_a_ms > 0.0) {
     res.items_per_sec_before =
-        static_cast<double>(gen1.items_done) / (phase_a_ms / 1000.0);
+        static_cast<double>(gen1[MuxCounter::kItemsDone]) /
+        (phase_a_ms / 1000.0);
   }
   if (phase_b_ms > 0.0) {
     res.items_per_sec_after =
-        static_cast<double>(gen2_stats.items_done) / (phase_b_ms / 1000.0);
+        static_cast<double>(gen2_stats[MuxCounter::kItemsDone]) /
+        (phase_b_ms / 1000.0);
   }
   res.wire_dropped = wire.stats(sim::Dir::kSenderToReceiver).dropped +
                      wire.stats(sim::Dir::kReceiverToSender).dropped;

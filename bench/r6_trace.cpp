@@ -182,8 +182,8 @@ PointResult run_point(std::size_t n, bool recorder_on,
   }
   const double secs = res.wall_ms / 1000.0;
   if (secs > 0.0) {
-    res.items_per_sec =
-        static_cast<double>(server.mux().stats().items_done) / secs;
+    const auto items = server.mux().stats()[net::MuxCounter::kItemsDone];
+    res.items_per_sec = static_cast<double>(items) / secs;
   }
 
   if (!recorder_on) return res;

@@ -82,6 +82,7 @@ namespace {
 using namespace stpx;
 using namespace stpx::bench;
 using namespace std::chrono_literals;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 constexpr std::size_t kBackends = 3;
@@ -389,7 +390,8 @@ int run_backend(const ChildArgs& a) {
   }
   server.mux().stop();
   flush_trace(rec, trace);
-  meta << "completed " << server.mux().stats().sessions_completed << "\n";
+  meta << "completed "
+       << server.mux().stats()[MuxCounter::kSessionsCompleted] << "\n";
   meta.flush();
   return 0;
 }
@@ -764,7 +766,7 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
   const bool drained = client.mux().drain(60s);
   client.mux().stop();
   router.stop();
-  res.completed = client.mux().stats().sessions_completed;
+  res.completed = client.mux().stats()[MuxCounter::kSessionsCompleted];
 
   // Retire the children gracefully (final trace flush + meta), then merge
   // the per-process traces by recorder epoch and attest offline.

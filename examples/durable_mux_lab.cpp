@@ -38,6 +38,7 @@
 #include "store/stable_store.hpp"
 
 using namespace stpx;
+using net::MuxCounter;
 
 namespace {
 
@@ -138,11 +139,11 @@ int main() {
   }
   server->mux().kill();
   const auto gen1 = server->mux().stats();
-  std::cout << "\nkill: server down with " << gen1.items_done
+  std::cout << "\nkill: server down with " << gen1[MuxCounter::kItemsDone]
             << " items landed across " << kSessions << " sessions ("
-            << gen1.checkpoint_flushes << " group commits, "
-            << gen1.checkpoint_records << " manifest records, "
-            << gen1.checkpoint_bytes << " bytes)\n";
+            << gen1[MuxCounter::kCheckpointFlushes] << " group commits, "
+            << gen1[MuxCounter::kCheckpointRecords] << " manifest records, "
+            << gen1[MuxCounter::kCheckpointBytes] << " bytes)\n";
 
   // --- storage faults bite the session log while the server is down --------
   st0.fault_corrupt_record();
@@ -212,8 +213,8 @@ int main() {
             << "\nrehydrated     = " << probe2.rehydrated() << " ("
             << cold << " cold re-adds)"
             << "\npost-kill wall = " << wall << " ms"
-            << "\nitems gen1/2   = " << gen1.items_done << " / "
-            << ss.items_done
+            << "\nitems gen1/2   = " << gen1[MuxCounter::kItemsDone] << " / "
+            << ss[MuxCounter::kItemsDone]
             << "\nwire drops     = " << sr.dropped + rs_stats.dropped
             << " (SR " << sr.dropped << ", RS " << rs_stats.dropped << ")\n";
 

@@ -39,6 +39,7 @@
 
 using namespace stpx;
 using namespace std::chrono_literals;
+using net::MuxCounter;
 
 namespace {
 
@@ -144,8 +145,9 @@ int main() {
               << " (" << fab.membership().sessions_of(b).size()
               << " sessions)";
   }
-  std::cout << "\nclient: " << client.mux().stats().sessions_completed
-            << "/" << kSessions << " sessions completed, drain "
+  const auto completed = client.mux().stats()[MuxCounter::kSessionsCompleted];
+  std::cout << "\nclient: " << completed << "/" << kSessions
+            << " sessions completed, drain "
             << (drained ? "clean" : "TIMED OUT") << "\n";
 
   // --- close the loop offline ---------------------------------------------
@@ -169,9 +171,7 @@ int main() {
             << "\n  verdict          = " << (report.ok ? "ok" : "VIOLATED")
             << "\n";
 
-  const bool ok = drained &&
-                  client.mux().stats().sessions_completed == kSessions &&
-                  report.ok;
+  const bool ok = drained && completed == kSessions && report.ok;
   std::cout << "\n"
             << (ok ? "the fabric healed: exact copy everywhere, attested "
                      "live and offline"

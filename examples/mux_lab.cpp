@@ -108,7 +108,7 @@ int main() {
   std::cout << "\ndrained      = " << (drained ? "yes" : "NO")
             << "\ncompleted    = " << completed << "/" << kSessions
             << "\nwall         = " << wall << " ms"
-            << "\nitems done   = " << ss.items_done
+            << "\nitems done   = " << ss[net::MuxCounter::kItemsDone]
             << "\nwire drops   = " << sr.dropped + rs_stats.dropped
             << " (SR " << sr.dropped << ", RS " << rs_stats.dropped << ")"
             << "\nack rtt p50  = " << pct.p50 << " us, p99 = " << pct.p99

@@ -24,12 +24,9 @@ net::Frame Nameserver::answer(const net::Frame& query) {
     }
   }
   ack.msg = pack_lease(owner, membership_->epoch());
-  n_.resolves.fetch_add(1, std::memory_order_relaxed);
-  if (owner != 0) {
-    n_.grants.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    n_.unknowns.fetch_add(1, std::memory_order_relaxed);
-  }
+  n_.add(NameserverCounter::kResolves);
+  n_.add(owner != 0 ? NameserverCounter::kGrants
+                    : NameserverCounter::kUnknowns);
   return ack;
 }
 
@@ -39,19 +36,10 @@ net::Frame Nameserver::redirect(std::uint32_t session) {
   f.dir = sim::Dir::kReceiverToSender;
   f.session = session;
   f.msg = pack_lease(0, membership_->epoch());
-  n_.redirects.fetch_add(1, std::memory_order_relaxed);
+  n_.add(NameserverCounter::kRedirects);
   return f;
 }
 
 std::uint64_t Nameserver::epoch() const { return membership_->epoch(); }
-
-NameserverStats Nameserver::stats() const {
-  NameserverStats s;
-  s.resolves = n_.resolves.load(std::memory_order_relaxed);
-  s.grants = n_.grants.load(std::memory_order_relaxed);
-  s.unknowns = n_.unknowns.load(std::memory_order_relaxed);
-  s.redirects = n_.redirects.load(std::memory_order_relaxed);
-  return s;
-}
 
 }  // namespace stpx::fabric

@@ -22,11 +22,12 @@
 // router's pump thread; stats are atomics so any thread may snapshot.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 
 #include "fabric/membership.hpp"
 #include "net/frame.hpp"
+#include "obs/metrics.hpp"
 
 namespace stpx::fabric {
 
@@ -47,12 +48,23 @@ constexpr std::uint64_t lease_epoch(std::int64_t msg) {
   return static_cast<std::uint64_t>(msg) >> 32;
 }
 
-struct NameserverStats {
-  std::uint64_t resolves = 0;   ///< kResolve queries answered
-  std::uint64_t grants = 0;     ///< answers naming a live, fresh owner
-  std::uint64_t unknowns = 0;   ///< answers with owner 0 (none to name)
-  std::uint64_t redirects = 0;  ///< kNotOwner frames minted
+/// Every event the nameserver counts (stats() reads them back by this
+/// enum).
+enum class NameserverCounter : std::uint8_t {
+  kResolves,   ///< kResolve queries answered
+  kGrants,     ///< answers naming a live, fresh owner
+  kUnknowns,   ///< answers with owner 0 (none to name)
+  kRedirects,  ///< kNotOwner frames minted
+  kCount,
 };
+
+/// The counter key of each NameserverCounter (published by the router).
+inline constexpr auto kNameserverCounterNames = std::to_array<const char*>({
+    "fabric.resolves",
+    "fabric.nameserver.grants",
+    "fabric.nameserver.unknowns",
+    "fabric.redirects",
+});
 
 class Nameserver {
  public:
@@ -69,15 +81,13 @@ class Nameserver {
   net::Frame redirect(std::uint32_t session);
 
   std::uint64_t epoch() const;
-  NameserverStats stats() const;
+  obs::CounterTable<NameserverCounter>::Snapshot stats() const {
+    return n_.snapshot();
+  }
 
  private:
   MembershipTable* membership_;
-  struct Counters {
-    std::atomic<std::uint64_t> resolves{0}, grants{0}, unknowns{0},
-        redirects{0};
-  };
-  mutable Counters n_;
+  obs::CounterTable<NameserverCounter> n_;
 };
 
 }  // namespace stpx::fabric

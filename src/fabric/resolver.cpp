@@ -8,9 +8,19 @@ namespace stpx::fabric {
 using net::Frame;
 using net::FrameKind;
 
-ResolverTransport::ResolverTransport(net::ITransport* inner,
-                                     ResolverConfig cfg)
-    : inner_(inner), cfg_(cfg) {
+namespace {
+
+/// Minimum gap between kResolve re-issues for one session (an unanswered
+/// resolve is wire loss; retrying too hot would just add control noise
+/// to a congested link).
+constexpr std::chrono::microseconds kResolveRetry{2'000};
+/// Control frames consumed per poll() before giving the caller an empty
+/// answer (starvation bound).
+constexpr std::size_t kControlBurst = 16;
+
+}  // namespace
+
+ResolverTransport::ResolverTransport(net::ITransport* inner) : inner_(inner) {
   STPX_EXPECT(inner_ != nullptr, "ResolverTransport: null inner transport");
 }
 
@@ -21,7 +31,7 @@ std::string ResolverTransport::name() const {
 void ResolverTransport::maybe_resolve(std::uint32_t session,
                                       clock::time_point now) {
   const auto it = last_resolve_.find(session);
-  if (it != last_resolve_.end() && now - it->second < cfg_.resolve_retry) {
+  if (it != last_resolve_.end() && now - it->second < kResolveRetry) {
     return;
   }
   last_resolve_[session] = now;
@@ -31,7 +41,7 @@ void ResolverTransport::maybe_resolve(std::uint32_t session,
   q.session = session;
   q.msg = 0;
   inner_->send(net::encode(q));
-  ++n_.resolves_sent;
+  n_.add(ResolverCounter::kResolvesSent);
 }
 
 void ResolverTransport::on_control(const Frame& f) {
@@ -43,21 +53,21 @@ void ResolverTransport::on_control(const Frame& f) {
       // clobber a newer lease.
       auto& l = leases_[f.session];
       if (epoch >= l.epoch) l = Lease{owner, epoch};
-      ++n_.leases_granted;
+      n_.add(ResolverCounter::kLeasesGranted);
     } else {
-      ++n_.unknown_answers;
+      n_.add(ResolverCounter::kUnknownAnswers);
     }
     return;
   }
   // kNotOwner: the router dropped a frame for this session and tells us
   // the current epoch.  A cached lease older than that is fenced off and
   // re-resolved immediately — redirected, not blackholed.
-  ++n_.redirects_seen;
+  n_.add(ResolverCounter::kRedirectsSeen);
   const std::uint64_t epoch = lease_epoch(f.msg);
   const auto it = leases_.find(f.session);
   if (it != leases_.end() && it->second.epoch < epoch) {
     leases_.erase(it);
-    ++n_.lease_invalidations;
+    n_.add(ResolverCounter::kLeaseInvalidations);
     last_resolve_.erase(f.session);  // stale fence beats the rate limit
   }
   maybe_resolve(f.session, clock::now());
@@ -79,7 +89,7 @@ bool ResolverTransport::send(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::optional<std::vector<std::uint8_t>> ResolverTransport::poll() {
-  for (std::size_t i = 0; i < cfg_.control_burst; ++i) {
+  for (std::size_t i = 0; i < kControlBurst; ++i) {
     auto bytes = inner_->poll();
     if (!bytes) return std::nullopt;
     const auto f = net::decode(*bytes);
@@ -105,11 +115,6 @@ std::optional<Lease> ResolverTransport::lease(std::uint32_t session) const {
   const auto it = leases_.find(session);
   if (it == leases_.end()) return std::nullopt;
   return it->second;
-}
-
-ResolverStats ResolverTransport::stats() const {
-  std::lock_guard<std::mutex> hold(mu_);
-  return n_;
 }
 
 }  // namespace stpx::fabric

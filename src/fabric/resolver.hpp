@@ -31,18 +31,9 @@
 
 #include "net/frame.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 
 namespace stpx::fabric {
-
-struct ResolverConfig {
-  /// Minimum gap between kResolve re-issues for one session (an
-  /// unanswered resolve is wire loss; retrying too hot would just add
-  /// control noise to a congested link).
-  std::chrono::microseconds resolve_retry{2'000};
-  /// Control frames consumed per poll() before giving the caller an
-  /// empty answer (starvation bound).
-  std::size_t control_burst = 16;
-};
 
 /// One cached ownership lease.
 struct Lease {
@@ -50,18 +41,21 @@ struct Lease {
   std::uint64_t epoch = 0;
 };
 
-struct ResolverStats {
-  std::uint64_t resolves_sent = 0;
-  std::uint64_t leases_granted = 0;       ///< acks naming an owner
-  std::uint64_t unknown_answers = 0;      ///< acks naming no owner
-  std::uint64_t redirects_seen = 0;       ///< kNotOwner consumed
-  std::uint64_t lease_invalidations = 0;  ///< stale leases fenced off
+/// Every event the resolver counts (stats() reads them back by this
+/// enum).  None is published as a metric.
+enum class ResolverCounter : std::uint8_t {
+  kResolvesSent,
+  kLeasesGranted,       ///< acks naming an owner
+  kUnknownAnswers,      ///< acks naming no owner
+  kRedirectsSeen,       ///< kNotOwner consumed
+  kLeaseInvalidations,  ///< stale leases fenced off
+  kCount,
 };
 
 class ResolverTransport final : public net::ITransport {
  public:
   /// `inner` is the real client endpoint (non-owning, must outlive).
-  explicit ResolverTransport(net::ITransport* inner, ResolverConfig cfg = {});
+  explicit ResolverTransport(net::ITransport* inner);
 
   bool send(const std::vector<std::uint8_t>& bytes) override;
   std::optional<std::vector<std::uint8_t>> poll() override;
@@ -74,23 +68,24 @@ class ResolverTransport final : public net::ITransport {
   /// The cached lease for `session`, if any.
   std::optional<Lease> lease(std::uint32_t session) const;
 
-  ResolverStats stats() const;
+  obs::CounterTable<ResolverCounter>::Snapshot stats() const {
+    return n_.snapshot();
+  }
 
  private:
   using clock = std::chrono::steady_clock;
 
-  /// Issue a kResolve unless one went out within resolve_retry.
+  /// Issue a kResolve unless one went out within kResolveRetry.
   /// Caller holds mu_.
   void maybe_resolve(std::uint32_t session, clock::time_point now);
   /// Consume one control frame.  Caller holds mu_.
   void on_control(const net::Frame& f);
 
   net::ITransport* inner_;
-  ResolverConfig cfg_;
   mutable std::mutex mu_;
   std::map<std::uint32_t, Lease> leases_;
   std::map<std::uint32_t, clock::time_point> last_resolve_;
-  ResolverStats n_;
+  obs::CounterTable<ResolverCounter> n_;
 };
 
 }  // namespace stpx::fabric

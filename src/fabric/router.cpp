@@ -9,6 +9,15 @@ using net::FrameKind;
 using net::ITransport;
 using net::kFabricSession;
 
+namespace {
+
+/// Pump sleep after a pass in which no link had traffic.
+constexpr std::chrono::microseconds kPollBackoff{50};
+/// Frames taken from one link per pump pass (fairness bound).
+constexpr std::size_t kBurst = 64;
+
+}  // namespace
+
 FabricRouter::FabricRouter(ITransport* client_side,
                            MembershipTable* membership, RouterConfig cfg)
     : client_(client_side), membership_(membership), cfg_(cfg),
@@ -107,67 +116,25 @@ std::optional<std::uint32_t> FabricRouter::next_joined() {
   return id;
 }
 
-RouterStats FabricRouter::stats() const {
-  RouterStats s;
-  s.client_to_backend = n_.c2b.load();
-  s.backend_to_client = n_.b2c.load();
-  s.probes_sent = n_.probes_sent.load();
-  s.probe_acks = n_.probe_acks.load();
-  s.probes_suppressed = n_.probes_suppressed.load();
-  s.data_suppressed = n_.data_suppressed.load();
-  s.no_owner = n_.no_owner.load();
-  s.dead_owner = n_.dead_owner.load();
-  s.stale_lease = n_.stale_lease.load();
-  s.partition_suppressed = n_.partition_suppressed.load();
-  s.resolves = n_.resolves.load();
-  s.redirects = n_.redirects.load();
-  s.joins = n_.joins.load();
-  s.rejects = n_.rejects.load();
-  return s;
-}
-
 HealthStats FabricRouter::health_stats() const {
   std::lock_guard<std::mutex> hold(health_mu_);
   return health_.stats();
 }
 
 void FabricRouter::publish_metrics(obs::MetricsRegistry& reg) const {
-  const RouterStats st = stats();
-  reg.counter("fabric.forwarded.client_to_backend").inc(st.client_to_backend);
-  reg.counter("fabric.forwarded.backend_to_client").inc(st.backend_to_client);
-  reg.counter("fabric.probes.sent").inc(st.probes_sent);
-  reg.counter("fabric.probes.acks").inc(st.probe_acks);
-  reg.counter("fabric.probes.suppressed").inc(st.probes_suppressed);
-  // The drop family, split by cause: an unknown session (no_owner) is a
-  // client bug or a pre-assignment race; a fenced owner (dead_owner) is a
-  // re-home in flight; a stale entry (stale_lease) is a blocked
-  // resurrection.  Lumping them would hide exactly the distinction the
-  // fence exists to draw.
-  reg.counter("fabric.drops.no_owner").inc(st.no_owner);
-  reg.counter("fabric.drops.dead_owner").inc(st.dead_owner);
-  reg.counter("fabric.drops.stale_lease").inc(st.stale_lease);
-  reg.counter("fabric.drops.data_suppressed").inc(st.data_suppressed);
-  reg.counter("fabric.drops.partition").inc(st.partition_suppressed);
-  reg.counter("fabric.resolves").inc(st.resolves);
-  reg.counter("fabric.redirects").inc(st.redirects);
-  reg.counter("fabric.joins").inc(st.joins);
-  reg.counter("fabric.rejects").inc(st.rejects);
-  const NameserverStats ns = nameserver_.stats();
-  reg.counter("fabric.nameserver.grants").inc(ns.grants);
-  reg.counter("fabric.nameserver.unknowns").inc(ns.unknowns);
+  stats().publish(reg, kRouterCounterNames);
+  nameserver_.stats().publish(reg, kNameserverCounterNames);
 }
 
 void FabricRouter::redirect_client(std::uint32_t session) {
-  if (!cfg_.redirect_on_drop) return;
   client_->send(net::encode(nameserver_.redirect(session)));
-  ++n_.redirects;
 }
 
 void FabricRouter::route_inbound(const Frame& f,
                                  const std::vector<std::uint8_t>& bytes) {
   const auto entry = membership_->resolve(f.session);
   if (!entry) {
-    ++n_.no_owner;
+    n_.add(RouterCounter::kNoOwner);
     redirect_client(f.session);
     return;
   }
@@ -177,7 +144,7 @@ void FabricRouter::route_inbound(const Frame& f,
     // revived).  Routing to the revived incarnation would be an automatic
     // resurrection of a session nobody handed back — dropped, and the
     // client is redirected to re-resolve.
-    ++n_.stale_lease;
+    n_.add(RouterCounter::kStaleLease);
     redirect_client(f.session);
     return;
   }
@@ -189,7 +156,7 @@ void FabricRouter::route_inbound(const Frame& f,
     }
   }
   if (!target) {
-    ++n_.no_owner;
+    n_.add(RouterCounter::kNoOwner);
     redirect_client(f.session);
     return;
   }
@@ -197,7 +164,7 @@ void FabricRouter::route_inbound(const Frame& f,
     // Fenced owner, re-home not finished: the frame is dropped like wire
     // loss and the client's retransmission finds the survivor.  The
     // redirect carries the epoch the re-home will have bumped past.
-    ++n_.dead_owner;
+    n_.add(RouterCounter::kDeadOwner);
     redirect_client(f.session);
     return;
   }
@@ -205,16 +172,16 @@ void FabricRouter::route_inbound(const Frame& f,
   if (pm == PartitionMode::kBoth || pm == PartitionMode::kToBackend) {
     // Host split: a network fault, not a membership fact — no redirect,
     // the drop looks exactly like wire loss to the client.
-    ++n_.partition_suppressed;
+    n_.add(RouterCounter::kPartitionSuppressed);
     return;
   }
   if (target->drop_data.load(std::memory_order_acquire)) {
-    ++n_.data_suppressed;
+    n_.add(RouterCounter::kDataSuppressed);
     return;
   }
   if (ITransport* link = target->link.load(std::memory_order_acquire)) {
     link->send(bytes);
-    ++n_.c2b;
+    n_.add(RouterCounter::kClientToBackend);
   }
 }
 
@@ -230,7 +197,7 @@ void FabricRouter::on_join(BackendLink& b, HealthMonitor::time_point now) {
     // Probation opens; the death stays reported (and the membership entry
     // stays fenced) until the supervisor finishes the reclaim handoff.
     b.awaiting_probation = true;
-    ++n_.joins;
+    n_.add(RouterCounter::kJoins);
   }
   if (!in_probation) {
     // The FSM has not condemned this backend (crash detection is still
@@ -244,7 +211,7 @@ void FabricRouter::on_join(BackendLink& b, HealthMonitor::time_point now) {
   // announcing generation can date itself.
   const PartitionMode pm = partition_of(b);
   if (pm == PartitionMode::kBoth || pm == PartitionMode::kToBackend) {
-    ++n_.partition_suppressed;
+    n_.add(RouterCounter::kPartitionSuppressed);
     return;
   }
   if (ITransport* link = b.link.load(std::memory_order_acquire)) {
@@ -262,13 +229,13 @@ bool FabricRouter::drain_backend(BackendLink& b,
   ITransport* link = b.link.load(std::memory_order_acquire);
   if (!link) return false;
   bool busy = false;
-  for (std::size_t i = 0; i < cfg_.burst; ++i) {
+  for (std::size_t i = 0; i < kBurst; ++i) {
     auto bytes = link->poll();
     if (!bytes) break;
     busy = true;
     const auto f = net::decode(*bytes);
     if (!f) {
-      ++n_.rejects;
+      n_.add(RouterCounter::kRejects);
       continue;
     }
     const PartitionMode pm = partition_of(b);
@@ -276,7 +243,7 @@ bool FabricRouter::drain_backend(BackendLink& b,
       // Host split severs EVERYTHING from the backend — data, probe acks,
       // joins.  Unanswered probes keep charging the health FSM, so a long
       // enough partition reads as a crash; that asymmetry IS the fault.
-      ++n_.partition_suppressed;
+      n_.add(RouterCounter::kPartitionSuppressed);
       continue;
     }
     if (f->session == kFabricSession) {
@@ -288,22 +255,22 @@ bool FabricRouter::drain_backend(BackendLink& b,
       if (b.drop_probes.load(std::memory_order_acquire)) {
         // Probe-blackout severs the heartbeat in BOTH directions: the
         // ack made it back but the router never sees it.
-        ++n_.probes_suppressed;
+        n_.add(RouterCounter::kProbesSuppressed);
         continue;
       }
       {
         std::lock_guard<std::mutex> hold(health_mu_);
         health_.on_ack(b.id, f->msg, now);
       }
-      ++n_.probe_acks;
+      n_.add(RouterCounter::kProbeAcks);
       continue;
     }
     if (b.drop_data.load(std::memory_order_acquire)) {
-      ++n_.data_suppressed;
+      n_.add(RouterCounter::kDataSuppressed);
       continue;
     }
     client_->send(*bytes);
-    ++n_.b2c;
+    n_.add(RouterCounter::kBackendToClient);
   }
   return busy;
 }
@@ -324,10 +291,10 @@ void FabricRouter::tend_backend(BackendLink& b,
       if (pm == PartitionMode::kBoth || pm == PartitionMode::kToBackend) {
         // The FSM believes the probe is on the wire (it charges the
         // timeout); the split ate it.
-        ++n_.partition_suppressed;
+        n_.add(RouterCounter::kPartitionSuppressed);
       } else if (b.drop_probes.load(std::memory_order_acquire)) {
         // Same asymmetry, probe-blackout flavour.
-        ++n_.probes_suppressed;
+        n_.add(RouterCounter::kProbesSuppressed);
       } else if (ITransport* link =
                      b.link.load(std::memory_order_acquire)) {
         Frame probe;
@@ -336,7 +303,7 @@ void FabricRouter::tend_backend(BackendLink& b,
         probe.session = kFabricSession;
         probe.msg = *nonce;
         link->send(net::encode(probe));
-        ++n_.probes_sent;
+        n_.add(RouterCounter::kProbesSent);
       }
     }
   }
@@ -372,18 +339,17 @@ void FabricRouter::tend_backend(BackendLink& b,
 void FabricRouter::pump_loop(std::stop_token st) {
   while (!st.stop_requested()) {
     bool busy = false;
-    for (std::size_t i = 0; i < cfg_.burst; ++i) {
+    for (std::size_t i = 0; i < kBurst; ++i) {
       auto bytes = client_->poll();
       if (!bytes) break;
       busy = true;
       const auto f = net::decode(*bytes);
       if (!f) {
-        ++n_.rejects;
+        n_.add(RouterCounter::kRejects);
         continue;
       }
       if (f->kind == FrameKind::kResolve) {
         client_->send(net::encode(nameserver_.answer(*f)));
-        ++n_.resolves;
         continue;
       }
       route_inbound(*f, *bytes);
@@ -394,7 +360,7 @@ void FabricRouter::pump_loop(std::stop_token st) {
       tend_backend(*b, now);
     }
     pump_ticks_.fetch_add(1, std::memory_order_release);
-    if (!busy) std::this_thread::sleep_for(cfg_.poll_backoff);
+    if (!busy) std::this_thread::sleep_for(kPollBackoff);
   }
 }
 

@@ -46,6 +46,7 @@
 // runs the reclaim handoff and only then revives the membership entry.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -84,32 +85,46 @@ constexpr const char* to_cstr(PartitionMode m) {
 
 struct RouterConfig {
   HealthConfig health;
-  /// Pump idle backoff when no link had traffic.
-  std::chrono::microseconds poll_backoff{50};
-  /// Frames forwarded per link per pump pass (fairness bound).
-  std::size_t burst = 64;
-  /// Bounce an epoch-tagged kNotOwner to the client for every
-  /// no-owner / dead-owner / stale-entry drop.
-  bool redirect_on_drop = true;
 };
 
-/// Aggregate router counters (snapshot of atomics).
-struct RouterStats {
-  std::uint64_t client_to_backend = 0;  // frames forwarded inbound
-  std::uint64_t backend_to_client = 0;  // frames forwarded outbound
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probe_acks = 0;          // consumed by the health FSM
-  std::uint64_t probes_suppressed = 0;   // probe-blackout drops (both ways)
-  std::uint64_t data_suppressed = 0;     // split-router drops (both ways)
-  std::uint64_t no_owner = 0;            // client frame for an unknown session
-  std::uint64_t dead_owner = 0;          // owner fenced, re-home not done yet
-  std::uint64_t stale_lease = 0;         // owner entry predates its last fence
-  std::uint64_t partition_suppressed = 0;  // host-split drops (any kind)
-  std::uint64_t resolves = 0;            // kResolve queries answered
-  std::uint64_t redirects = 0;           // kNotOwner bounces sent
-  std::uint64_t joins = 0;               // kJoin announcements accepted
-  std::uint64_t rejects = 0;             // undecodable bytes (either side)
+/// Every event the router counts (stats() reads them back by this enum).
+/// Resolves and redirects are the nameserver's own counters.  The drop
+/// family is split by cause: an unknown session (kNoOwner) is a client
+/// bug or a pre-assignment race; a fenced owner (kDeadOwner) is a re-home
+/// in flight; a stale entry (kStaleLease) is a blocked resurrection.
+/// Lumping them would hide exactly the distinction the fence exists to
+/// draw.
+enum class RouterCounter : std::uint8_t {
+  kClientToBackend,      // frames forwarded inbound
+  kBackendToClient,      // frames forwarded outbound
+  kProbesSent,
+  kProbeAcks,            // consumed by the health FSM
+  kProbesSuppressed,     // probe-blackout drops (both ways)
+  kNoOwner,              // client frame for an unknown session
+  kDeadOwner,            // owner fenced, re-home not done yet
+  kStaleLease,           // owner entry predates its last fence
+  kDataSuppressed,       // split-router drops (both ways)
+  kPartitionSuppressed,  // host-split drops (any kind)
+  kJoins,                // kJoin announcements accepted
+  kRejects,              // undecodable bytes (either side)
+  kCount,
 };
+
+/// The counter key of each RouterCounter.
+inline constexpr auto kRouterCounterNames = std::to_array<const char*>({
+    "fabric.forwarded.client_to_backend",
+    "fabric.forwarded.backend_to_client",
+    "fabric.probes.sent",
+    "fabric.probes.acks",
+    "fabric.probes.suppressed",
+    "fabric.drops.no_owner",
+    "fabric.drops.dead_owner",
+    "fabric.drops.stale_lease",
+    "fabric.drops.data_suppressed",
+    "fabric.drops.partition",
+    "fabric.joins",
+    "fabric.rejects",
+});
 
 class FabricRouter {
  public:
@@ -151,17 +166,15 @@ class FabricRouter {
   /// any.  The supervisor runs the reclaim handoff on it.
   std::optional<std::uint32_t> next_joined();
 
-  RouterStats stats() const;
+  obs::CounterTable<RouterCounter>::Snapshot stats() const {
+    return n_.snapshot();
+  }
   /// Health FSM counters.  Snapshot taken under the pump's cadence; call
   /// after stop() for an exact final value.
   HealthStats health_stats() const;
-  NameserverStats nameserver_stats() const { return nameserver_.stats(); }
 
-  /// Router counters into the metrics registry under "fabric.*" — the
-  /// drop family is split by cause (fabric.drops.no_owner /
-  /// fabric.drops.dead_owner / fabric.drops.stale_lease / ...), so
-  /// dashboards can tell an unknown session from a fenced owner from a
-  /// resurrection attempt.
+  /// The router's and its nameserver's counter tables into `reg`, under
+  /// the keys of kRouterCounterNames and kNameserverCounterNames.
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:
@@ -210,12 +223,7 @@ class FabricRouter {
   std::deque<std::uint32_t> dead_;
   std::deque<std::uint32_t> joined_;
 
-  struct Counters {
-    std::atomic<std::uint64_t> c2b{0}, b2c{0}, probes_sent{0},
-        probe_acks{0}, probes_suppressed{0}, data_suppressed{0},
-        no_owner{0}, dead_owner{0}, stale_lease{0}, partition_suppressed{0},
-        resolves{0}, redirects{0}, joins{0}, rejects{0};
-  } n_;
+  obs::CounterTable<RouterCounter> n_;
 
   /// Incremented once per pump pass; set_link uses it as a quiescence
   /// fence before letting the caller free the swapped-out transport.

@@ -139,7 +139,7 @@ void FlightRecorder::on_checkpoint_flush(std::size_t shard,
                                          std::size_t records,
                                          std::uint64_t bytes,
                                          std::uint64_t duration_us) {
-  (void)bytes;  // aggregate byte accounting lives in NetStats
+  (void)bytes;  // counted by the mux (MuxCounter::kCheckpointBytes)
   TraceEvent ev;
   ev.kind = TraceEventKind::kCheckpointFlush;
   ev.session = static_cast<std::uint32_t>(shard);

@@ -117,6 +117,9 @@ constexpr const char* to_cstr(RejectReason r) {
   return "?";
 }
 
+/// Number of RejectReason values.
+inline constexpr std::size_t kRejectReasonCount = 6;
+
 /// One decoded frame.  `msg` is the protocol payload for kData frames; for
 /// kFin frames it carries the receiver's item count (informational).
 struct Frame {

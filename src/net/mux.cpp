@@ -19,6 +19,30 @@ constexpr std::size_t kMaxRttSamples = 4096;
 /// flushes; overflow drops the oldest (== wire loss, retransmission
 /// heals it).
 constexpr std::size_t kMaxHeldFrames = 8;
+/// Pump sleep after a poll burst that found nothing.
+constexpr std::chrono::microseconds kPollBackoff{50};
+
+/// The per-reason reject counter of `why`.
+constexpr MuxCounter reject_counter(RejectReason why) {
+  return static_cast<MuxCounter>(
+      static_cast<std::size_t>(MuxCounter::kRejectBadSize) +
+      static_cast<std::size_t>(why));
+}
+static_assert(reject_counter(static_cast<RejectReason>(
+                  kRejectReasonCount - 1)) == MuxCounter::kRejectBadChecksum,
+              "one reject counter per RejectReason");
+
+/// The counter of sessions finalized in the terminal state `s`.
+constexpr MuxCounter state_counter(SessionState s) {
+  return static_cast<MuxCounter>(
+      static_cast<std::size_t>(MuxCounter::kSessionsCompleted) +
+      static_cast<std::size_t>(s) -
+      static_cast<std::size_t>(SessionState::kCompleted));
+}
+static_assert(state_counter(static_cast<SessionState>(
+                  kSessionStateCount - 1)) ==
+                  MuxCounter::kSessionsRecoveryViolated,
+              "one session counter per terminal SessionState");
 
 std::uint64_t us_between(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
@@ -34,7 +58,6 @@ SessionMux::SessionMux(ITransport* transport, MuxConfig cfg)
   STPX_EXPECT(transport_ != nullptr, "SessionMux: null transport");
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.steps_per_sweep == 0) cfg_.steps_per_sweep = 1;
-  if (cfg_.checkpoint_every_sweeps == 0) cfg_.checkpoint_every_sweeps = 1;
   for (store::IStableStore* st : cfg_.session_stores) {
     STPX_EXPECT(st != nullptr, "SessionMux: null session store");
     auto slot = std::make_unique<StoreSlot>();
@@ -173,7 +196,7 @@ RehydrateReport SessionMux::rehydrate(
     s.dirty = true;  // re-manifest under the new epoch at the first flush
     s.items_reported = s.endpoint->items_done();
     ++rep.sessions;
-    n_.rehydrated.fetch_add(1, std::memory_order_relaxed);
+    n_.add(MuxCounter::kRehydratedSessions);
     if (!s.endpoint->safety_ok()) {
       // The manifest itself witnessed an inconsistency — loud, terminal,
       // distinct from a live safety violation.
@@ -217,12 +240,12 @@ void SessionMux::pump_loop(std::stop_token st) {
         // control traffic (a probe ack reflection, a join/resolve frame
         // from a hostile or confused peer) is dropped, never delivered to
         // a session — a kNotOwner reaching deliver() would read as an ack.
-        n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
+        n_.add(MuxCounter::kFramesUnknownSession);
         continue;
       }
       route(*frame);
     }
-    if (!any) std::this_thread::sleep_for(cfg_.poll_backoff);
+    if (!any) std::this_thread::sleep_for(kPollBackoff);
   }
 }
 
@@ -238,14 +261,14 @@ void SessionMux::answer_probe(const Frame& probe) {
   ack.session = probe.session;
   ack.msg = probe.msg;  // echo the nonce
   transport_->send(encode(ack));
-  n_.probes_answered.fetch_add(1, std::memory_order_relaxed);
+  n_.add(MuxCounter::kProbesAnswered);
   if (cfg_.probe != nullptr) cfg_.probe->on_probe_answered(probe.msg);
 }
 
 void SessionMux::route(const Frame& f) {
   const auto it = index_.find(f.session);
   if (it == index_.end()) {
-    n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
+    n_.add(MuxCounter::kFramesUnknownSession);
     return;
   }
   const std::size_t idx = it->second;
@@ -270,17 +293,16 @@ void SessionMux::route(const Frame& f) {
     }
   }
   if (shed) {
-    n_.frames_shed.fetch_add(1, std::memory_order_relaxed);
+    n_.add(MuxCounter::kFramesShed);
     if (cfg_.probe != nullptr) cfg_.probe->on_frame_shed(f.session);
     return;
   }
-  n_.frames_received.fetch_add(1, std::memory_order_relaxed);
+  n_.add(MuxCounter::kFramesReceived);
 }
 
 void SessionMux::note_reject(RejectReason why) {
-  n_.frames_rejected.fetch_add(1, std::memory_order_relaxed);
-  n_.rejects_by_reason[static_cast<std::size_t>(why) % kRejectReasonCount]
-      .fetch_add(1, std::memory_order_relaxed);
+  n_.add(MuxCounter::kFramesRejected);
+  n_.add(reject_counter(why));
   if (cfg_.probe != nullptr) cfg_.probe->on_frame_rejected(why);
 }
 
@@ -303,7 +325,6 @@ void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
 }
 
 void SessionMux::sweep(Shard& shard) {
-  ++shard.sweep_no;
   for (const std::size_t idx : shard.members) {
     Session& s = *sessions_[idx];
     std::vector<Frame>& arrived = shard.arrived;
@@ -339,11 +360,14 @@ void SessionMux::sweep(Shard& shard) {
       s.quiet_sweeps = 0;
       transport_->send(s.last_data_frame);
       ++s.frames_out;
-      n_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+      n_.add(MuxCounter::kFramesSent);
       if (s.is_sender) {
         if (s.pending_sends.size() < kMaxPendingSends) {
           s.pending_sends.push_back(std::chrono::steady_clock::now());
         }
+      }
+      if (cfg_.probe != nullptr) {
+        cfg_.probe->on_frame_sent(s.id, *decode(s.last_data_frame));
       }
     }
 
@@ -364,9 +388,7 @@ void SessionMux::sweep(Shard& shard) {
       }
     }
   }
-  if (durable() && shard.sweep_no % cfg_.checkpoint_every_sweeps == 0) {
-    flush_shard(shard, /*force=*/false);
-  }
+  if (durable()) flush_shard(shard, /*force=*/false);
 }
 
 void SessionMux::deliver(Session& s, const Frame& f) {
@@ -414,8 +436,7 @@ void SessionMux::step_session(Session& s) {
     const std::size_t items = s.endpoint->items_done();
     if (items > s.items_reported) {
       s.dirty = true;
-      n_.items_done.fetch_add(items - s.items_reported,
-                              std::memory_order_relaxed);
+      n_.add(MuxCounter::kItemsDone, items - s.items_reported);
       if (cfg_.probe != nullptr) {
         for (std::size_t j = s.items_reported; j < items; ++j) {
           cfg_.probe->on_item(s.id, j);
@@ -468,9 +489,9 @@ void SessionMux::send_now(Session& s, const Frame& f,
                           const std::vector<std::uint8_t>& bytes) {
   transport_->send(bytes);  // shed == lost; the protocol retransmits
   ++s.frames_out;
-  n_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+  n_.add(MuxCounter::kFramesSent);
   if (f.kind == FrameKind::kFin) {
-    n_.fins_sent.fetch_add(1, std::memory_order_relaxed);
+    n_.add(MuxCounter::kFinsSent);
   } else {
     s.last_data_frame = bytes;
   }
@@ -531,9 +552,9 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
       std::lock_guard<std::mutex> hold(slot.mu);
       slot.store->append_batch(batch);
     }
-    n_.ckpt_flushes.fetch_add(1, std::memory_order_relaxed);
-    n_.ckpt_records.fetch_add(batch.size(), std::memory_order_relaxed);
-    n_.ckpt_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
+    n_.add(MuxCounter::kCheckpointFlushes);
+    n_.add(MuxCounter::kCheckpointRecords, batch.size());
+    n_.add(MuxCounter::kCheckpointBytes, batch_bytes);
     if (cfg_.probe != nullptr) {
       cfg_.probe->on_checkpoint_flush(
           shard.idx, batch.size(), batch_bytes,
@@ -550,51 +571,9 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
 void SessionMux::finalize(Session& s, SessionState state) {
   s.state = state;
   s.dirty = true;  // the terminal state itself is worth a manifest record
-  switch (state) {
-    case SessionState::kCompleted:
-      n_.completed.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SessionState::kSafetyViolation:
-      n_.violated.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SessionState::kEvicted:
-      n_.evicted.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SessionState::kRecoveryViolation:
-      n_.recovery_violated.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SessionState::kActive:
-      break;
-  }
+  n_.add(state_counter(state));
   terminal_.fetch_add(1, std::memory_order_release);
   if (cfg_.probe != nullptr) cfg_.probe->on_session_state(s.id, state);
-}
-
-NetStats SessionMux::stats() const {
-  NetStats out;
-  out.frames_sent = n_.frames_sent.load(std::memory_order_relaxed);
-  out.frames_received = n_.frames_received.load(std::memory_order_relaxed);
-  out.frames_rejected = n_.frames_rejected.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
-    out.rejects_by_reason[i] =
-        n_.rejects_by_reason[i].load(std::memory_order_relaxed);
-  }
-  out.frames_unknown_session =
-      n_.frames_unknown.load(std::memory_order_relaxed);
-  out.frames_shed = n_.frames_shed.load(std::memory_order_relaxed);
-  out.probes_answered = n_.probes_answered.load(std::memory_order_relaxed);
-  out.fins_sent = n_.fins_sent.load(std::memory_order_relaxed);
-  out.items_done = n_.items_done.load(std::memory_order_relaxed);
-  out.sessions_completed = n_.completed.load(std::memory_order_relaxed);
-  out.sessions_violated = n_.violated.load(std::memory_order_relaxed);
-  out.sessions_evicted = n_.evicted.load(std::memory_order_relaxed);
-  out.sessions_recovery_violated =
-      n_.recovery_violated.load(std::memory_order_relaxed);
-  out.rehydrated_sessions = n_.rehydrated.load(std::memory_order_relaxed);
-  out.checkpoint_flushes = n_.ckpt_flushes.load(std::memory_order_relaxed);
-  out.checkpoint_records = n_.ckpt_records.load(std::memory_order_relaxed);
-  out.checkpoint_bytes = n_.ckpt_bytes.load(std::memory_order_relaxed);
-  return out;
 }
 
 std::vector<SessionReport> SessionMux::reports() const {
@@ -619,28 +598,12 @@ std::vector<SessionReport> SessionMux::reports() const {
 }
 
 void SessionMux::publish_metrics(obs::MetricsRegistry& reg) const {
-  const NetStats st = stats();
-  reg.counter("net.frames.sent").inc(st.frames_sent);
-  reg.counter("net.frames.received").inc(st.frames_received);
-  reg.counter("net.frames.rejected").inc(st.frames_rejected);
-  for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
-    reg.counter(std::string("net.rejects.") +
-                to_cstr(static_cast<RejectReason>(i)))
-        .inc(st.rejects_by_reason[i]);
-  }
-  reg.counter("net.frames.unknown_session").inc(st.frames_unknown_session);
-  reg.counter("net.frames.shed").inc(st.frames_shed);
-  // Backpressure loss under its own name, so dashboards can tell "the mux
-  // chose to drop" apart from frame-accounting noise (`net.frames.shed`
-  // stays as the frame-family spelling of the same counter).
-  reg.counter("net.sheds").inc(st.frames_shed);
-  reg.counter("net.probes.answered").inc(st.probes_answered);
-  reg.counter("net.fins.sent").inc(st.fins_sent);
-  reg.counter("net.items.done").inc(st.items_done);
-  reg.counter("net.rehydrated_sessions").inc(st.rehydrated_sessions);
-  reg.counter("net.checkpoint_flushes").inc(st.checkpoint_flushes);
-  reg.counter("net.checkpoint_records").inc(st.checkpoint_records);
-  reg.counter("net.checkpoint_bytes").inc(st.checkpoint_bytes);
+  const auto st = stats();
+  st.publish(reg, kMuxCounterNames);
+  // Backpressure loss under its own name too, so dashboards can tell "the
+  // mux chose to drop" apart from frame-accounting noise (the table's
+  // kFramesShed key stays as the frame-family spelling of the counter).
+  reg.counter("net.sheds").inc(st[MuxCounter::kFramesShed]);
   reg.gauge("net.sessions.active")
       .set(static_cast<std::int64_t>(active_sessions()));
   auto& rtt = reg.histogram("net.ack_rtt_us", obs::pow2_bounds(24));

@@ -43,13 +43,14 @@
 //     still rehydrates cleanly.
 //
 // Thread-safety invariants: session objects are touched only by their
-// shard's worker; NetCounters are atomics; the transport must be
+// shard's worker; the counter table is atomics; the transport must be
 // thread-safe (both provided implementations are); an attached INetProbe
 // must be thread-safe (hooks fire concurrently from workers and pump);
 // session stores are NOT assumed thread-safe — the mux serializes access
 // per store with its own mutex.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -95,6 +96,9 @@ constexpr const char* to_cstr(SessionState s) {
   }
   return "?";
 }
+
+/// Number of SessionState values.
+inline constexpr std::size_t kSessionStateCount = 5;
 
 /// Thread-safe observer of mux events.  Hooks fire concurrently from the
 /// pump and every worker; implementations must be safe under that (the
@@ -154,61 +158,6 @@ class INetProbe {
   }
 };
 
-/// How many distinct RejectReason values exist (per-reason counter arrays).
-inline constexpr std::size_t kRejectReasonCount = 6;
-
-/// A ready-made INetProbe: atomic tallies, enough for tests and demos.
-class CountingNetProbe final : public INetProbe {
- public:
-  void on_frame_sent(std::uint32_t, const Frame&) override { ++sent_; }
-  void on_frame_received(std::uint32_t, const Frame&) override {
-    ++received_;
-  }
-  void on_frame_rejected(RejectReason why) override {
-    ++rejected_;
-    ++by_reason_[static_cast<std::size_t>(why) % kRejectReasonCount];
-  }
-  void on_frame_shed(std::uint32_t) override { ++sheds_; }
-  void on_item(std::uint32_t, std::size_t) override { ++items_; }
-  void on_session_state(std::uint32_t, SessionState s) override {
-    if (s == SessionState::kCompleted) ++completed_;
-    if (s == SessionState::kSafetyViolation) ++violated_;
-    if (s == SessionState::kEvicted) ++evicted_;
-    if (s == SessionState::kRecoveryViolation) ++recovery_violated_;
-  }
-  void on_rehydrate(std::uint32_t, std::size_t, SessionState) override {
-    ++rehydrated_;
-  }
-  void on_checkpoint_flush(std::size_t, std::size_t, std::uint64_t,
-                           std::uint64_t) override {
-    ++flushes_;
-  }
-  void on_probe_answered(std::int64_t) override { ++probes_answered_; }
-
-  std::uint64_t sent() const { return sent_; }
-  std::uint64_t received() const { return received_; }
-  std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t rejected(RejectReason why) const {
-    return by_reason_[static_cast<std::size_t>(why) % kRejectReasonCount];
-  }
-  std::uint64_t sheds() const { return sheds_; }
-  std::uint64_t checkpoint_flushes() const { return flushes_; }
-  std::uint64_t items() const { return items_; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t violated() const { return violated_; }
-  std::uint64_t evicted() const { return evicted_; }
-  std::uint64_t recovery_violated() const { return recovery_violated_; }
-  std::uint64_t rehydrated() const { return rehydrated_; }
-  std::uint64_t probes_answered() const { return probes_answered_; }
-
- private:
-  std::atomic<std::uint64_t> sent_{0}, received_{0}, rejected_{0},
-      sheds_{0}, flushes_{0}, items_{0}, completed_{0}, violated_{0},
-      evicted_{0}, recovery_violated_{0}, rehydrated_{0},
-      probes_answered_{0};
-  std::atomic<std::uint64_t> by_reason_[kRejectReasonCount] = {};
-};
-
 struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
@@ -230,9 +179,8 @@ struct MuxConfig {
   /// nothing to send, re-send the last data frame (0 = off).  Receiver
   /// sessions use the same cadence to refresh their cumulative ack.
   std::uint64_t keepalive_sweeps = 8;
-  /// Worker sweep cadence and pump idle backoff.
+  /// Worker sweep cadence.
   std::chrono::microseconds sweep_interval{200};
-  std::chrono::microseconds poll_backoff{50};
   /// Optional observer (non-owning, must be thread-safe).
   INetProbe* probe = nullptr;
   /// Session checkpoint logs (non-owning; empty = volatile sessions).
@@ -241,8 +189,6 @@ struct MuxConfig {
   /// stores — the caller does, once, before the FIRST server generation
   /// (a restart must find the previous generation's records).
   std::vector<store::IStableStore*> session_stores;
-  /// Checkpoint (and release held receiver frames) every N sweeps.
-  std::uint64_t checkpoint_every_sweeps = 1;
   /// Stamped as `owner` into every manifest record this mux writes
   /// (0 = unattributed).  Fabric backends set their backend id here so a
   /// handed-off session log stays attributable after re-homing.
@@ -255,27 +201,62 @@ struct MuxConfig {
   std::uint64_t rehydrate_idle_violation_sweeps = 0;
 };
 
-/// Aggregate mux counters (a consistent-enough snapshot of atomics).
-struct NetStats {
-  std::uint64_t frames_sent = 0;      // handed to the transport
-  std::uint64_t frames_received = 0;  // decoded and routed
-  std::uint64_t frames_rejected = 0;  // malformed bytes or bad direction
-  /// frames_rejected split by RejectReason (indexed by the enum value).
-  std::uint64_t rejects_by_reason[kRejectReasonCount] = {};
-  std::uint64_t frames_unknown_session = 0;
-  std::uint64_t frames_shed = 0;  // inbox backpressure
-  std::uint64_t probes_answered = 0;  // fabric heartbeats echoed by the pump
-  std::uint64_t fins_sent = 0;
-  std::uint64_t items_done = 0;  // receiver-side writes, all sessions
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_violated = 0;
-  std::uint64_t sessions_evicted = 0;
-  std::uint64_t sessions_recovery_violated = 0;
-  std::uint64_t rehydrated_sessions = 0;
-  std::uint64_t checkpoint_flushes = 0;  // non-empty group commits
-  std::uint64_t checkpoint_records = 0;  // manifest records appended
-  std::uint64_t checkpoint_bytes = 0;    // manifest payload bytes appended
+/// Every event the mux counts: one entry each in its counter table,
+/// read back by stats() indexed by this enum.  The reject entries follow
+/// RejectReason order and the session entries SessionState order from
+/// kCompleted, so both are indexed by value.
+enum class MuxCounter : std::uint8_t {
+  kFramesSent,             // handed to the transport
+  kFramesReceived,         // decoded and routed
+  kFramesRejected,         // malformed bytes or bad direction
+  kRejectBadSize,          // kFramesRejected by RejectReason ...
+  kRejectBadMagic,
+  kRejectBadVersion,
+  kRejectBadKind,
+  kRejectBadDir,
+  kRejectBadChecksum,      // ... up to here
+  kFramesUnknownSession,   // no such session, or stray control traffic
+  kFramesShed,             // inbox backpressure
+  kProbesAnswered,         // fabric heartbeats echoed by the pump
+  kFinsSent,
+  kItemsDone,              // receiver-side writes, all sessions
+  kSessionsCompleted,      // sessions finalized in each terminal state ...
+  kSessionsViolated,
+  kSessionsEvicted,
+  kSessionsRecoveryViolated,  // ... up to here
+  kRehydratedSessions,
+  kCheckpointFlushes,      // non-empty group commits
+  kCheckpointRecords,      // manifest records appended
+  kCheckpointBytes,        // manifest payload bytes appended
+  kCount,
 };
+
+/// The counter key of each MuxCounter.  The per-state session counts have
+/// none: publish_metrics reports net.verdict.<state> from session states.
+inline constexpr auto kMuxCounterNames = std::to_array<const char*>({
+    "net.frames.sent",
+    "net.frames.received",
+    "net.frames.rejected",
+    "net.rejects.bad-size",
+    "net.rejects.bad-magic",
+    "net.rejects.bad-version",
+    "net.rejects.bad-kind",
+    "net.rejects.bad-dir",
+    "net.rejects.bad-checksum",
+    "net.frames.unknown_session",
+    "net.frames.shed",
+    "net.probes.answered",
+    "net.fins.sent",
+    "net.items.done",
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr,
+    "net.rehydrated_sessions",
+    "net.checkpoint_flushes",
+    "net.checkpoint_records",
+    "net.checkpoint_bytes",
+});
 
 /// Post-run, per-session outcome.
 struct SessionReport {
@@ -378,14 +359,16 @@ class SessionMux {
     return sessions_.size() - terminal_.load(std::memory_order_acquire);
   }
 
-  NetStats stats() const;
+  obs::CounterTable<MuxCounter>::Snapshot stats() const {
+    return n_.snapshot();
+  }
 
   /// Per-session outcomes.  Call after stop() (or before start()).
   std::vector<SessionReport> reports() const;
 
-  /// Publish counters, the active-sessions gauge, per-state verdict
-  /// counters, and the ack-RTT histogram into `reg` under the net.*
-  /// namespace (see docs/OBSERVABILITY.md).  Call after stop().
+  /// Publish the counter table (kMuxCounterNames), the active-sessions
+  /// gauge, per-state verdict counters, and the ack-RTT histogram into
+  /// `reg` under the net.* namespace.  Call after stop().
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:
@@ -428,7 +411,6 @@ class SessionMux {
     // Worker-private: each session's inbox is drained into this one
     // buffer, reused across sweeps, so a sweep allocates nothing.
     std::vector<Frame> arrived;
-    std::uint64_t sweep_no = 0;        // drives the checkpoint cadence
     std::size_t slot = 0;              // index into slots_
     std::size_t idx = 0;               // own index (probe attribution)
   };
@@ -454,6 +436,7 @@ class SessionMux {
   /// batch, then release all held frames (they are now covered).
   void flush_shard(Shard& shard, bool force);
   void release_held(Session& s);
+  /// Move `s` into the terminal `state` (never kActive) and count it.
   void finalize(Session& s, SessionState state);
   bool durable() const { return !slots_.empty(); }
   /// Route one decoded frame to its session's inbox.
@@ -476,14 +459,7 @@ class SessionMux {
   std::atomic<std::uint64_t> ckpt_seq_{0};  // manifest append order
 
   std::atomic<std::size_t> terminal_{0};
-  struct Counters {
-    std::atomic<std::uint64_t> frames_sent{0}, frames_received{0},
-        frames_rejected{0}, frames_unknown{0}, frames_shed{0}, fins_sent{0},
-        items_done{0}, completed{0}, violated{0}, evicted{0},
-        recovery_violated{0}, rehydrated{0}, ckpt_flushes{0},
-        ckpt_records{0}, ckpt_bytes{0}, probes_answered{0};
-    std::atomic<std::uint64_t> rejects_by_reason[kRejectReasonCount] = {};
-  } n_;
+  obs::CounterTable<MuxCounter> n_;
   /// The one reject bottleneck: count (total + per reason) and notify.
   void note_reject(RejectReason why);
 

@@ -1,6 +1,5 @@
 #include "net/trace_event.hpp"
 
-#include <array>
 #include <cstdlib>
 #include <sstream>
 
@@ -8,30 +7,14 @@ namespace stpx::net {
 
 namespace {
 
-// --- enum <-> string tables (must stay in sync with the to_cstr's) --------
-
-template <typename E, std::size_t N>
-std::optional<E> from_table(const std::array<const char*, N>& names,
-                            const std::string& s) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (s == names[i]) return static_cast<E>(i);
+/// The value of E (among its first `count`) whose to_cstr() is `s`.
+template <typename E>
+std::optional<E> from_cstr(const std::string& s, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (s == to_cstr(static_cast<E>(i))) return static_cast<E>(i);
   }
   return std::nullopt;
 }
-
-constexpr std::array<const char*, 9> kKindNames = {
-    "frame-sent",       "frame-received", "frame-rejected",
-    "frame-shed",       "item",           "session-state",
-    "rehydrate",        "checkpoint-flush", "probe-answered"};
-constexpr std::array<const char*, 4> kFrameKindNames = {"data", "fin",
-                                                        "probe", "probe-ack"};
-constexpr std::array<const char*, 6> kRejectNames = {
-    "bad-size", "bad-magic", "bad-version", "bad-kind", "bad-dir",
-    "bad-checksum"};
-constexpr std::array<const char*, 5> kStateNames = {
-    "active", "completed", "safety-violation", "evicted",
-    "recovery-violation"};
-constexpr std::array<const char*, 2> kDirNames = {"S->R", "R->S"};
 
 // --- tiny flat-object field extraction ------------------------------------
 // The emitted lines are flat objects with unescaped string values, so a
@@ -116,7 +99,8 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
   const auto seq = int_field(line, "seq");
   const auto ev_name = raw_field(line, "ev");
   if (!ts || !seq || !ev_name || *ts < 0 || *seq < 0) return std::nullopt;
-  const auto kind = from_table<TraceEventKind>(kKindNames, *ev_name);
+  const auto kind =
+      from_cstr<TraceEventKind>(*ev_name, kTraceEventKindCount);
   if (!kind) return std::nullopt;
 
   TraceEvent ev;
@@ -140,8 +124,8 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
       const auto dir = raw_field(line, "dir");
       const auto msg = int_field(line, "msg");
       if (!s || !fk || !dir || !msg) return std::nullopt;
-      const auto fkv = from_table<FrameKind>(kFrameKindNames, *fk);
-      const auto dirv = from_table<sim::Dir>(kDirNames, *dir);
+      const auto fkv = from_cstr<FrameKind>(*fk, kMaxFrameKind + 1);
+      const auto dirv = from_cstr<sim::Dir>(*dir, 2);
       if (!fkv || !dirv) return std::nullopt;
       ev.session = *s;
       ev.detail = static_cast<std::uint8_t>(*fkv);
@@ -152,7 +136,7 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
     case TraceEventKind::kFrameRejected: {
       const auto why = raw_field(line, "why");
       if (!why) return std::nullopt;
-      const auto rv = from_table<RejectReason>(kRejectNames, *why);
+      const auto rv = from_cstr<RejectReason>(*why, kRejectReasonCount);
       if (!rv) return std::nullopt;
       ev.detail = static_cast<std::uint8_t>(*rv);
       break;
@@ -175,7 +159,7 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
       const auto s = session();
       const auto state = raw_field(line, "state");
       if (!s || !state) return std::nullopt;
-      const auto sv = from_table<SessionState>(kStateNames, *state);
+      const auto sv = from_cstr<SessionState>(*state, kSessionStateCount);
       if (!sv) return std::nullopt;
       ev.session = *s;
       ev.detail = static_cast<std::uint8_t>(*sv);
@@ -186,7 +170,7 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
       const auto position = int_field(line, "position");
       const auto state = raw_field(line, "state");
       if (!s || !position || !state) return std::nullopt;
-      const auto sv = from_table<SessionState>(kStateNames, *state);
+      const auto sv = from_cstr<SessionState>(*state, kSessionStateCount);
       if (!sv) return std::nullopt;
       ev.session = *s;
       ev.msg = *position;

@@ -62,6 +62,9 @@ constexpr const char* to_cstr(TraceEventKind k) {
   return "?";
 }
 
+/// Number of TraceEventKind values.
+inline constexpr std::size_t kTraceEventKindCount = 9;
+
 struct TraceEvent {
   std::uint64_t ts_us = 0;
   std::uint64_t seq = 0;

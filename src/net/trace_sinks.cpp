@@ -103,25 +103,16 @@ std::string instant_args(const TraceEvent& ev) {
 void write_wire_chrome_trace(std::ostream& out,
                              const std::vector<TraceEvent>& evs,
                              const std::vector<TraceSpan>& windows) {
-  // Lane-pack the fault windows exactly like obs::ChromeTraceSink: each
-  // window takes the first lane whose previous occupant has ended.
-  std::vector<TraceSpan> spans = windows;
-  std::stable_sort(spans.begin(), spans.end(),
-                   [](const TraceSpan& a, const TraceSpan& b) {
-                     return a.begin_us < b.begin_us;
-                   });
-  std::vector<std::uint64_t> lane_end;
-  std::vector<int> span_tid;
-  span_tid.reserve(spans.size());
-  for (const TraceSpan& s : spans) {
-    std::size_t lane = 0;
-    while (lane < lane_end.size() && lane_end[lane] > s.begin_us) ++lane;
-    if (lane == lane_end.size()) lane_end.push_back(0);
-    lane_end[lane] = s.end_us;
-    span_tid.push_back(kTidFaultBase + static_cast<int>(lane));
+  std::vector<obs::ChromeSpan> spans;
+  spans.reserve(windows.size());
+  for (const TraceSpan& w : windows) {
+    spans.push_back({w.begin_us, w.end_us, w.name, ""});
   }
+  std::vector<obs::ChromeTrack> tracks = {{kTidRejects, "rejects"}};
+  const auto lanes = obs::place_fault_lanes(spans, kTidFaultBase);
+  tracks.insert(tracks.end(), lanes.begin(), lanes.end());
 
-  // Census of shards (flush tracks) and sessions.
+  // Census of shards (flush tracks) and sessions, numbered after the lanes.
   std::set<std::uint32_t> shards;
   std::set<std::uint32_t> sessions;
   for (const TraceEvent& ev : evs) {
@@ -131,95 +122,35 @@ void write_wire_chrome_trace(std::ostream& out,
       sessions.insert(ev.session);
     }
   }
-  const int shard_base = kTidFaultBase + static_cast<int>(lane_end.size());
+  int next_tid = kTidFaultBase + static_cast<int>(lanes.size());
   std::map<std::uint32_t, int> shard_tid;
   for (const std::uint32_t s : shards) {
-    shard_tid.emplace(s, shard_base + static_cast<int>(shard_tid.size()));
+    shard_tid.emplace(s, next_tid);
+    tracks.push_back({next_tid++, "flush shard " + std::to_string(s)});
   }
-  const int session_base = shard_base + static_cast<int>(shard_tid.size());
   std::map<std::uint32_t, int> session_tid;
   for (const std::uint32_t s : sessions) {
-    session_tid.emplace(s, session_base + static_cast<int>(session_tid.size()));
+    session_tid.emplace(s, next_tid);
+    tracks.push_back({next_tid++, "session " + std::to_string(s)});
   }
 
-  struct Record {
-    std::uint64_t ts;
-    int order;  // B(0) before instants(1) before E(2) at equal ts
-    std::string json;
-  };
-  std::vector<Record> records;
-  records.reserve(evs.size() + 2 * spans.size());
-
-  auto event = [](std::uint64_t ts, int tid, char ph, const std::string& name,
-                  const std::string& args, std::uint64_t dur) {
-    std::ostringstream os;
-    os << "{\"name\":\"" << obs::json_escape(name) << "\",\"ph\":\"" << ph
-       << "\",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ts;
-    if (ph == 'X') os << ",\"dur\":" << dur;
-    if (ph == 'i') os << ",\"s\":\"t\"";
-    if (!args.empty()) os << ",\"args\":{" << args << '}';
-    os << '}';
-    return os.str();
-  };
-
+  std::vector<obs::ChromeEvent> events;
+  events.reserve(evs.size());
   for (const TraceEvent& ev : evs) {
     if (ev.kind == TraceEventKind::kCheckpointFlush) {
       // Flushes are duration slices; stamp the span at flush *start*.
-      const std::uint64_t begin =
-          ev.ts_us >= ev.aux ? ev.ts_us - ev.aux : 0;
-      records.push_back({begin, 1,
-                         event(begin, shard_tid.at(ev.session), 'X',
-                               instant_name(ev), instant_args(ev),
-                               std::max<std::uint64_t>(ev.aux, 1))});
+      const std::uint64_t begin = ev.ts_us >= ev.aux ? ev.ts_us - ev.aux : 0;
+      events.push_back({begin, shard_tid.at(ev.session), instant_name(ev),
+                        instant_args(ev), std::max<std::uint64_t>(ev.aux, 1)});
       continue;
     }
     const int tid = ev.kind == TraceEventKind::kFrameRejected
                         ? kTidRejects
                         : session_tid.at(ev.session);
-    records.push_back({ev.ts_us, 1,
-                       event(ev.ts_us, tid, 'i', instant_name(ev),
-                             instant_args(ev), 0)});
+    events.push_back(
+        {ev.ts_us, tid, instant_name(ev), instant_args(ev), 0});
   }
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const TraceSpan& s = spans[i];
-    records.push_back(
-        {s.begin_us, 0,
-         event(s.begin_us, span_tid[i], 'B', s.name, "", 0)});
-    records.push_back(
-        {s.end_us, 2, event(s.end_us, span_tid[i], 'E', s.name, "", 0)});
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
-                   });
-
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto meta = [&](int tid, const std::string& name) {
-    out << (first ? "" : ",")
-        << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << obs::json_escape(name) << "\"}}";
-    first = false;
-  };
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-         "\"args\":{\"name\":\"stpx wire\"}}";
-  first = false;
-  meta(kTidRejects, "rejects");
-  for (std::size_t lane = 0; lane < lane_end.size(); ++lane) {
-    meta(kTidFaultBase + static_cast<int>(lane),
-         lane == 0 ? "faults" : "faults (overflow lane)");
-  }
-  for (const auto& [shard, tid] : shard_tid) {
-    meta(tid, "flush shard " + std::to_string(shard));
-  }
-  for (const auto& [session, tid] : session_tid) {
-    meta(tid, "session " + std::to_string(session));
-  }
-  for (const Record& r : records) {
-    out << (first ? "" : ",") << r.json;
-    first = false;
-  }
-  out << "]}";
+  obs::write_chrome_trace(out, "stpx wire", tracks, events, spans);
 }
 
 }  // namespace stpx::net

@@ -11,9 +11,9 @@
 //     flushes as complete ("X") slices with their measured duration,
 //     rejects on their own track (they are unattributable to a session by
 //     construction), and fault/blackout windows as balanced B/E span
-//     pairs on stacked fault lanes — the same lane-packing scheme as
-//     obs::ChromeTraceSink, so the two trace families look alike in the
-//     viewer.
+//     pairs on stacked fault lanes — written by obs::write_chrome_trace,
+//     the writer obs::ChromeTraceSink uses, so the two trace families
+//     look alike in the viewer.
 //
 // Timestamps are the recorder's epoch-relative microseconds, which is
 // natively what the Chrome trace format wants.

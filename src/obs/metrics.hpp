@@ -14,6 +14,8 @@
 // report generation.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -106,6 +108,53 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// A fixed table of event counters indexed by the enum E, whose last
+/// enumerator is kCount.  Each entry is a relaxed atomic: counting is one
+/// fetch_add from any thread, and a snapshot may be read at any time
+/// (every entry exact, the set not from one instant).  The owner keeps one
+/// name table beside E giving each entry its metric key, so the key is
+/// spelled once and publishing is a loop.
+template <typename E>
+class CounterTable {
+ public:
+  static constexpr std::size_t kSize = static_cast<std::size_t>(E::kCount);
+  /// names[i] is entry i's counter key; nullptr leaves it unpublished.
+  using Names = std::array<const char*, kSize>;
+
+  /// Plain values read from the table, indexed by the same enum.
+  class Snapshot {
+   public:
+    std::uint64_t operator[](E e) const {
+      return values_[static_cast<std::size_t>(e)];
+    }
+    /// Add each named entry to the registry counter of that name.
+    void publish(MetricsRegistry& reg, const Names& names) const {
+      for (std::size_t i = 0; i < kSize; ++i) {
+        if (names[i] != nullptr) reg.counter(names[i]).inc(values_[i]);
+      }
+    }
+
+   private:
+    friend class CounterTable;
+    std::array<std::uint64_t, kSize> values_{};
+  };
+
+  void add(E e, std::uint64_t n = 1) {
+    slots_[static_cast<std::size_t>(e)].fetch_add(n,
+                                                  std::memory_order_relaxed);
+  }
+  Snapshot snapshot() const {
+    Snapshot s;
+    for (std::size_t i = 0; i < kSize; ++i) {
+      s.values_[i] = slots_[i].load(std::memory_order_relaxed);
+    }
+    return s;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kSize> slots_{};
+};
+
 /// The standard engine instrumentation, accumulated across every run the
 /// probe observes (attach a fresh registry per sweep for per-sweep stats).
 ///
@@ -134,13 +183,10 @@ class MetricsRegistry {
 ///              step convergence was declared)
 ///
 /// The wire layer publishes a parallel net.* family from
-/// net::SessionMux::publish_metrics (post-stop, registry untouched while
-/// workers are live — MetricsRegistry itself is not thread-safe):
-///   counters   net.frames.sent / received / rejected / unknown_session /
-///              shed, net.fins.sent, net.items.done, net.verdict.<state>
-///   gauges     net.sessions.active
-///   histograms net.ack_rtt_us (sender frame send -> next inbound frame,
-///              microseconds — the wire analogue of ack_rtt)
+/// net::SessionMux::publish_metrics and fabric.* from
+/// fabric::FabricRouter::publish_metrics; their counter keys are the name
+/// tables kMuxCounterNames (net/mux.hpp), kRouterCounterNames
+/// (fabric/router.hpp) and kNameserverCounterNames (fabric/nameserver.hpp).
 class MetricsProbe final : public IProbe {
  public:
   /// `registry` is non-owning and must outlive the probe's use.

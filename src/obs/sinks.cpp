@@ -176,6 +176,82 @@ const char* dir_name(sim::Dir d) { return sim::to_cstr(d); }
 
 bool json_valid(const std::string& text) { return JsonChecker(text).run(); }
 
+// --- Chrome trace-event documents ------------------------------------------
+
+std::vector<ChromeTrack> place_fault_lanes(std::vector<ChromeSpan>& spans,
+                                           int first_tid) {
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const ChromeSpan& a, const ChromeSpan& b) {
+                     return a.begin < b.begin;
+                   });
+  std::vector<std::uint64_t> lane_end;  // last end per lane
+  for (ChromeSpan& s : spans) {
+    std::size_t lane = 0;
+    while (lane < lane_end.size() && lane_end[lane] > s.begin) ++lane;
+    if (lane == lane_end.size()) lane_end.push_back(0);
+    lane_end[lane] = s.end;
+    s.tid = first_tid + static_cast<int>(lane);
+  }
+  std::vector<ChromeTrack> lanes;
+  for (std::size_t lane = 0; lane < lane_end.size(); ++lane) {
+    lanes.push_back({first_tid + static_cast<int>(lane),
+                     lane == 0 ? "faults" : "faults (overflow lane)"});
+  }
+  return lanes;
+}
+
+void write_chrome_trace(std::ostream& out, const std::string& process,
+                        const std::vector<ChromeTrack>& tracks,
+                        const std::vector<ChromeEvent>& events,
+                        const std::vector<ChromeSpan>& spans) {
+  struct Record {
+    std::uint64_t ts;
+    int order;  // stable tiebreak: B(0) before events(1) before E(2)
+    std::string json;
+  };
+  std::vector<Record> records;
+  records.reserve(events.size() + 2 * spans.size());
+
+  auto render = [](std::uint64_t ts, int tid, char ph,
+                   const std::string& name, const std::string& args,
+                   std::uint64_t dur) {
+    std::ostringstream os;
+    os << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph
+       << "\",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ts;
+    if (ph == 'X') os << ",\"dur\":" << dur;
+    if (ph == 'i') os << ",\"s\":\"t\"";
+    if (!args.empty()) os << ",\"args\":{" << args << '}';
+    os << '}';
+    return os.str();
+  };
+
+  for (const ChromeEvent& e : events) {
+    const char ph = e.dur > 0 ? 'X' : 'i';
+    records.push_back(
+        {e.ts, 1, render(e.ts, e.tid, ph, e.name, e.args, e.dur)});
+  }
+  for (const ChromeSpan& s : spans) {
+    records.push_back(
+        {s.begin, 0, render(s.begin, s.tid, 'B', s.name, s.args, 0)});
+    records.push_back({s.end, 2, render(s.end, s.tid, 'E', s.name, "", 0)});
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
+                   });
+
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+         "\"args\":{\"name\":\""
+      << json_escape(process) << "\"}}";
+  for (const ChromeTrack& t : tracks) {
+    out << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
+        << t.tid << ",\"args\":{\"name\":\"" << json_escape(t.name) << "\"}}";
+  }
+  for (const Record& r : records) out << ',' << r.json;
+  out << "]}";
+}
+
 // --- JsonlSink ------------------------------------------------------------
 
 JsonlSink::JsonlSink(std::ostream& out) : out_(&out) {}
@@ -332,90 +408,15 @@ void ChromeTraceSink::on_fault(const FaultEvent& ev) {
 }
 
 void ChromeTraceSink::write_to(std::ostream& out) const {
-  // Assign each fault window to the first lane where it does not overlap an
-  // earlier window, so every lane carries a properly nested (here: disjoint)
-  // B/E sequence.
-  std::vector<Span> spans = spans_;
-  std::stable_sort(spans.begin(), spans.end(),
-                   [](const Span& a, const Span& b) {
-                     return a.begin < b.begin;
-                   });
-  std::vector<std::uint64_t> lane_end;  // last end per lane
-  struct TracedSpan {
-    Span span;
-    int tid;
-  };
-  std::vector<TracedSpan> placed;
-  placed.reserve(spans.size());
-  for (const Span& s : spans) {
-    std::size_t lane = 0;
-    while (lane < lane_end.size() && lane_end[lane] > s.begin) ++lane;
-    if (lane == lane_end.size()) lane_end.push_back(0);
-    lane_end[lane] = s.end;
-    placed.push_back({s, kTidFaultBase + static_cast<int>(lane)});
-  }
-
-  struct Record {
-    std::uint64_t ts;
-    int order;  // stable tiebreak: B(0) before instants(1) before E(2)
-    std::string json;
-  };
-  std::vector<Record> records;
-  records.reserve(instants_.size() + 2 * placed.size());
-
-  auto event = [](std::uint64_t ts, int tid, char ph, const std::string& name,
-                  const std::string& args, std::uint64_t dur) {
-    std::ostringstream os;
-    os << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph
-       << "\",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ts;
-    if (ph == 'X') os << ",\"dur\":" << dur;
-    if (ph == 'i') os << ",\"s\":\"t\"";
-    if (!args.empty()) os << ",\"args\":{" << args << '}';
-    os << '}';
-    return os.str();
-  };
-
-  for (const Instant& i : instants_) {
-    const char ph = i.dur > 0 ? 'X' : 'i';
-    records.push_back({i.ts, 1, event(i.ts, i.tid, ph, i.name, i.args, i.dur)});
-  }
-  for (const TracedSpan& t : placed) {
-    records.push_back(
-        {t.span.begin, 0,
-         event(t.span.begin, t.tid, 'B', t.span.name, t.span.args, 0)});
-    records.push_back(
-        {t.span.end, 2, event(t.span.end, t.tid, 'E', t.span.name, "", 0)});
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
-                   });
-
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto meta = [&](int tid, const char* name) {
-    out << (first ? "" : ",")
-        << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << name << "\"}}";
-    first = false;
-  };
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-         "\"args\":{\"name\":\"stpx run\"}}";
-  first = false;
-  meta(kTidSender, "sender");
-  meta(kTidReceiver, "receiver");
-  meta(kTidChannelSR, "channel S->R");
-  meta(kTidChannelRS, "channel R->S");
-  meta(kTidEngine, "engine");
-  for (std::size_t lane = 0; lane < lane_end.size(); ++lane) {
-    meta(kTidFaultBase + static_cast<int>(lane),
-         lane == 0 ? "faults" : "faults (overflow lane)");
-  }
-  for (const Record& r : records) {
-    out << (first ? "" : ",") << r.json;
-    first = false;
-  }
-  out << "]}";
+  std::vector<ChromeSpan> spans = spans_;
+  std::vector<ChromeTrack> tracks = {{kTidSender, "sender"},
+                                     {kTidReceiver, "receiver"},
+                                     {kTidChannelSR, "channel S->R"},
+                                     {kTidChannelRS, "channel R->S"},
+                                     {kTidEngine, "engine"}};
+  const auto lanes = place_fault_lanes(spans, kTidFaultBase);
+  tracks.insert(tracks.end(), lanes.begin(), lanes.end());
+  write_chrome_trace(out, "stpx run", tracks, instants_, spans);
 }
 
 std::string ChromeTraceSink::to_json() const {

@@ -10,6 +10,9 @@
 //     (blackout/freeze) are balanced B/E duration pairs on a dedicated
 //     faults track, so a schedule's blind spots are visible as shaded
 //     spans over the traffic they suppressed.
+//   * write_chrome_trace — the one Chrome trace-event document writer,
+//     shared by ChromeTraceSink and the wire flight recorder's export
+//     (net::write_wire_chrome_trace).
 //
 // Trace timestamps are engine steps, written as microseconds (1 step =
 // 1 us) — Perfetto needs a time unit and steps are the only clock the
@@ -32,6 +35,47 @@ std::string json_escape(const std::string& s);
 /// complete input).  Not a full RFC 8259 parser — enough to guarantee a
 /// report or trace round-trips through a real one.
 bool json_valid(const std::string& text);
+
+/// One record on a Chrome trace track: an instant ("i") when `dur` is 0,
+/// a complete slice ("X") otherwise.
+struct ChromeEvent {
+  std::uint64_t ts = 0;
+  int tid = 0;
+  std::string name;
+  std::string args;       // pre-rendered JSON object body, may be empty
+  std::uint64_t dur = 0;
+};
+
+/// A window rendered as a balanced B/E pair (args on the B record).
+struct ChromeSpan {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::string name;
+  std::string args;
+  int tid = 0;  // set by place_fault_lanes
+};
+
+/// A named thread track.
+struct ChromeTrack {
+  int tid = 0;
+  std::string name;
+};
+
+/// Sort `spans` by begin (stable) and put each on the first lane, counting
+/// tids up from `first_tid`, whose previous window has ended — so every
+/// lane carries disjoint B/E pairs.  Returns the lanes' tracks: "faults",
+/// then "faults (overflow lane)".
+std::vector<ChromeTrack> place_fault_lanes(std::vector<ChromeSpan>& spans,
+                                           int first_tid);
+
+/// Write {"displayTimeUnit":"ms","traceEvents":[...]}: the process name,
+/// the thread name of each track in order, then every event and span
+/// record by timestamp — at equal timestamps span begins, then events,
+/// then span ends, each group in input order.
+void write_chrome_trace(std::ostream& out, const std::string& process,
+                        const std::vector<ChromeTrack>& tracks,
+                        const std::vector<ChromeEvent>& events,
+                        const std::vector<ChromeSpan>& spans);
 
 /// Streams one JSON object per event line:
 ///   {"ev":"send","step":12,"dir":"S->R","msg":3}
@@ -78,24 +122,8 @@ class ChromeTraceSink final : public IProbe {
   void clear();
 
  private:
-  /// One instant ("i") or complete ("X") event on a track.
-  struct Instant {
-    std::uint64_t ts = 0;
-    int tid = 0;
-    std::string name;
-    std::string args;        // pre-rendered JSON object body, may be empty
-    std::uint64_t dur = 0;   // 0 = instant, >0 = complete event
-  };
-  /// One fault window, exported as a balanced B/E pair.
-  struct Span {
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    std::string name;
-    std::string args;
-  };
-
-  std::vector<Instant> instants_;
-  std::vector<Span> spans_;
+  std::vector<ChromeEvent> instants_;
+  std::vector<ChromeSpan> spans_;  // fault windows
 };
 
 }  // namespace stpx::obs

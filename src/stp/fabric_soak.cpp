@@ -228,15 +228,18 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   fab.stop();
 
   // --- live verdicts ----------------------------------------------------
-  res.completed = client.mux().stats().sessions_completed;
-  res.live_violations = client.mux().stats().sessions_violated +
-                        client.mux().stats().sessions_recovery_violated;
+  using net::MuxCounter;
+  const auto violations = [](const net::SessionMux& mux) {
+    const auto st = mux.stats();
+    return st[MuxCounter::kSessionsViolated] +
+           st[MuxCounter::kSessionsRecoveryViolated];
+  };
+  res.completed = client.mux().stats()[MuxCounter::kSessionsCompleted];
+  res.live_violations = violations(client.mux());
   for (std::size_t i = 0; i < cfg.backends; ++i) {
     const auto id = static_cast<std::uint32_t>(i + 1);
     if (fab.cell(id).killed()) continue;  // fenced: sessions moved away
-    const auto st = fab.cell(id).server().mux().stats();
-    res.live_violations +=
-        st.sessions_violated + st.sessions_recovery_violated;
+    res.live_violations += violations(fab.cell(id).server().mux());
   }
   std::size_t failed_rehomes = 0;
   for (const fabric::RehomeRecord& r : fab.rehomes()) {

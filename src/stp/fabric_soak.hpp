@@ -79,8 +79,10 @@ struct FabricSoakResult {
   std::size_t reclaims = 0;         ///< successful rejoin-and-reclaims
   std::vector<std::uint64_t> restore_latency_us;  ///< per re-home absorb
   std::vector<std::uint64_t> reclaim_latency_us;  ///< per reclaim absorb
-  fabric::RouterStats router;      ///< drop/redirect accounting
-  fabric::ResolverStats resolver;  ///< client-side lease accounting
+  /// Router drop/forward accounting.
+  obs::CounterTable<fabric::RouterCounter>::Snapshot router;
+  /// Client-side lease accounting.
+  obs::CounterTable<fabric::ResolverCounter>::Snapshot resolver;
   analysis::TraceReport trace;  ///< merged-trace attestation report
   /// The merged per-backend trace the attestation ran over, in merge
   /// order — what a failing run writes to a CI artifact so the verdict

@@ -54,6 +54,7 @@ namespace stpx {
 namespace {
 
 using namespace std::chrono_literals;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 
@@ -959,9 +960,9 @@ TEST(DurableMux, DrainFlushesCompactsAndRehydratesCompleted) {
   }
 
   const auto ss = server.mux().stats();
-  EXPECT_GT(ss.checkpoint_flushes, 0u);
-  EXPECT_GT(ss.checkpoint_records, 0u);
-  EXPECT_GT(ss.checkpoint_bytes, 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointFlushes], 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointRecords], 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointBytes], 0u);
   obs::MetricsRegistry reg;
   server.mux().publish_metrics(reg);
   EXPECT_GT(reg.counter_value("net.checkpoint_flushes"), 0u);
@@ -982,7 +983,7 @@ TEST(DurableMux, DrainFlushesCompactsAndRehydratesCompleted) {
   EXPECT_EQ(rep.cold_restores, 0u);
   EXPECT_EQ(rep.restore_latency_us.size(), kSessions);
   EXPECT_EQ(probe.rehydrated(), kSessions);
-  EXPECT_EQ(gen2.mux().stats().rehydrated_sessions, kSessions);
+  EXPECT_EQ(gen2.mux().stats()[MuxCounter::kRehydratedSessions], kSessions);
   expect_all_completed(gen2.mux(), kSessions, kLen, /*expect_rehydrated=*/true);
 
   obs::MetricsRegistry reg2;
@@ -1064,7 +1065,7 @@ TEST(DurableMux, KillRestartMidTrafficRehydratesAndCompletes) {
   rig.start(kSessions, kLen, lossy_wire(0xD0D0));
   ASSERT_TRUE(rig.wait_kill_window(60s));
   rig.kill_server();
-  ASSERT_EQ(rig.server->mux().stats().sessions_completed, 0u);
+  ASSERT_EQ(rig.server->mux().stats()[MuxCounter::kSessionsCompleted], 0u);
 
   const auto rep = rig.restart();
   EXPECT_EQ(rep.sessions, kSessions);  // every session was manifested
@@ -1090,12 +1091,12 @@ TEST(DurableMux, KillRestartMidTrafficRehydratesAndCompletes) {
   EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
   EXPECT_EQ(rig.probe2->rehydrated(), kSessions);
   const auto ss = rig.server2->mux().stats();
-  EXPECT_EQ(ss.rehydrated_sessions, kSessions);
-  EXPECT_EQ(ss.sessions_completed, kSessions);
-  EXPECT_EQ(ss.sessions_violated, 0u);
-  EXPECT_EQ(ss.sessions_recovery_violated, 0u);
-  EXPECT_GT(ss.checkpoint_flushes, 0u);
-  EXPECT_GT(ss.checkpoint_bytes, 0u);
+  EXPECT_EQ(ss[MuxCounter::kRehydratedSessions], kSessions);
+  EXPECT_EQ(ss[MuxCounter::kSessionsCompleted], kSessions);
+  EXPECT_EQ(ss[MuxCounter::kSessionsViolated], 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsRecoveryViolated], 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointFlushes], 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointBytes], 0u);
 }
 
 // Satellite: restart racing a FIN.  The receiver completed and its FIN
@@ -1131,9 +1132,10 @@ TEST(DurableMux, RestartRacingFinHealsViaReFin) {
   const auto creports = client.mux().reports();
   ASSERT_EQ(creports.size(), 1u);
   EXPECT_EQ(creports[0].state, net::SessionState::kCompleted);
-  EXPECT_GE(server.mux().stats().fins_sent, 1u);  // the healing re-FIN
+  // The healing re-FIN.
+  EXPECT_GE(server.mux().stats()[MuxCounter::kFinsSent], 1u);
   // No items moved this generation — the tape was already complete.
-  EXPECT_EQ(server.mux().stats().items_done, 0u);
+  EXPECT_EQ(server.mux().stats()[MuxCounter::kItemsDone], 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -1154,7 +1156,7 @@ void run_fault_matrix_case(
   rig.start(kSessions, kLen, lossy_wire(0xFA017));
   ASSERT_TRUE(rig.wait_kill_window(60s));
   rig.kill_server();
-  ASSERT_EQ(rig.server->mux().stats().sessions_completed, 0u);
+  ASSERT_EQ(rig.server->mux().stats()[MuxCounter::kSessionsCompleted], 0u);
 
   inject(rig);
 
@@ -1180,7 +1182,7 @@ void run_fault_matrix_case(
   EXPECT_FALSE(rig.probe2->out_of_order());
   EXPECT_EQ(rig.probe2->violations(), 0u);
   EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
-  EXPECT_EQ(rig.server2->mux().stats().sessions_violated, 0u);
+  EXPECT_EQ(rig.server2->mux().stats()[MuxCounter::kSessionsViolated], 0u);
 }
 
 TEST(DurableMuxFaults, TornWriteInSessionLogIsSkippedAndHealed) {
@@ -1269,8 +1271,9 @@ TEST(DurableMuxViolation, PoisonedManifestSurfacesAtRestore) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kRecoveryViolation);
   const auto ss = server.mux().stats();
-  EXPECT_EQ(ss.sessions_recovery_violated, 1u);
-  EXPECT_EQ(ss.sessions_violated, 0u);  // distinct from kSafetyViolation
+  EXPECT_EQ(ss[MuxCounter::kSessionsRecoveryViolated], 1u);
+  // Distinct from kSafetyViolation.
+  EXPECT_EQ(ss[MuxCounter::kSessionsViolated], 0u);
   obs::MetricsRegistry reg;
   server.mux().publish_metrics(reg);
   EXPECT_EQ(reg.counter_value("net.verdict.recovery-violation"), 1u);
@@ -1310,7 +1313,7 @@ TEST(DurableMuxViolation, LostCompletionWithSilentPeerIsFlaggedNotWedged) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kRecoveryViolation);
   EXPECT_EQ(probe.recovery_violations(), 1u);
-  EXPECT_EQ(server.mux().stats().sessions_recovery_violated, 1u);
+  EXPECT_EQ(server.mux().stats()[MuxCounter::kSessionsRecoveryViolated], 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -1503,7 +1506,7 @@ TEST(DurableMuxRehydrate, ExtraSourcesAreReadOnlyAndReManifestIntoOwnStores) {
   // after stop() — it is worker-owned while the mux is live.
   server.mux().start();
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (server.mux().stats().checkpoint_flushes == 0 &&
+  while (server.mux().stats()[MuxCounter::kCheckpointFlushes] == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
@@ -1544,7 +1547,7 @@ TEST(DurableMuxAcceptance, KillRestartThousandSessionsUnderLossAndReorder) {
   rig.start(kSessions, kLen, wire);
   ASSERT_TRUE(rig.wait_kill_window(120s));
   rig.kill_server();
-  ASSERT_EQ(rig.server->mux().stats().sessions_completed, 0u);
+  ASSERT_EQ(rig.server->mux().stats()[MuxCounter::kSessionsCompleted], 0u);
 
   // Two of the storage faults bite the logs at scale on top of the crash.
   rig.st0.fault_corrupt_record();
@@ -1576,13 +1579,13 @@ TEST(DurableMuxAcceptance, KillRestartThousandSessionsUnderLossAndReorder) {
   EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
 
   const auto ss = rig.server2->mux().stats();
-  EXPECT_EQ(ss.sessions_completed, kSessions);
-  EXPECT_EQ(ss.sessions_violated, 0u);
-  EXPECT_EQ(ss.sessions_recovery_violated, 0u);
-  EXPECT_EQ(ss.sessions_evicted, 0u);
-  EXPECT_EQ(ss.rehydrated_sessions, rep.sessions);
-  EXPECT_GT(ss.checkpoint_flushes, 0u);
-  EXPECT_GT(ss.checkpoint_bytes, 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsCompleted], kSessions);
+  EXPECT_EQ(ss[MuxCounter::kSessionsViolated], 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsRecoveryViolated], 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsEvicted], 0u);
+  EXPECT_EQ(ss[MuxCounter::kRehydratedSessions], rep.sessions);
+  EXPECT_GT(ss[MuxCounter::kCheckpointFlushes], 0u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointBytes], 0u);
 
   // Superseded checkpoints cost bounded retransmission, not items: both
   // generations together delivered each item at least once, and the

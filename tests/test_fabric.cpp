@@ -37,6 +37,7 @@ namespace stpx {
 namespace {
 
 using namespace std::chrono_literals;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 
@@ -182,7 +183,7 @@ struct FabricRig {
   }
 
   void expect_client_all_completed() const {
-    EXPECT_EQ(client->mux().stats().sessions_completed, sessions);
+    EXPECT_EQ(client->mux().stats()[MuxCounter::kSessionsCompleted], sessions);
     for (const auto& r : client->mux().reports()) {
       EXPECT_EQ(r.state, net::SessionState::kCompleted)
           << "session " << r.id;
@@ -433,14 +434,14 @@ TEST(Fabric, CleanRunShardsSessionsAndAnswersProbes) {
               fabric::BackendHealth::kAlive);
     EXPECT_FALSE(rig.fab->cell(b).killed());
     const auto st = rig.fab->cell(b).server().mux().stats();
-    EXPECT_EQ(st.sessions_completed, 4u);
-    EXPECT_GT(st.probes_answered, 0u);
+    EXPECT_EQ(st[MuxCounter::kSessionsCompleted], 4u);
+    EXPECT_GT(st[MuxCounter::kProbesAnswered], 0u);
   }
   const auto rs = rig.fab->router().stats();
-  EXPECT_GT(rs.probe_acks, 0u);
-  EXPECT_GT(rs.client_to_backend, 0u);
-  EXPECT_GT(rs.backend_to_client, 0u);
-  EXPECT_EQ(rs.dead_owner, 0u);
+  EXPECT_GT(rs[fabric::RouterCounter::kProbeAcks], 0u);
+  EXPECT_GT(rs[fabric::RouterCounter::kClientToBackend], 0u);
+  EXPECT_GT(rs[fabric::RouterCounter::kBackendToClient], 0u);
+  EXPECT_EQ(rs[fabric::RouterCounter::kDeadOwner], 0u);
   // The merged two-backend trace attests every session.
   const auto rep = rig.attest();
   EXPECT_TRUE(rep.ok) << rep.to_json();
@@ -478,9 +479,9 @@ TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
 
   // The survivor served the whole fleet share without a recovery break.
   const auto st = rig.fab->cell(r.survivor).server().mux().stats();
-  EXPECT_EQ(st.sessions_recovery_violated, 0u);
-  EXPECT_EQ(st.sessions_violated, 0u);
-  EXPECT_EQ(st.sessions_completed, 16u);  // own 8 + moved 8
+  EXPECT_EQ(st[MuxCounter::kSessionsRecoveryViolated], 0u);
+  EXPECT_EQ(st[MuxCounter::kSessionsViolated], 0u);
+  EXPECT_EQ(st[MuxCounter::kSessionsCompleted], 16u);  // own 8 + moved 8
 
   // Cross-process-shaped prefix attestation over the merged trace.
   const auto rep = rig.attest();
@@ -547,8 +548,8 @@ TEST(Fabric, LongProbeBlackoutFencesTheSuspectAndStillDeliversExactly) {
   EXPECT_EQ(rehomes[0].survivor, 2u);
   EXPECT_TRUE(rig.fab->cell(1).killed());  // fenced though it was alive
   const auto st = rig.fab->cell(2).server().mux().stats();
-  EXPECT_EQ(st.sessions_recovery_violated, 0u);
-  EXPECT_EQ(st.sessions_violated, 0u);
+  EXPECT_EQ(st[MuxCounter::kSessionsRecoveryViolated], 0u);
+  EXPECT_EQ(st[MuxCounter::kSessionsViolated], 0u);
   const auto rep = rig.attest();
   EXPECT_TRUE(rep.ok) << rep.to_json();
   EXPECT_EQ(rep.value("prefix.completed"), 12);
@@ -570,7 +571,8 @@ TEST(Fabric, RouterSplitHealsWhenTheWindowLifts) {
   // Heartbeats kept answering through the split: no death, no re-home.
   EXPECT_TRUE(rig.fab->rehomes().empty());
   EXPECT_EQ(rig.fab->membership().health(1), fabric::BackendHealth::kAlive);
-  EXPECT_GT(rig.fab->router().stats().data_suppressed, 0u);
+  EXPECT_GT(
+      rig.fab->router().stats()[fabric::RouterCounter::kDataSuppressed], 0u);
 }
 
 // --------------------------------------------------------------------------

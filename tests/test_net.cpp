@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "fault/plan.hpp"
+#include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/mux.hpp"
@@ -41,6 +42,7 @@ namespace stpx {
 namespace {
 
 using namespace std::chrono_literals;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 
@@ -417,6 +419,19 @@ ServiceRun make_service(std::size_t n_sessions, net::LoopbackConfig wire_cfg,
   return run;
 }
 
+/// How many of `rec`'s recorded events are of `kind` (and, for session
+/// states, of state `s`).  Drains the recorder.
+std::size_t census(net::FlightRecorder& rec, net::TraceEventKind kind,
+                   net::SessionState s = net::SessionState::kActive) {
+  const auto evs = rec.drain();
+  return static_cast<std::size_t>(
+      std::count_if(evs.begin(), evs.end(), [&](const net::TraceEvent& ev) {
+        return ev.kind == kind &&
+               (kind != net::TraceEventKind::kSessionState ||
+                ev.detail == static_cast<std::uint8_t>(s));
+      }));
+}
+
 void expect_all_completed(const net::SessionMux& mux, std::size_t n,
                           std::size_t seq_len) {
   const auto reports = mux.reports();
@@ -437,11 +452,11 @@ TEST(NetMux, PerfectLinkSmallRun) {
 
   const auto cs = run.client->mux().stats();
   const auto ss = run.server->mux().stats();
-  EXPECT_GT(cs.frames_sent, 0u);
-  EXPECT_GT(ss.fins_sent, 0u);
-  EXPECT_EQ(ss.items_done, 16u);
-  EXPECT_EQ(cs.sessions_completed, 4u);
-  EXPECT_EQ(ss.sessions_violated, 0u);
+  EXPECT_GT(cs[MuxCounter::kFramesSent], 0u);
+  EXPECT_GT(ss[MuxCounter::kFinsSent], 0u);
+  EXPECT_EQ(ss[MuxCounter::kItemsDone], 16u);
+  EXPECT_EQ(cs[MuxCounter::kSessionsCompleted], 4u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsViolated], 0u);
   EXPECT_EQ(run.client->mux().active_sessions(), 0u);
 
   // Sender sessions collected ack-RTT samples.
@@ -483,8 +498,8 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   auto wire = net::make_loopback();
   net::MuxConfig cfg;
   cfg.sweep_interval = 500us;
-  net::CountingNetProbe probe;
-  cfg.probe = &probe;
+  net::FlightRecorder recorder;
+  cfg.probe = &recorder;
   net::StpServer server(wire.b.get(), cfg);
   auto pair = proto::make_stenning(kDomain);
   server.add_session(7, std::move(pair.receiver), seq_for(7, 3));
@@ -497,16 +512,19 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (std::chrono::steady_clock::now() < deadline) {
     const auto st = server.mux().stats();
-    if (st.frames_rejected >= 2 && st.frames_unknown_session >= 1) break;
+    if (st[MuxCounter::kFramesRejected] >= 2 &&
+        st[MuxCounter::kFramesUnknownSession] >= 1) {
+      break;
+    }
     std::this_thread::sleep_for(1ms);
   }
   server.mux().stop();
 
   const auto st = server.mux().stats();
-  EXPECT_EQ(st.frames_rejected, 2u);  // garbage + wrong direction
-  EXPECT_EQ(st.frames_unknown_session, 1u);
-  EXPECT_EQ(st.frames_received, 0u);
-  EXPECT_EQ(probe.rejected(), 2u);
+  EXPECT_EQ(st[MuxCounter::kFramesRejected], 2u);  // garbage + wrong direction
+  EXPECT_EQ(st[MuxCounter::kFramesUnknownSession], 1u);
+  EXPECT_EQ(st[MuxCounter::kFramesReceived], 0u);
+  EXPECT_EQ(census(recorder, net::TraceEventKind::kFrameRejected), 2u);
 }
 
 TEST(NetMux, InboxBackpressureSheds) {
@@ -522,11 +540,11 @@ TEST(NetMux, InboxBackpressureSheds) {
   for (int i = 0; i < 200; ++i) wire.a->send(frame_bytes(1, 0));
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (std::chrono::steady_clock::now() < deadline &&
-         server.mux().stats().frames_shed == 0) {
+         server.mux().stats()[MuxCounter::kFramesShed] == 0) {
     std::this_thread::sleep_for(1ms);
   }
   server.mux().stop();
-  EXPECT_GT(server.mux().stats().frames_shed, 0u);
+  EXPECT_GT(server.mux().stats()[MuxCounter::kFramesShed], 0u);
 }
 
 TEST(NetMux, IdleSessionsAreEvicted) {
@@ -535,8 +553,8 @@ TEST(NetMux, IdleSessionsAreEvicted) {
   cfg.sweep_interval = 1ms;
   cfg.idle_eviction_sweeps = 3;
   cfg.keepalive_sweeps = 0;
-  net::CountingNetProbe probe;
-  cfg.probe = &probe;
+  net::FlightRecorder recorder;
+  cfg.probe = &recorder;
   net::StpServer server(wire.b.get(), cfg);  // no client: a dead peer
   auto pair = proto::make_stenning(kDomain);
   server.add_session(1, std::move(pair.receiver), seq_for(1, 3));
@@ -547,8 +565,10 @@ TEST(NetMux, IdleSessionsAreEvicted) {
   const auto reports = server.mux().reports();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kEvicted);
-  EXPECT_EQ(server.mux().stats().sessions_evicted, 1u);
-  EXPECT_EQ(probe.evicted(), 1u);
+  EXPECT_EQ(server.mux().stats()[MuxCounter::kSessionsEvicted], 1u);
+  EXPECT_EQ(census(recorder, net::TraceEventKind::kSessionState,
+                   net::SessionState::kEvicted),
+            1u);
 }
 
 TEST(NetMux, DuplicateSessionIdIsAContractError) {
@@ -670,10 +690,10 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
   // Every session on both ends completed; no violations, no evictions.
   const auto ss = server.mux().stats();
   const auto cs = client.mux().stats();
-  EXPECT_EQ(ss.sessions_completed, kSessions);
-  EXPECT_EQ(cs.sessions_completed, kSessions);
-  EXPECT_EQ(ss.sessions_violated, 0u);
-  EXPECT_EQ(ss.sessions_evicted, 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsCompleted], kSessions);
+  EXPECT_EQ(cs[MuxCounter::kSessionsCompleted], kSessions);
+  EXPECT_EQ(ss[MuxCounter::kSessionsViolated], 0u);
+  EXPECT_EQ(ss[MuxCounter::kSessionsEvicted], 0u);
 
   // Exact copy: each receiver's tape equals its expected sequence (the
   // adapter equality-checks every write; items == len at completion).
@@ -684,7 +704,7 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
   EXPECT_FALSE(probe.out_of_order());
   EXPECT_EQ(probe.violations(), 0u);
   EXPECT_EQ(probe.items(), kSessions * kLen);
-  EXPECT_EQ(ss.items_done, kSessions * kLen);
+  EXPECT_EQ(ss[MuxCounter::kItemsDone], kSessions * kLen);
 
   // The link really was hostile.
   EXPECT_GT(runp.stats(sim::Dir::kSenderToReceiver).dropped, 0u);
@@ -697,9 +717,9 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
 
 TEST(NetMux, PumpAnswersProbesWithEchoedNonce) {
   auto link = net::make_loopback({});
-  net::CountingNetProbe counting;
+  net::FlightRecorder recorder;
   net::MuxConfig cfg;
-  cfg.probe = &counting;
+  cfg.probe = &recorder;
   net::StpServer server(link.b.get(), cfg);
   auto pp = proto::make_stenning(kDomain);
   server.add_session(1, std::move(pp.receiver), seq_for(1, 2));
@@ -730,10 +750,10 @@ TEST(NetMux, PumpAnswersProbesWithEchoedNonce) {
     EXPECT_EQ(ack->dir, sim::Dir::kReceiverToSender);
   }
   server.mux().stop();
-  EXPECT_GE(server.mux().stats().probes_answered, 2u);
-  EXPECT_GE(counting.probes_answered(), 2u);
+  EXPECT_GE(server.mux().stats()[MuxCounter::kProbesAnswered], 2u);
+  EXPECT_GE(census(recorder, net::TraceEventKind::kProbeAnswered), 2u);
   // The heartbeat never touched the hosted session.
-  EXPECT_EQ(server.mux().stats().sessions_violated, 0u);
+  EXPECT_EQ(server.mux().stats()[MuxCounter::kSessionsViolated], 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -392,10 +392,10 @@ TEST(Nameserver, GrantsFreshOwnersAndFencesDeadOrStale) {
   EXPECT_EQ(rd.kind, net::FrameKind::kNotOwner);
   EXPECT_EQ(fabric::lease_epoch(rd.msg), m.epoch());
   const auto st = ns.stats();
-  EXPECT_EQ(st.resolves, 5u);
-  EXPECT_EQ(st.grants, 2u);
-  EXPECT_EQ(st.unknowns, 3u);
-  EXPECT_EQ(st.redirects, 1u);
+  EXPECT_EQ(st[fabric::NameserverCounter::kResolves], 5u);
+  EXPECT_EQ(st[fabric::NameserverCounter::kGrants], 2u);
+  EXPECT_EQ(st[fabric::NameserverCounter::kUnknowns], 3u);
+  EXPECT_EQ(st[fabric::NameserverCounter::kRedirects], 1u);
 }
 
 /// Scripted ITransport: records every send, serves a queue of inbound
@@ -489,10 +489,10 @@ TEST(Resolver, ResolvesOnConnectCachesLeaseAndFencesOnNewerEpoch) {
   EXPECT_EQ(sent[0].kind, net::FrameKind::kResolve);
 
   const auto st = rt.stats();
-  EXPECT_EQ(st.resolves_sent, 2u);
-  EXPECT_EQ(st.leases_granted, 1u);
-  EXPECT_EQ(st.redirects_seen, 2u);
-  EXPECT_EQ(st.lease_invalidations, 1u);
+  EXPECT_EQ(st[fabric::ResolverCounter::kResolvesSent], 2u);
+  EXPECT_EQ(st[fabric::ResolverCounter::kLeasesGranted], 1u);
+  EXPECT_EQ(st[fabric::ResolverCounter::kRedirectsSeen], 2u);
+  EXPECT_EQ(st[fabric::ResolverCounter::kLeaseInvalidations], 1u);
 }
 
 TEST(Resolver, UnleasedDataTriggersRateLimitedResolveButStillPasses) {
@@ -567,8 +567,8 @@ TEST(RejoinReclaim, CrashRejoinReclaimRoundTrip) {
   // agree with the live verdicts across all three generations.
   EXPECT_TRUE(res.trace.ok) << res.trace.to_json();
   // The nameserver answered the client's connect-time resolves.
-  EXPECT_GE(res.resolver.leases_granted, 1u);
-  EXPECT_EQ(res.router.rejects, 0u);
+  EXPECT_GE(res.resolver[fabric::ResolverCounter::kLeasesGranted], 1u);
+  EXPECT_EQ(res.router[fabric::RouterCounter::kRejects], 0u);
 }
 
 TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
@@ -602,7 +602,7 @@ TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
   EXPECT_EQ(res.reclaims, 1u);
   EXPECT_TRUE(res.trace.ok) << res.trace.to_json();
   // The partition window suppressed real traffic at the router.
-  EXPECT_GT(res.router.partition_suppressed, 0u);
+  EXPECT_GT(res.router[fabric::RouterCounter::kPartitionSuppressed], 0u);
 }
 
 TEST(RejoinReclaim, OneWayPartitionSuppressesOnlyOneDirection) {

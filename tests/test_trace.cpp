@@ -38,6 +38,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "proto/suite.hpp"
+#include "store/stable_store.hpp"
 
 namespace stpx {
 namespace {
@@ -45,6 +46,7 @@ namespace {
 using namespace std::chrono_literals;
 using net::TraceEvent;
 using net::TraceEventKind;
+using net::MuxCounter;
 
 constexpr int kDomain = 8;
 
@@ -169,10 +171,31 @@ TEST(TraceEventCodec, GoldenParse) {
 }
 
 TEST(TraceEventCodec, RoundTripSweep) {
-  for (const auto& c : golden_cases()) {
-    const auto parsed = net::parse_jsonl(net::to_jsonl(c.ev));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, c.ev);
+  std::vector<TraceEvent> evs;
+  for (const auto& c : golden_cases()) evs.push_back(c.ev);
+  // Every value of every enum the codec writes by name.
+  for (std::uint8_t k = 0; k <= net::kMaxFrameKind; ++k) {
+    for (const auto dir :
+         {sim::Dir::kSenderToReceiver, sim::Dir::kReceiverToSender}) {
+      evs.push_back(make_ev(TraceEventKind::kFrameSent, 1, 2, 3, k, dir));
+      evs.push_back(make_ev(TraceEventKind::kFrameReceived, 1, 2, 3, k, dir));
+    }
+  }
+  for (std::uint8_t r = 0;
+       r <= static_cast<std::uint8_t>(net::RejectReason::kBadChecksum); ++r) {
+    evs.push_back(make_ev(TraceEventKind::kFrameRejected, 1, 0, 0, r));
+  }
+  for (std::uint8_t st = 0;
+       st <= static_cast<std::uint8_t>(net::SessionState::kRecoveryViolation);
+       ++st) {
+    evs.push_back(make_ev(TraceEventKind::kSessionState, 1, 2, 0, st));
+    evs.push_back(make_ev(TraceEventKind::kRehydrate, 1, 2, 4, st));
+  }
+  for (const auto& ev : evs) {
+    const std::string line = net::to_jsonl(ev);
+    const auto parsed = net::parse_jsonl(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(*parsed, ev) << line;
   }
 }
 
@@ -350,6 +373,161 @@ TEST(FlightRecorder, ConcurrentProducersAndDrainerLoseNothing) {
     EXPECT_GE(static_cast<std::size_t>(ev.msg), next_index[ev.session]);
     next_index[ev.session] = static_cast<std::size_t>(ev.msg) + 1;
   }
+}
+
+/// Drops the FINs the wrapped endpoint sends for one session: its peer
+/// sees every item acked but never the completion notice.
+class FinWithholder final : public net::ITransport {
+ public:
+  FinWithholder(net::ITransport* inner, std::uint32_t session)
+      : inner_(inner), session_(session) {}
+  bool send(const std::vector<std::uint8_t>& bytes) override {
+    const auto f = net::decode(bytes);
+    if (f && f->kind == net::FrameKind::kFin && f->session == session_) {
+      return true;
+    }
+    return inner_->send(bytes);
+  }
+  std::optional<std::vector<std::uint8_t>> poll() override {
+    return inner_->poll();
+  }
+  std::string name() const override { return "fin-withholder"; }
+
+ private:
+  net::ITransport* inner_;
+  std::uint32_t session_;
+};
+
+std::uint64_t count_kind(const std::vector<TraceEvent>& evs,
+                         TraceEventKind kind) {
+  return static_cast<std::uint64_t>(
+      std::count_if(evs.begin(), evs.end(),
+                    [kind](const TraceEvent& ev) { return ev.kind == kind; }));
+}
+
+std::uint64_t count_state(const std::vector<TraceEvent>& evs,
+                          net::SessionState s) {
+  return static_cast<std::uint64_t>(std::count_if(
+      evs.begin(), evs.end(), [s](const TraceEvent& ev) {
+        return ev.kind == TraceEventKind::kSessionState &&
+               ev.detail == static_cast<std::uint8_t>(s);
+      }));
+}
+
+/// The recorder saw every event the mux counted, kind by kind.
+void expect_census(const net::SessionMux& mux,
+                   const std::vector<TraceEvent>& evs) {
+  const auto st = mux.stats();
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kFrameSent),
+            st[MuxCounter::kFramesSent]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kFrameReceived),
+            st[MuxCounter::kFramesReceived]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kFrameRejected),
+            st[MuxCounter::kFramesRejected]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kFrameShed),
+            st[MuxCounter::kFramesShed]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kItem), st[MuxCounter::kItemsDone]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kProbeAnswered),
+            st[MuxCounter::kProbesAnswered]);
+  EXPECT_EQ(count_kind(evs, TraceEventKind::kCheckpointFlush),
+            st[MuxCounter::kCheckpointFlushes]);
+  EXPECT_EQ(count_state(evs, net::SessionState::kCompleted),
+            st[MuxCounter::kSessionsCompleted]);
+  EXPECT_EQ(count_state(evs, net::SessionState::kSafetyViolation),
+            st[MuxCounter::kSessionsViolated]);
+  EXPECT_EQ(count_state(evs, net::SessionState::kEvicted),
+            st[MuxCounter::kSessionsEvicted]);
+  EXPECT_EQ(count_state(evs, net::SessionState::kRecoveryViolation),
+            st[MuxCounter::kSessionsRecoveryViolated]);
+}
+
+TEST(FlightRecorder, CensusMatchesMuxCountersIncludingKeepalives) {
+  constexpr std::uint32_t kWithheld = 1;  // its FIN never leaves the server
+  constexpr std::uint32_t kFlooded = 9;   // server-only, shed by the flood
+  store::MemStore log;
+  log.reset();
+  auto wire = net::make_loopback();
+  FinWithholder server_side(wire.b.get(), kWithheld);
+
+  net::FlightRecorder client_rec;
+  net::FlightRecorder server_rec;
+  net::MuxConfig cfg;
+  cfg.sweep_interval = 500us;
+  cfg.keepalive_sweeps = 4;
+  net::MuxConfig ccfg = cfg;
+  ccfg.probe = &client_rec;
+  net::MuxConfig scfg = cfg;
+  scfg.probe = &server_rec;
+  scfg.inbox_limit = 2;
+  scfg.session_stores = {&log};
+  net::StpClient client(wire.a.get(), ccfg);
+  net::StpServer server(&server_side, scfg);
+  for (std::uint32_t id = 0; id < 4; ++id) {
+    auto pair = proto::make_stenning(kDomain, true);
+    client.add_session(id, std::move(pair.sender), seq_for(id, 3));
+    server.add_session(id, std::move(pair.receiver), seq_for(id, 3));
+  }
+  auto flooded = proto::make_stenning(kDomain, true);
+  server.add_session(kFlooded, std::move(flooded.receiver),
+                     seq_for(kFlooded, 3));
+
+  // Queued ahead of start(): a garbage datagram, a wrong-direction frame,
+  // a heartbeat, and a burst for one session far past its inbox bound.
+  net::Frame wrong_dir;
+  wrong_dir.dir = sim::Dir::kReceiverToSender;
+  wire.a->send({0x13, 0x37, 0x00});
+  wire.a->send(net::encode(wrong_dir));
+  net::Frame probe;
+  probe.kind = net::FrameKind::kProbe;
+  probe.session = net::kFabricSession;
+  probe.msg = 11;
+  wire.a->send(net::encode(probe));
+  net::Frame first_item;
+  first_item.session = kFlooded;
+  first_item.msg = seq_for(kFlooded, 1)[0];  // Stenning id of item 0
+  for (int i = 0; i < 300; ++i) wire.a->send(net::encode(first_item));
+
+  server.mux().start();
+  client.mux().start();
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         (server.mux().stats()[MuxCounter::kSessionsCompleted] < 4 ||
+          client.mux().stats()[MuxCounter::kSessionsCompleted] < 3)) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(server.mux().stats()[MuxCounter::kSessionsCompleted], 4u);
+  ASSERT_EQ(client.mux().stats()[MuxCounter::kSessionsCompleted], 3u);
+  // The withheld session's sender has every item acked and nothing left
+  // to send: only its keepalive resends move the sent counter now.
+  const std::uint64_t sent_before =
+      client.mux().stats()[MuxCounter::kFramesSent];
+  while (std::chrono::steady_clock::now() < deadline &&
+         client.mux().stats()[MuxCounter::kFramesSent] < sent_before + 5) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(client.mux().stats()[MuxCounter::kFramesSent], sent_before + 5);
+
+  // Graceful stops: every routed frame is delivered, every checkpoint
+  // flushed, before the counts are compared.
+  EXPECT_FALSE(client.mux().drain(5ms));
+  client.mux().stop();
+  EXPECT_FALSE(server.mux().drain(5ms));
+  server.mux().stop();
+
+  const auto client_evs = client_rec.drain();
+  const auto server_evs = server_rec.drain();
+  EXPECT_EQ(client_rec.stats().dropped, 0u);
+  EXPECT_EQ(server_rec.stats().dropped, 0u);
+  expect_census(client.mux(), client_evs);
+  expect_census(server.mux(), server_evs);
+
+  const auto ss = server.mux().stats();
+  EXPECT_EQ(ss[MuxCounter::kFramesRejected], 2u);
+  EXPECT_GT(ss[MuxCounter::kFramesShed], 0u);
+  EXPECT_EQ(ss[MuxCounter::kProbesAnswered], 1u);
+  EXPECT_GT(ss[MuxCounter::kCheckpointFlushes], 0u);
+  // Every item, plus item 0 of the flooded session.
+  EXPECT_EQ(ss[MuxCounter::kItemsDone], 4u * 3u + 1u);
 }
 
 TEST(FlightRecorder, ToTraceSpansRebasesAndClamps) {
