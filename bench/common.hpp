@@ -4,6 +4,8 @@
 // formatting conveniences.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -57,6 +59,16 @@ inline BenchCli parse_bench_cli(int argc, char** argv) {
     }
   }
   return cli;
+}
+
+/// CPU seconds (user + system) the process has used so far.
+inline double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
 }
 
 /// One bench invocation: parses the CLI, silences std::cout under --quiet,
@@ -126,6 +138,11 @@ class BenchRun {
   /// Attach a metrics snapshot (MetricsRegistry::to_json()) to the report.
   void metrics_json(std::string json) { metrics_json_ = std::move(json); }
 
+  /// Record one numeric figure of merit into the report's "perf" block.
+  void metric(std::string name, double value, std::string unit) {
+    perf_.push_back({std::move(name), value, std::move(unit)});
+  }
+
   /// Write the JSON report if requested; returns the process exit code.
   int finish(bool ok) {
     if (!cli_.json_path.empty()) {
@@ -133,6 +150,7 @@ class BenchRun {
       rep.params = params_;
       rep.ok = ok;
       rep.metrics_json = metrics_json_;
+      rep.perf = perf_;
       rep.write_json_file(cli_.json_path);
       if (!cli_.quiet) {
         std::cout << "\nreport: " << cli_.json_path << "\n";
@@ -155,6 +173,7 @@ class BenchRun {
   stp::SweepResult merged_;
   std::vector<std::pair<std::string, std::string>> params_;
   std::string metrics_json_;
+  std::vector<obs::SweepReport::Figure> perf_;
   NullBuf null_buf_;
   std::streambuf* saved_ = nullptr;
 };

@@ -6,10 +6,13 @@
 // finish with its output an exact copy of its input.  Reported per point:
 //
 //   * sessions/sec and items/sec (wall-clock throughput of the mux pair),
-//   * ack-RTT p50/p99 in microseconds (sender-side send-to-next-inbound
-//     samples, aggregated across sessions),
+//   * ack-RTT p50/p99 in microseconds (sender-side Karn samples: one
+//     send answered by the next inbound frame, aggregated across
+//     sessions),
 //   * frame-level accounting (sent/received/dropped) to confirm the link
-//     really was hostile.
+//     really was hostile,
+//   * in the report's "perf" block: items/s, frames sent per item,
+//     ack-RTT p50/p99 and process CPU-seconds.
 //
 // Report-schema note: record_trial() is fed one trial per session — steps
 // carries the session's outbound frame count (the wire analogue of
@@ -20,6 +23,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "analysis/table.hpp"
 #include "common.hpp"
@@ -83,10 +87,6 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
 
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.steps_per_sweep = 2;
-  cfg.max_inflight = 8;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = std::chrono::microseconds(300);
 
   net::StpClient client(wire.a.get(), cfg);
   net::StpServer server(wire.b.get(), cfg);
@@ -97,10 +97,12 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
     server.add_session(id, std::move(pair.receiver), x);
   }
 
+  const double cpu0 = process_cpu_s();
   const auto t0 = std::chrono::steady_clock::now();
   const bool drained =
       net::run_service_pair(client, server, std::chrono::seconds(120));
   const auto t1 = std::chrono::steady_clock::now();
+  const double cpu_s = process_cpu_s() - cpu0;
 
   PointResult res;
   res.sessions = n;
@@ -137,6 +139,19 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
     res.items_per_sec =
         static_cast<double>(res.server_stats[MuxCounter::kItemsDone]) / secs;
   }
+
+  const std::string at = "n" + std::to_string(n) + ".";
+  const auto items =
+      static_cast<double>(res.server_stats[MuxCounter::kItemsDone]);
+  const auto frames =
+      static_cast<double>(res.client_stats[MuxCounter::kFramesSent] +
+                          res.server_stats[MuxCounter::kFramesSent]);
+  bench.metric(at + "items_per_s", res.items_per_sec, "1/s");
+  bench.metric(at + "frames_per_item", items > 0.0 ? frames / items : 0.0,
+               "count");
+  bench.metric(at + "ack_rtt_p50_us", res.rtt.p50, "us");
+  bench.metric(at + "ack_rtt_p99_us", res.rtt.p99, "us");
+  bench.metric(at + "cpu_s", cpu_s, "s");
 
   if (attach_metrics) {
     obs::MetricsRegistry reg;

@@ -16,7 +16,10 @@
 //     superseded checkpoints is bounded retransmission, visible as the
 //     gap between the two rates,
 //   * rehydrated / cold-readded / completed counts and the generation-1
-//     checkpoint accounting (group-commit flushes, records, bytes).
+//     checkpoint accounting (group-commit flushes, records, bytes),
+//   * in the report's "perf" block: items/s over the whole point and
+//     before/after the restart, frames sent per item, ack-RTT p50/p99 and
+//     process CPU-seconds.
 //
 // Report-schema note: record_trial() is fed one trial per generation-2
 // session — steps carries the session's outbound frame count and msgs its
@@ -153,10 +156,6 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
 
   net::MuxConfig cfg;
   cfg.workers = 4;
-  cfg.steps_per_sweep = 2;
-  cfg.max_inflight = 8;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = std::chrono::microseconds(400);
 
   net::StpClient client(wire.a.get(), cfg);
   net::MuxConfig scfg = cfg;
@@ -177,6 +176,7 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
 
   // Phase A: run until every session has made progress (and is therefore
   // manifested), then kill generation 1 crash-shaped.
+  const double cpu0 = process_cpu_s();
   const auto t0 = std::chrono::steady_clock::now();
   client.mux().start();
   server.mux().start();
@@ -237,6 +237,7 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
                        gen2.mux().drain(std::chrono::seconds(300));
   gen2.mux().stop();
   client.mux().stop();
+  const double cpu_s = process_cpu_s() - cpu0;
   const double phase_b_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
           std::chrono::steady_clock::now() - t_b0)
@@ -269,6 +270,27 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
            rep.declined == 0 && !probe2.out_of_order() &&
            probe2.rehydrated() == rep.sessions &&
            res.rehydrated + res.cold_adds == n;
+
+  // Items count once even when superseded checkpoints replay them; the
+  // frames are everything both ends sent over both generations.
+  std::vector<std::uint64_t> rtt;
+  for (const auto& r : client.mux().reports()) {
+    rtt.insert(rtt.end(), r.ack_rtt_us.begin(), r.ack_rtt_us.end());
+  }
+  const obs::Percentiles rtt_p = obs::percentiles_u64(std::move(rtt));
+  const auto items = static_cast<double>(n * kSeqLen);
+  const auto frames = static_cast<double>(
+      client.mux().stats()[MuxCounter::kFramesSent] +
+      gen1[MuxCounter::kFramesSent] + gen2_stats[MuxCounter::kFramesSent]);
+  const double wall_s = (phase_a_ms + phase_b_ms) / 1000.0;
+  const std::string at = "n" + std::to_string(n) + ".";
+  bench.metric(at + "items_per_s", wall_s > 0.0 ? items / wall_s : 0.0, "1/s");
+  bench.metric(at + "items_per_s_before", res.items_per_sec_before, "1/s");
+  bench.metric(at + "items_per_s_after", res.items_per_sec_after, "1/s");
+  bench.metric(at + "frames_per_item", frames / items, "count");
+  bench.metric(at + "ack_rtt_p50_us", rtt_p.p50, "us");
+  bench.metric(at + "ack_rtt_p99_us", rtt_p.p99, "us");
+  bench.metric(at + "cpu_s", cpu_s, "s");
 
   if (attach_metrics) {
     obs::MetricsRegistry reg;

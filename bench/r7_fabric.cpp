@@ -146,13 +146,9 @@ fabric::HealthConfig aggressive_health() {
   return h;
 }
 
-net::MuxConfig throttled_mux() {
+net::MuxConfig fabric_mux() {
   net::MuxConfig m;
   m.workers = 2;
-  m.steps_per_sweep = 1;
-  m.max_inflight = 2;
-  m.sweep_interval = 1ms;
-  m.keepalive_sweeps = 8;
   return m;
 }
 
@@ -320,9 +316,6 @@ int run_backend(const ChildArgs& a) {
 
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.steps_per_sweep = 1;
-  cfg.max_inflight = 4;
-  cfg.sweep_interval = 500us;
   cfg.probe = &rec;
   cfg.session_stores = {&own};
   cfg.backend_id = a.id;
@@ -583,9 +576,7 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
     membership.add_backend(id);
     router.add_backend(id, links[id].get());
   }
-  net::MuxConfig ccfg = throttled_mux();
-  ccfg.sweep_interval = 2ms;
-  ccfg.max_inflight = 1;
+  net::MuxConfig ccfg = fabric_mux();
   net::StpClient client(client_link.a.get(), ccfg);
   for (std::uint32_t sid = 1; sid <= sessions; ++sid) {
     membership.assign(sid, owner_of(sid, kBackends));
@@ -595,9 +586,17 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
   router.start();
   client.mux().start();
 
-  // The crash: SIGKILL backend 1 mid-run.  No flush, no goodbye — its
-  // trace tail and any unsynced log batch die with it.
-  std::this_thread::sleep_for(60ms);
+  // The crash: SIGKILL backend 1 mid-run — once the client has heard
+  // about a quarter of the run's acks, so it lands mid-traffic however
+  // fast the run is (bounded: a stalled fleet is killed anyway).  No
+  // flush, no goodbye — its trace tail and any unsynced log batch die
+  // with it.
+  const auto kill_deadline = std::chrono::steady_clock::now() + 10s;
+  while (client.mux().stats()[MuxCounter::kFramesReceived] <
+             sessions * seq_len / 4 &&
+         std::chrono::steady_clock::now() < kill_deadline) {
+    std::this_thread::sleep_for(100us);
+  }
   const std::uint32_t victim = 1;
   ::kill(pids[victim], SIGKILL);
   {
@@ -837,25 +836,30 @@ int main(int argc, char** argv) {
   bool shape = true;
 
   // --- Phase 1: in-process acceptance (crash -> rejoin -> reclaim) -------
-  // The rejoin fires well after the strike ladder's condemnation point
-  // (crash@15ms + the full silence ladder), so the cycle runs crash ->
-  // fence -> re-home -> rejoin -> probation -> reclaim across three
-  // generations of ownership.
+  // Backend 1 dies a quarter of the way through its share (a third of the
+  // sessions, 8 items each), so the kill lands mid-traffic.  The rejoin
+  // fires well after the strike ladder's condemnation point (the full
+  // silence ladder after the crash), so the cycle runs crash -> fence ->
+  // re-home -> rejoin -> probation -> reclaim across three generations of
+  // ownership.
   constexpr auto kRejoinAt = kSanitized ? 1800ms : 120ms;
+  constexpr std::uint64_t kCrashItems = kAcceptanceSessions * 8 / 12;
   stp::FabricSoakConfig acc;
   acc.backends = kBackends;
   acc.sessions = kAcceptanceSessions;
   acc.seq_len = 8;
   acc.health = aggressive_health();
-  acc.mux = throttled_mux();
-  // Generous: the throttled mux needs seconds when idle, but a loaded CI
-  // core (sanitizer jobs, parallel ctest) can stretch it far further.
+  acc.mux = fabric_mux();
+  // Generous: a loaded CI core (sanitizer jobs, parallel ctest) can
+  // stretch a run that takes milliseconds when idle by orders of magnitude.
   acc.drain_timeout = std::chrono::milliseconds(180'000);
-  acc.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 1, 15ms, {}, {}, {}});
-  acc.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 1, kRejoinAt, {}, {}, {}});
+  acc.plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 1, 0ms,
+                              {}, {}, {}, 1, kCrashItems});
+  acc.plan.actions.push_back({stp::FabricFaultKind::kRejoin, 1, kRejoinAt,
+                              {}, {}, {}, 1, kCrashItems});
   const auto accepted = stp::run_fabric_soak(acc);
+  const std::size_t active_at_kill =
+      accepted.crash_active.empty() ? 0 : accepted.crash_active[0];
   for (std::size_t i = 0; i < acc.sessions; ++i) {
     bench.record_trial(acc.seq_len, acc.seq_len * 2, accepted.ok);
   }
@@ -863,17 +867,20 @@ int main(int argc, char** argv) {
   // scheduler may legitimately stretch condemnation past the scripted
   // rejoin point, in which case the rejoin no-ops and the run is judged
   // as a plain crash/re-home soak.
-  shape = shape && accepted.ok &&
+  shape = shape && accepted.ok && active_at_kill > 0 &&
           (kSanitized || (accepted.rejoins == 1 && accepted.reclaims == 1));
   bench.param("acceptance_sessions", static_cast<std::int64_t>(acc.sessions));
+  bench.param("acceptance_active_at_kill",
+              static_cast<std::int64_t>(active_at_kill));
   bench.param("acceptance_rejoins",
               static_cast<std::int64_t>(accepted.rejoins));
   bench.param("acceptance_reclaims",
               static_cast<std::int64_t>(accepted.reclaims));
 
-  analysis::Table t1({"sessions", "completed", "rehomes", "rejoins",
-                      "reclaims", "trace completed", "trace ok", "verdict"});
-  t1.add_row({std::to_string(acc.sessions),
+  analysis::Table t1({"sessions", "active at kill", "completed", "rehomes",
+                      "rejoins", "reclaims", "trace completed", "trace ok",
+                      "verdict"});
+  t1.add_row({std::to_string(acc.sessions), std::to_string(active_at_kill),
               std::to_string(accepted.completed),
               std::to_string(accepted.rehomes),
               std::to_string(accepted.rejoins),
@@ -881,13 +888,17 @@ int main(int argc, char** argv) {
               std::to_string(accepted.trace.value("prefix.completed")),
               accepted.trace.ok ? "yes" : "NO",
               accepted.ok ? "ok" : accepted.failure});
-  std::cout << "\nin-process acceptance (kill backend 1 @15ms, rejoin it @"
-            << kRejoinAt.count() << "ms):\n"
+  std::cout << "\nin-process acceptance (kill backend 1 once it has "
+               "written "
+            << kCrashItems << " items, rejoin it " << kRejoinAt.count()
+            << "ms later):\n"
             << t1.to_ascii();
 
   // --- Phase 2: restore-latency distribution over seeded crash trials ----
   std::vector<std::uint64_t> restore;
   std::size_t crash_trials = 0;
+  std::size_t crashes = 0;
+  std::size_t crashes_mid_traffic = 0;  // the victim still had sessions
   for (std::uint64_t seed = 1; crash_trials < 6 && seed <= 64; ++seed) {
     stp::FabricSoakConfig cfg = acc;
     cfg.sessions = 24;
@@ -902,6 +913,10 @@ int main(int argc, char** argv) {
     ++crash_trials;
     const auto r = stp::run_fabric_soak(cfg);
     shape = shape && r.ok;
+    crashes += r.crash_active.size();
+    crashes_mid_traffic += static_cast<std::size_t>(std::count_if(
+        r.crash_active.begin(), r.crash_active.end(),
+        [](std::size_t active) { return active > 0; }));
     restore.insert(restore.end(), r.restore_latency_us.begin(),
                    r.restore_latency_us.end());
     if (!r.ok) {
@@ -915,14 +930,18 @@ int main(int argc, char** argv) {
   const auto pmax = restore.empty()
                         ? 0
                         : *std::max_element(restore.begin(), restore.end());
+  bench.param("crashes", static_cast<std::int64_t>(crashes));
+  bench.param("crashes_mid_traffic",
+              static_cast<std::int64_t>(crashes_mid_traffic));
   bench.param("restore_p50_us", static_cast<std::int64_t>(p50));
   bench.param("restore_p90_us", static_cast<std::int64_t>(p90));
   bench.param("restore_max_us", static_cast<std::int64_t>(pmax));
-  analysis::Table t2({"crash trials", "rehomes", "p50 us", "p90 us",
-                      "max us"});
-  t2.add_row({std::to_string(crash_trials), std::to_string(restore.size()),
-              std::to_string(p50), std::to_string(p90),
-              std::to_string(pmax)});
+  analysis::Table t2({"crash trials", "crashes", "mid-traffic", "rehomes",
+                      "p50 us", "p90 us", "max us"});
+  t2.add_row({std::to_string(crash_trials), std::to_string(crashes),
+              std::to_string(crashes_mid_traffic),
+              std::to_string(restore.size()), std::to_string(p50),
+              std::to_string(p90), std::to_string(pmax)});
   std::cout << "\nrestore latency (fence -> rehydrated -> serving):\n"
             << t2.to_ascii();
 

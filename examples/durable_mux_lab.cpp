@@ -44,7 +44,7 @@ namespace {
 
 constexpr int kDomain = 10;
 constexpr std::size_t kSessions = 60;
-constexpr std::size_t kSeqLen = 6;
+constexpr std::size_t kSeqLen = 16;
 
 seq::Sequence seq_for(std::uint32_t id) {
   seq::Sequence x;
@@ -54,8 +54,8 @@ seq::Sequence seq_for(std::uint32_t id) {
   return x;
 }
 
-/// Tracks per-session progress so the lab knows when every session is
-/// manifested (the kill window) and how many sessions gen-2 rehydrated.
+/// Tracks per-session progress so the lab knows when to kill (the kill
+/// window) and how many sessions gen-2 rehydrated.
 class LabProbe final : public net::INetProbe {
  public:
   void on_item(std::uint32_t session, std::size_t) override {
@@ -68,6 +68,11 @@ class LabProbe final : public net::INetProbe {
     std::size_t lo = progress_[0].load();
     for (const auto& p : progress_) lo = std::min(lo, p.load());
     return lo;
+  }
+  std::size_t max_progress() const {
+    std::size_t hi = 0;
+    for (const auto& p : progress_) hi = std::max(hi, p.load());
+    return hi;
   }
   std::uint64_t rehydrated() const { return rehydrated_; }
 
@@ -101,7 +106,7 @@ int main() {
   wire.max_queue = 8192;
   auto pair = net::make_loopback(wire);
 
-  // --- generation 1: durable server, checkpoint every sweep ----------------
+  // --- generation 1: durable server, checkpoint every pass -----------------
   store::MemStore st0, st1;
   st0.reset();
   st1.reset();
@@ -109,8 +114,6 @@ int main() {
 
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = std::chrono::microseconds(300);
 
   net::StpClient client(pair.a.get(), cfg);
   net::MuxConfig scfg = cfg;
@@ -131,11 +134,17 @@ int main() {
   server->mux().start();
 
   // --- the kill window: every session manifested, none finished ------------
+  // Sessions run at their own pace, so the window closes when the leading
+  // session is halfway: a session that lost its first frames by then is
+  // killed unmanifested and comes back cold.  A finished session must not
+  // be rewound by the storage faults below: its sender already took the
+  // FIN and will never send again.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline &&
-         probe1.min_progress() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+         probe1.min_progress() < 1 &&
+         probe1.max_progress() < kSeqLen / 2) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   server->mux().kill();
   const auto gen1 = server->mux().stats();

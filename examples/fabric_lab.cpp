@@ -77,11 +77,7 @@ int main() {
   fc.router.health.probe_timeout = 5ms;
   fc.router.health.max_strikes = 3;
   fc.router.health.max_timeout = 50ms;
-  // Throttle the cells so the kill lands mid-traffic.
   fc.mux.workers = 2;
-  fc.mux.steps_per_sweep = 1;
-  fc.mux.max_inflight = 2;
-  fc.mux.sweep_interval = 1ms;
   fc.make_receiver = [](std::uint32_t, std::uint64_t tag)
       -> std::unique_ptr<sim::IReceiver> {
     if (tag != 0 && tag != store::proto_tag_of("stenning-receiver")) {
@@ -109,20 +105,44 @@ int main() {
 
   std::cout << analysis::heading("fabric lab: kill a backend, watch it heal");
   std::cout << "\n" << kSessions << " sessions over " << kBackends
-            << " backends; backend 2 dies at +10ms with "
+            << " backends; backend 2 dies once it has written a quarter of "
+               "its items, with "
             << fab.membership().sessions_of(2).size()
             << " sessions on board\n";
 
   // --- fly ----------------------------------------------------------------
+  // The kill rides on observed progress (backend 2's recorder), not on the
+  // clock: an unloaded run finishes in milliseconds.  The waits are
+  // bounded: a backend the router falsely suspects is fenced early and
+  // stops writing.
   fab.start();
   client.mux().start();
-  std::this_thread::sleep_for(10ms);
-  fab.kill_backend(2);
+  const std::uint64_t kill_at =
+      fab.membership().sessions_of(2).size() * kSeqLen / 4;
+  const auto wait_deadline = std::chrono::steady_clock::now() + 10s;
+  while (recorders[1]->items() < kill_at &&
+         std::chrono::steady_clock::now() < wait_deadline) {
+    std::this_thread::sleep_for(50us);
+  }
+  if (recorders[1]->items() < kill_at) {
+    std::cout << "backend 2 wrote only " << recorders[1]->items() << " of "
+              << kill_at << " items in 10s; killing it anyway\n";
+  }
+  const std::size_t active_at_kill = fab.kill_backend(2);
+  std::cout << "killed backend 2 with " << active_at_kill
+            << " sessions still active\n";
 
   // Death rides on heartbeat silence, not traffic — wait for the
   // supervisor's verdict, then let the client drain against the healed
   // fleet.
-  while (fab.rehomes().empty()) std::this_thread::sleep_for(1ms);
+  const auto verdict_deadline = std::chrono::steady_clock::now() + 10s;
+  while (fab.rehomes().empty() &&
+         std::chrono::steady_clock::now() < verdict_deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  if (fab.rehomes().empty()) {
+    std::cout << "no re-home verdict within 10s of the kill\n";
+  }
   const bool drained = client.mux().drain(60s) && fab.drain(60s);
   client.mux().stop();
   fab.stop();
@@ -171,7 +191,8 @@ int main() {
             << "\n  verdict          = " << (report.ok ? "ok" : "VIOLATED")
             << "\n";
 
-  const bool ok = drained && completed == kSessions && report.ok;
+  const bool ok = drained && completed == kSessions && report.ok &&
+                  !fab.rehomes().empty();
   std::cout << "\n"
             << (ok ? "the fabric healed: exact copy everywhere, attested "
                      "live and offline"

@@ -60,8 +60,6 @@ int main() {
   // --- the service pair ---------------------------------------------------
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = std::chrono::microseconds(300);
 
   net::StpClient client(pair.a.get(), cfg);
   net::StpServer server(pair.b.get(), cfg);

@@ -85,10 +85,6 @@ int main(int argc, char** argv) {
   net::FlightRecorder recorder;
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.steps_per_sweep = 2;
-  cfg.max_inflight = 8;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = 300us;
   net::MuxConfig server_cfg = cfg;
   server_cfg.probe = &recorder;
 

@@ -49,11 +49,13 @@ void BackendCell::stop() {
   server_->mux().stop();
 }
 
-void BackendCell::kill() {
+std::size_t BackendCell::kill() {
   std::lock_guard<std::mutex> hold(mu_);
-  if (killed_) return;
+  if (killed_) return 0;
   killed_ = true;
+  const std::size_t active = server_->mux().active_sessions();
   server_->mux().kill();
+  return active;
 }
 
 AbsorbReport BackendCell::absorb_locked(
@@ -105,15 +107,16 @@ AbsorbReport BackendCell::rehome_absorb(
     const std::vector<std::uint32_t>& expected,
     const std::optional<std::vector<std::uint32_t>>& owned) {
   std::lock_guard<std::mutex> hold(mu_);
-  std::function<bool(std::uint32_t)> allowed;
-  if (owned) {
-    std::set<std::uint32_t> keep(owned->begin(), owned->end());
-    keep.insert(expected.begin(), expected.end());
-    allowed = [keep = std::move(keep)](std::uint32_t sid) {
-      return keep.count(sid) != 0;
-    };
-  }
-  return absorb_locked(handoff, expected, allowed);
+  if (!owned) return absorb_locked(handoff, expected, {});
+  // Every owned session must be hosted after the restart too: one that
+  // has heard nothing yet has no manifest record, so it is cold-added
+  // like an incoming session no log names.
+  std::set<std::uint32_t> keep(owned->begin(), owned->end());
+  keep.insert(expected.begin(), expected.end());
+  const std::vector<std::uint32_t> hosted(keep.begin(), keep.end());
+  return absorb_locked(handoff, hosted, [&keep](std::uint32_t sid) {
+    return keep.count(sid) != 0;
+  });
 }
 
 AbsorbReport BackendCell::release_absorb(

@@ -16,8 +16,9 @@
 //                    generation, build a fresh one on the same transport
 //                    and OWN stores, rehydrate with the dead backend's
 //                    logs as read-only extra sources, cold-add any
-//                    expected session that never manifested (assigned but
-//                    never checkpointed before the crash), restart.
+//                    expected or owned session that never manifested
+//                    (assigned, or moved here, but never checkpointed
+//                    before the stop), restart.
 //   rejoin()         the way back from kill(): announce a fresh
 //                    generation on the reserved fabric session (kJoin,
 //                    msg = generation), wait for the router's epoch-tagged
@@ -101,7 +102,9 @@ class BackendCell {
   /// Crash the current generation: threads retired without the final
   /// flush, held frames dropped, probes unanswered from now on.
   /// Idempotent — the supervisor fences every suspect through this.
-  void kill();
+  /// Returns how many sessions the generation still had active (0 when
+  /// the cell was already dead).
+  std::size_t kill();
 
   bool killed() const { return killed_; }
   std::uint32_t id() const { return cfg_.id; }
@@ -109,11 +112,13 @@ class BackendCell {
   /// Survivor side of a re-home (see file comment).  `handoff` is the
   /// dead backend's stores (read-only); `expected` the session ids the
   /// membership table says must now live here.  When `owned` is given it
-  /// names this cell's CURRENT sessions, and rehydration is restricted to
-  /// owned ∪ expected — any other session a log manifests (e.g. one this
-  /// cell released in an earlier reclaim) is declined.  Without `owned`
-  /// every manifested session is admitted (the pre-reclaim behaviour,
-  /// safe only while logs cannot mention foreign sessions).
+  /// names this cell's CURRENT sessions, and the new generation hosts
+  /// exactly owned ∪ expected — any other session a log manifests (e.g.
+  /// one this cell released in an earlier reclaim) is declined, and an
+  /// owned one no log names (it had heard nothing yet) is cold-added.
+  /// Without `owned` every manifested session is admitted (the
+  /// pre-reclaim behaviour, safe only while logs cannot mention foreign
+  /// sessions).
   AbsorbReport rehome_absorb(
       const std::vector<store::IStableStore*>& handoff,
       const std::vector<std::uint32_t>& expected,

@@ -76,7 +76,9 @@ bool Fabric::drain(std::chrono::milliseconds timeout) {
   }
 }
 
-void Fabric::kill_backend(std::uint32_t id) { cell(id).kill(); }
+std::size_t Fabric::kill_backend(std::uint32_t id) {
+  return cell(id).kill();
+}
 
 void Fabric::set_probe_blackout(std::uint32_t id, bool on) {
   router_->set_drop_probes(id, on);

@@ -122,7 +122,9 @@ class Fabric {
 
   // --- fault injection --------------------------------------------------
   /// Crash backend `id` now (the router discovers it by probe timeout).
-  void kill_backend(std::uint32_t id);
+  /// Returns how many of its sessions were still active (0 when it was
+  /// already dead).
+  std::size_t kill_backend(std::uint32_t id);
   /// Sever/restore the heartbeat while data still flows (false-suspicion
   /// drill).
   void set_probe_blackout(std::uint32_t id, bool on);

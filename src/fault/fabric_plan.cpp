@@ -62,6 +62,9 @@ std::string to_text(const FabricFaultPlan& plan) {
     } else {
       os << " b" << a.backend;
     }
+    if (a.after_items > 0) {
+      os << " after b" << a.after_backend << ':' << a.after_items;
+    }
   }
   return os.str();
 }
@@ -144,6 +147,31 @@ FabricFaultPlan fabric_plan_from_text(const std::string& text) {
                   "fabric_plan_from_text: bad backend id '" + scope + "'" +
                       where);
       a.backend = static_cast<std::uint32_t>(std::stoul(scope.substr(1)));
+    }
+
+    // Optional progress anchor: "after b<id>:<items>".
+    std::string word;
+    if (ls >> word) {
+      std::string anchor;
+      STPX_EXPECT(word == "after" && static_cast<bool>(ls >> anchor),
+                  "fabric_plan_from_text: expected 'after b<id>:<items>'" +
+                      where);
+      const auto colon = anchor.find(':');
+      const bool digits =
+          colon != std::string::npos && colon > 1 && anchor[0] == 'b' &&
+          anchor.find_first_not_of("0123456789", 1) == colon &&
+          colon + 1 < anchor.size() &&
+          anchor.find_first_not_of("0123456789", colon + 1) ==
+              std::string::npos;
+      STPX_EXPECT(digits, "fabric_plan_from_text: bad anchor '" + anchor +
+                              "'" + where);
+      a.after_backend =
+          static_cast<std::uint32_t>(std::stoul(anchor.substr(1, colon - 1)));
+      a.after_items = std::stoull(anchor.substr(colon + 1));
+      STPX_EXPECT(a.after_items > 0,
+                  "fabric_plan_from_text: anchor needs items > 0" + where);
+      STPX_EXPECT(!(ls >> word), "fabric_plan_from_text: trailing '" + word +
+                                     "'" + where);
     }
     plan.actions.push_back(std::move(a));
   }

@@ -26,9 +26,13 @@
 //   partition@20ms+40ms 0,1|2,3
 //   partition-oneway@20ms+40ms 0|2
 //   rejoin@90ms b2
+//   backend-crash@0ms b2 after b2:8
 //
 // Windows also parse in span form "@20ms..60ms" (equivalent to
-// "@20ms+40ms"); serialization always emits the +len form.
+// "@20ms+40ms"); serialization always emits the +len form.  A trailing
+// "after bN:K" anchors the action on progress: its time counts from the
+// moment backend N had written K items instead of from traffic start, so
+// a fault lands mid-traffic however fast (or slow) the run is.
 #pragma once
 
 #include <chrono>
@@ -72,13 +76,18 @@ constexpr bool is_partition_fault(FabricFaultKind k) {
 struct FabricFaultAction {
   FabricFaultKind kind = FabricFaultKind::kBackendCrash;
   std::uint32_t backend = 1;
-  /// When the fault fires, measured from traffic start.
+  /// When the fault fires, measured from traffic start (or from the
+  /// progress anchor below).
   std::chrono::milliseconds at{0};
   /// Window length for blackout/split/partition (crash and rejoin are
   /// instantaneous).
   std::chrono::milliseconds len{0};
   std::vector<std::uint32_t> group_a;
   std::vector<std::uint32_t> group_b;
+  /// Progress anchor (off while after_items is 0): `at` counts from the
+  /// moment backend `after_backend` had written `after_items` items.
+  std::uint32_t after_backend = 0;
+  std::uint64_t after_items = 0;
 
   friend bool operator==(const FabricFaultAction&,
                          const FabricFaultAction&) = default;

@@ -53,6 +53,9 @@ FlightRecorder::Ring& FlightRecorder::ring_for_thread() {
 
 void FlightRecorder::record(TraceEvent ev) {
   Ring& r = ring_for_thread();
+  if (ev.kind == TraceEventKind::kItem) {
+    r.items.fetch_add(1, std::memory_order_relaxed);
+  }
   ev.backend = backend_id_;
   std::lock_guard<std::mutex> hold(r.producer_mu);
   // Stamped under the producer mutex so a shared ring stays ts-ordered
@@ -200,6 +203,12 @@ std::vector<TraceEvent> FlightRecorder::drain() {
     out.push_back(streams[best][cursor[best]++]);
   }
   return out;
+}
+
+std::uint64_t FlightRecorder::items() const {
+  std::uint64_t n = 0;
+  for (const auto& rp : rings_) n += rp->items.load(std::memory_order_relaxed);
+  return n;
 }
 
 FlightRecorderStats FlightRecorder::stats() const {

@@ -95,6 +95,9 @@ class FlightRecorder final : public INetProbe {
             .count());
   }
   std::uint32_t backend_id() const { return backend_id_; }
+  /// on_item events seen so far, recorded or dropped: the items written
+  /// by every generation reporting here.  Safe to poll from any thread.
+  std::uint64_t items() const;
   std::size_t shard_count() const { return rings_.size(); }
   std::size_t ring_capacity() const { return capacity_; }
 
@@ -112,6 +115,7 @@ class FlightRecorder final : public INetProbe {
     std::atomic<std::uint64_t> tail{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> seq{0};  // per-shard event sequence
+    std::atomic<std::uint64_t> items{0};  // kItem events, kept or dropped
   };
 
   Ring& ring_for_thread();

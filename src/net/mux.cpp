@@ -1,6 +1,7 @@
 #include "net/mux.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/expect.hpp"
@@ -9,10 +10,6 @@ namespace stpx::net {
 
 namespace {
 
-/// Cap on the send-timestamp FIFO used for ack-RTT sampling: with heavy
-/// retransmission the FIFO would otherwise grow without bound and skew
-/// samples toward ancient sends.
-constexpr std::size_t kMaxPendingSends = 64;
 /// Cap on stored RTT samples per session.
 constexpr std::size_t kMaxRttSamples = 4096;
 /// Cap on durability-gated frames held per session between checkpoint
@@ -57,7 +54,6 @@ SessionMux::SessionMux(ITransport* transport, MuxConfig cfg)
     : transport_(transport), cfg_(cfg) {
   STPX_EXPECT(transport_ != nullptr, "SessionMux: null transport");
   if (cfg_.workers == 0) cfg_.workers = 1;
-  if (cfg_.steps_per_sweep == 0) cfg_.steps_per_sweep = 1;
   for (store::IStableStore* st : cfg_.session_stores) {
     STPX_EXPECT(st != nullptr, "SessionMux: null session store");
     auto slot = std::make_unique<StoreSlot>();
@@ -115,7 +111,7 @@ bool SessionMux::drain(std::chrono::milliseconds timeout) {
   while (!all_terminal() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Drain is the graceful path: arm the final-sweep checkpoint flush so
+  // Drain is the graceful path: arm the final-pass checkpoint flush so
   // stop() leaves nothing buffered (armed even on timeout — the caller
   // asked for a graceful shutdown; a crash is modelled by bare stop()).
   flush_on_stop_.store(true, std::memory_order_release);
@@ -125,7 +121,7 @@ bool SessionMux::drain(std::chrono::milliseconds timeout) {
 void SessionMux::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  // Retire the pump first so no new inbound frames race the final sweeps.
+  // Retire the pump first so no new inbound frames race the final passes.
   pump_.request_stop();
   pump_.join();
   for (auto& w : workers_) w.request_stop();
@@ -147,9 +143,9 @@ void SessionMux::stop() {
 }
 
 void SessionMux::kill() {
-  // A crash never runs a final sweep: skip the drain pass entirely so the
-  // log stays exactly as of the last cadence flush and held frames die
-  // with the process image.
+  // A crash never runs a final pass: skip it entirely so the log stays
+  // exactly as of the last group commit and held frames die with the
+  // process image.
   killed_.store(true, std::memory_order_release);
   stop();
 }
@@ -251,7 +247,7 @@ void SessionMux::pump_loop(std::stop_token st) {
 
 void SessionMux::answer_probe(const Frame& probe) {
   // Fabric heartbeat: answered straight from the pump so liveness never
-  // depends on worker sweep cadence, session state, or durability gating
+  // depends on worker scheduling, session state, or durability gating
   // (an ack attests only "this process is pumping frames").
   Frame ack;
   ack.kind = FrameKind::kProbeAck;
@@ -284,14 +280,22 @@ void SessionMux::route(const Frame& f) {
   }
   Shard& shard = *shards_[idx % shards_.size()];
   bool shed = false;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> hold(shard.mu);
     if (cfg_.inbox_limit > 0 && s.inbox.size() >= cfg_.inbox_limit) {
       shed = true;
     } else {
+      if (s.inbox.empty()) {
+        // The session becomes ready; the worker needs waking only when
+        // the whole shard goes from idle to pending.
+        wake = shard.ready.empty();
+        shard.ready.push_back(idx);
+      }
       s.inbox.push_back(f);
     }
   }
+  if (wake) shard.wake.notify_one();
   if (shed) {
     n_.add(MuxCounter::kFramesShed);
     if (cfg_.probe != nullptr) cfg_.probe->on_frame_shed(f.session);
@@ -308,92 +312,194 @@ void SessionMux::note_reject(RejectReason why) {
 
 void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
   Shard& shard = *shards_[shard_idx];
+  // Every session is in the first pass: senders send their first frame,
+  // receivers announce their position (a restarted one is heard at
+  // once), and rehydrated sessions re-manifest under the new epoch.
+  const time_point t0 = Clock::now();
+  {
+    std::lock_guard<std::mutex> hold(shard.mu);
+    for (const std::size_t idx : shard.members) {
+      Session& s = *sessions_[idx];
+      s.last_heard = t0;
+      s.due = t0;
+      // A session whose inbox the pump already filled is already ready.
+      if (s.inbox.empty()) shard.ready.push_back(idx);
+    }
+  }
+  const auto ready = [&shard] { return !shard.ready.empty(); };
   while (!st.stop_requested()) {
-    sweep(shard);
-    std::this_thread::sleep_for(cfg_.sweep_interval);
+    pass(shard, Clock::now());
+    std::unique_lock<std::mutex> lock(shard.mu);
+    if (shard.timers.empty()) {
+      shard.wake.wait(lock, st, ready);
+    } else {
+      shard.wake.wait_until(lock, st, shard.timers.front().at, ready);
+    }
   }
   // Crash-shaped shutdown: no final pass, no flush — see kill().
   if (killed_.load(std::memory_order_acquire)) return;
   // Graceful drain: one final pass so frames routed before the pump
   // retired still reach their sessions.
-  sweep(shard);
+  const time_point now = Clock::now();
+  pass(shard, now);
   // Only a drain()-armed stop flushes buffered checkpoints; a bare
   // stop() is the crash-shaped shutdown and loses them on purpose.
   if (durable() && flush_on_stop_.load(std::memory_order_acquire)) {
-    flush_shard(shard, /*force=*/true);
+    flush_shard(shard, now, /*force=*/true);
   }
 }
 
-void SessionMux::sweep(Shard& shard) {
-  for (const std::size_t idx : shard.members) {
+void SessionMux::pass(Shard& shard, time_point now) {
+  std::vector<std::size_t>& batch = shard.batch;
+  batch.clear();
+  {
+    std::lock_guard<std::mutex> hold(shard.mu);
+    batch.swap(shard.ready);
+  }
+  for (const std::size_t idx : batch) sessions_[idx]->in_pass = true;
+  // Due deadlines join the pass.  An entry is live only while it is its
+  // session's queued_at; superseded entries are dropped as they surface.
+  std::vector<Timer>& heap = shard.timers;
+  while (!heap.empty() && heap.front().at <= now) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const Timer t = heap.back();
+    heap.pop_back();
+    Session& s = *sessions_[t.session];
+    if (t.at != s.queued_at) continue;
+    s.queued_at = kNever;
+    if (!s.in_pass) {
+      s.in_pass = true;
+      batch.push_back(t.session);
+    }
+  }
+  for (const std::size_t idx : batch) {
     Session& s = *sessions_[idx];
-    std::vector<Frame>& arrived = shard.arrived;
-    {
-      std::lock_guard<std::mutex> hold(shard.mu);
-      arrived.assign(s.inbox.begin(), s.inbox.end());
-      s.inbox.clear();  // keeps the deque's first block for the next frames
-    }
-    const bool got_inbound = !arrived.empty();
-    for (const Frame& f : arrived) deliver(s, f);
-
-    if (s.state != SessionState::kActive) {
-      // Completed receivers re-FIN when the peer retransmits (FIN loss
-      // healing); at most one per sweep.
-      if (s.refin_pending) {
-        s.refin_pending = false;
-        emit(s, FrameKind::kFin,
-             static_cast<sim::MsgId>(s.endpoint->items_done()));
-      }
-      continue;
-    }
-
-    step_session(s);
-    if (s.state != SessionState::kActive) continue;
-
-    // Keepalive: a quiescent endpoint re-sends its last frame so a lost
-    // FIN or a lost cumulative ack cannot wedge the pair forever.  For
-    // durable receivers last_data_frame is only ever a RELEASED (i.e.
-    // checkpoint-covered) ack, so the resend needs no fresh gating.
-    if (cfg_.keepalive_sweeps > 0 &&
-        s.quiet_sweeps >= cfg_.keepalive_sweeps &&
-        !s.last_data_frame.empty()) {
-      s.quiet_sweeps = 0;
-      transport_->send(s.last_data_frame);
-      ++s.frames_out;
-      n_.add(MuxCounter::kFramesSent);
-      if (s.is_sender) {
-        if (s.pending_sends.size() < kMaxPendingSends) {
-          s.pending_sends.push_back(std::chrono::steady_clock::now());
-        }
-      }
-      if (cfg_.probe != nullptr) {
-        cfg_.probe->on_frame_sent(s.id, *decode(s.last_data_frame));
-      }
-    }
-
-    if (got_inbound) {
-      s.idle_sweeps = 0;
-    } else {
-      ++s.idle_sweeps;
-      if (cfg_.rehydrate_idle_violation_sweeps > 0 && s.rehydrated &&
-          s.frames_in == 0 &&
-          s.idle_sweeps > cfg_.rehydrate_idle_violation_sweeps) {
-        // The manifest attests to an unfinished exchange, but the peer
-        // never spoke after the restart: the crash lost progress beyond
-        // what retransmission can heal.  Loud, not a silent wedge.
-        finalize(s, SessionState::kRecoveryViolation);
-      } else if (cfg_.idle_eviction_sweeps > 0 &&
-                 s.idle_sweeps > cfg_.idle_eviction_sweeps) {
-        finalize(s, SessionState::kEvicted);
-      }
-    }
+    s.in_pass = false;
+    run_session(shard, s, now);
+    schedule(shard, idx);
   }
-  if (durable()) flush_shard(shard, /*force=*/false);
+  if (durable()) flush_shard(shard, now, /*force=*/false);
 }
 
-void SessionMux::deliver(Session& s, const Frame& f) {
+void SessionMux::schedule(Shard& shard, std::size_t idx) {
+  Session& s = *sessions_[idx];
+  time_point at = s.due;
+  if (s.state == SessionState::kActive) {
+    // Idle verdicts are deadlines too: the session must be looked at
+    // when its silence crosses a threshold even if nothing else is due.
+    if (cfg_.idle_eviction.count() > 0) {
+      at = std::min(at, s.last_heard + cfg_.idle_eviction);
+    }
+    if (cfg_.rehydrate_idle_violation.count() > 0 && s.rehydrated &&
+        s.frames_in == 0) {
+      at = std::min(at, s.last_heard + cfg_.rehydrate_idle_violation);
+    }
+  } else {
+    at = kNever;
+  }
+  // An earlier live entry is good enough: it wakes the session, which
+  // then re-queues at its real deadline.
+  if (at >= s.queued_at) return;
+  s.queued_at = at;
+  shard.timers.push_back({at, idx});
+  std::push_heap(shard.timers.begin(), shard.timers.end(), std::greater<>{});
+}
+
+void SessionMux::run_session(Shard& shard, Session& s, time_point now) {
+  std::vector<Frame>& arrived = shard.arrived;
+  {
+    std::lock_guard<std::mutex> hold(shard.mu);
+    arrived.assign(s.inbox.begin(), s.inbox.end());
+    s.inbox.clear();  // keeps the deque's first block for the next frames
+  }
+  const bool heard = !arrived.empty();
+  for (const Frame& f : arrived) deliver(s, f, now);
+
+  if (s.state != SessionState::kActive) {
+    s.due = kNever;
+    // Completed receivers re-FIN when the peer retransmits (FIN loss
+    // healing); at most one per pass.
+    if (s.refin_pending) {
+      s.refin_pending = false;
+      emit(s, FrameKind::kFin,
+           static_cast<sim::MsgId>(s.endpoint->items_done()), now);
+    }
+    return;
+  }
+  if (!heard) {
+    const auto quiet = now - s.last_heard;
+    if (cfg_.rehydrate_idle_violation.count() > 0 && s.rehydrated &&
+        s.frames_in == 0 && quiet >= cfg_.rehydrate_idle_violation) {
+      // The manifest attests to an unfinished exchange, but the peer
+      // never spoke after the restart: the crash lost progress beyond
+      // what retransmission can heal.  Loud, not a silent wedge.
+      finalize(s, SessionState::kRecoveryViolation);
+      return;
+    }
+    if (cfg_.idle_eviction.count() > 0 && quiet >= cfg_.idle_eviction) {
+      finalize(s, SessionState::kEvicted);
+      return;
+    }
+  }
+  const bool fired = s.due <= now;
+  if (!heard && !fired) return;  // woken for a verdict that did not fall
+  if (s.is_sender) {
+    run_sender(s, now, heard, fired);
+  } else {
+    run_receiver(s, now);
+  }
+}
+
+void SessionMux::run_sender(Session& s, time_point now, bool heard,
+                            bool fired) {
+  const auto out = step_session(s, now);
+  if (s.state != SessionState::kActive) return;
+  bool peer_back = false;
+  if (heard) {
+    const RttEstimator::Heard h = s.rtt.on_receive(now);
+    if (h.sample && s.ack_rtt_us.size() < kMaxRttSamples) {
+      s.ack_rtt_us.push_back(static_cast<std::uint64_t>(h.sample->count()));
+    }
+    peer_back = h.peer_returned;
+  }
+  if (out && out != s.last_msg) {
+    // A new frame goes out at once and arms the retransmit timer.
+    emit(s, FrameKind::kData, *out, now);
+    s.due = now + s.rtt.rto();
+    return;
+  }
+  if (!fired && !peer_back) {
+    // An unchanged frame repeats only on its timer.  A duplicate ack that
+    // made it repeat at once would be answered by another duplicate ack,
+    // and the extra copy would circulate forever.
+    return;
+  }
+  if (fired) s.rtt.on_timeout();
+  if (out) {
+    emit(s, FrameKind::kData, *out, now);
+  } else if (!s.last_data_frame.empty()) {
+    // Quiescent: everything is acked, the FIN has not come.  Re-sending
+    // the last data frame provokes the re-FIN that heals a lost one.
+    resend_last(s, now);
+  }
+  s.due = now + s.rtt.rto();
+}
+
+void SessionMux::run_receiver(Session& s, time_point now) {
+  // A receiver answers every inbound event with its (cumulative) ack — the
+  // frame may be a retransmission whose ack was lost — and greets its peer
+  // in the first pass, so a restarted receiver is heard at once.  It needs
+  // no timer after that: its sender retransmits.  A periodic ack would
+  // also pose as a short round trip to a sender waiting on a slow one.
+  const auto out = step_session(s, now);
+  if (s.state != SessionState::kActive) return;
+  if (out) emit(s, FrameKind::kData, *out, now);
+  s.due = kNever;
+}
+
+void SessionMux::deliver(Session& s, const Frame& f, time_point now) {
   ++s.frames_in;
-  s.idle_sweeps = 0;
+  s.last_heard = now;
   s.dirty = true;  // any inbound frame may move durable protocol state
   if (cfg_.probe != nullptr) cfg_.probe->on_frame_received(s.id, f);
   if (s.state != SessionState::kActive) {
@@ -404,17 +510,6 @@ void SessionMux::deliver(Session& s, const Frame& f) {
     }
     return;
   }
-  if (s.is_sender) {
-    if (!s.pending_sends.empty()) {
-      const auto sent_at = s.pending_sends.front();
-      s.pending_sends.pop_front();
-      if (s.ack_rtt_us.size() < kMaxRttSamples) {
-        s.ack_rtt_us.push_back(
-            us_between(sent_at, std::chrono::steady_clock::now()));
-      }
-    }
-    if (s.inflight > 0) --s.inflight;
-  }
   if (f.kind == FrameKind::kFin) {
     s.endpoint->on_fin();
     if (s.endpoint->done()) finalize(s, SessionState::kCompleted);
@@ -423,52 +518,46 @@ void SessionMux::deliver(Session& s, const Frame& f) {
   s.endpoint->on_deliver(f.msg);
 }
 
-void SessionMux::step_session(Session& s) {
-  const std::uint64_t frames_out_before = s.frames_out;
-  for (std::size_t i = 0; i < cfg_.steps_per_sweep; ++i) {
-    if (s.is_sender && cfg_.max_inflight > 0 &&
-        s.inflight >= cfg_.max_inflight) {
-      break;  // backpressure: wait for acks to decay the credit
-    }
-    const auto out = s.endpoint->step();
+std::optional<sim::MsgId> SessionMux::step_session(Session& s,
+                                                   time_point now) {
+  const auto out = s.endpoint->step();
 
-    // Surface fresh receiver writes (prefix-checked by the adapter).
-    const std::size_t items = s.endpoint->items_done();
-    if (items > s.items_reported) {
-      s.dirty = true;
-      n_.add(MuxCounter::kItemsDone, items - s.items_reported);
-      if (cfg_.probe != nullptr) {
-        for (std::size_t j = s.items_reported; j < items; ++j) {
-          cfg_.probe->on_item(s.id, j);
-        }
+  // Surface fresh receiver writes (prefix-checked by the adapter).
+  const std::size_t items = s.endpoint->items_done();
+  if (items > s.items_reported) {
+    s.dirty = true;
+    n_.add(MuxCounter::kItemsDone, items - s.items_reported);
+    if (cfg_.probe != nullptr) {
+      for (std::size_t j = s.items_reported; j < items; ++j) {
+        cfg_.probe->on_item(s.id, j);
       }
-      s.items_reported = items;
     }
-
-    if (!s.endpoint->safety_ok()) {
-      finalize(s, SessionState::kSafetyViolation);
-      return;
-    }
-    if (!s.is_sender && s.endpoint->done()) {
-      if (out) emit(s, FrameKind::kData, *out);
-      emit(s, FrameKind::kFin,
-           static_cast<sim::MsgId>(s.endpoint->items_done()));
-      finalize(s, SessionState::kCompleted);
-      return;
-    }
-    if (!out) break;  // quiescent this sweep
-    emit(s, FrameKind::kData, *out);
+    s.items_reported = items;
   }
-  s.quiet_sweeps = s.frames_out == frames_out_before ? s.quiet_sweeps + 1 : 0;
+
+  if (!s.endpoint->safety_ok()) {
+    finalize(s, SessionState::kSafetyViolation);
+    return std::nullopt;
+  }
+  if (!s.is_sender && s.endpoint->done()) {
+    if (out) emit(s, FrameKind::kData, *out, now);
+    emit(s, FrameKind::kFin,
+         static_cast<sim::MsgId>(s.endpoint->items_done()), now);
+    finalize(s, SessionState::kCompleted);
+    return std::nullopt;
+  }
+  return out;
 }
 
-void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg) {
+void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg,
+                      time_point now) {
   Frame f;
   f.kind = kind;
   f.dir = s.is_sender ? sim::Dir::kSenderToReceiver
                       : sim::Dir::kReceiverToSender;
   f.session = s.id;
   f.msg = msg;
+  if (kind == FrameKind::kData) s.last_msg = msg;
   auto bytes = encode(f);
   // Durability gating (the write-ahead rule): a receiver's outbound
   // frames — cumulative acks and FINs — attest to externalized state, so
@@ -482,11 +571,12 @@ void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg) {
     s.held.emplace_back(f, std::move(bytes));
     return;
   }
-  send_now(s, f, bytes);
+  send_now(s, f, bytes, now);
 }
 
 void SessionMux::send_now(Session& s, const Frame& f,
-                          const std::vector<std::uint8_t>& bytes) {
+                          const std::vector<std::uint8_t>& bytes,
+                          time_point now) {
   transport_->send(bytes);  // shed == lost; the protocol retransmits
   ++s.frames_out;
   n_.add(MuxCounter::kFramesSent);
@@ -495,25 +585,27 @@ void SessionMux::send_now(Session& s, const Frame& f,
   } else {
     s.last_data_frame = bytes;
   }
-  if (s.is_sender) {
-    ++s.inflight;
-    if (s.pending_sends.size() < kMaxPendingSends) {
-      s.pending_sends.push_back(std::chrono::steady_clock::now());
-    }
-  }
+  if (s.is_sender) s.rtt.on_send(now);
   if (cfg_.probe != nullptr) cfg_.probe->on_frame_sent(s.id, f);
 }
 
-void SessionMux::release_held(Session& s) {
-  for (auto& [f, bytes] : s.held) send_now(s, f, bytes);
+void SessionMux::resend_last(Session& s, time_point now) {
+  send_now(s, *decode(s.last_data_frame), s.last_data_frame, now);
+}
+
+void SessionMux::release_held(Session& s, time_point now) {
+  for (auto& [f, bytes] : s.held) send_now(s, f, bytes, now);
   s.held.clear();
 }
 
-void SessionMux::flush_shard(Shard& shard, bool force) {
+void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
   StoreSlot& slot = *slots_[shard.slot];
+  // Only the pass's sessions can have moved or hold frames.
+  const std::vector<std::size_t>& sessions =
+      force ? shard.members : shard.batch;
   std::vector<std::string> batch;
   std::uint64_t batch_bytes = 0;
-  for (const std::size_t idx : shard.members) {
+  for (const std::size_t idx : sessions) {
     Session& s = *sessions_[idx];
     if (!s.dirty && !force) continue;
     s.dirty = false;
@@ -522,7 +614,7 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
     std::string state = s.endpoint->save_state();
     // Session, role, epoch, proto_tag and owner are fixed for the
     // generation, so an unchanged (position, completed, state) means
-    // nothing moved: no record (keepalive-only sweeps cost no log growth).
+    // nothing moved: no record (a retransmission costs no log growth).
     if (s.checkpointed && position == s.ckpt_position &&
         completed == s.ckpt_completed && state == s.ckpt_state) {
       continue;
@@ -563,9 +655,7 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
   }
   // Everything held is now covered by a durable record (this batch, or
   // an earlier one when the signature never moved): release.
-  for (const std::size_t idx : shard.members) {
-    release_held(*sessions_[idx]);
-  }
+  for (const std::size_t idx : sessions) release_held(*sessions_[idx], now);
 }
 
 void SessionMux::finalize(Session& s, SessionState state) {

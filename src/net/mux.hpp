@@ -10,35 +10,42 @@
 //   * The pump (one std::jthread) polls the transport, decodes frames
 //     (rejecting malformed bytes — counted, never thrown), and routes
 //     them to the owning shard's inbox by session id.
-//   * Workers (std::jthread each) sweep their shard on a fixed cadence:
-//     drain the inbox into sessions, then step each active session under
-//     a per-sweep send budget and a bounded in-flight credit
-//     (backpressure), encode outgoing messages, and hand them to the
-//     transport.
+//   * Workers (std::jthread each) are event-driven: the pump appends a
+//     session to its shard's ready list when the session's inbox goes
+//     non-empty, and each session keeps one deadline (retransmit timeout
+//     or idle verdict) on its shard's timer heap.  A worker sleeps until it
+//     has ready sessions or the earliest deadline arrives, then runs one
+//     pass over exactly those sessions: deliver, step once, encode, send,
+//     group-commit, release.  An idle session costs nothing.
 //   * Completion is wire-level: when a receiver session's tape equals its
 //     expected sequence it emits a FIN frame; the sender session marks
 //     itself completed when the FIN arrives.  FIN loss is healed by
 //     re-FIN on retransmission arrival plus a sender-side keepalive that
 //     re-sends the last data frame when the protocol has gone quiescent.
+//   * Deadlines: a sender repeats an unchanged frame only when its
+//     retransmit timeout fires (RttEstimator: RFC 6298 from Karn samples,
+//     with backoff; a quiescent sender's repeat is its keepalive).  A
+//     receiver greets its peer at start() and otherwise only answers.
 //   * Idle-session eviction: a session that has received nothing for
-//     `idle_eviction_sweeps` sweeps is evicted (dead peer) — terminal,
-//     like completion, but distinguishable in the verdict.
+//     `idle_eviction` is evicted (dead peer) — terminal, like completion,
+//     but distinguishable in the verdict.
 //   * Durability (optional; docs/RECOVERY.md): give MuxConfig one or
 //     more IStableStore session logs and every session is checkpointed
-//     as a manifest record on a sweep cadence, group-committed per shard
-//     (one append_batch per shard flush, so 10k sessions never mean 10k
-//     syncs).  Receiver-side outbound frames (cumulative acks, FINs) are
-//     HELD until the checkpoint covering the acked state is durable —
-//     the write-ahead rule that makes a crash-restart rewind invisible
-//     to the peer.  rehydrate() on a fresh mux re-admits every
+//     as a manifest record at the end of the pass that moved it,
+//     group-committed per shard (one append_batch per pass, so 10k
+//     sessions never mean 10k syncs).  Receiver-side outbound frames
+//     (cumulative acks, FINs) are HELD until the checkpoint covering the
+//     acked state is durable — the write-ahead rule that makes a
+//     crash-restart rewind invisible to the peer.  rehydrate() on a
+//     fresh mux re-admits every
 //     manifested session through a caller-supplied endpoint factory and
 //     restores it via save_state()/restore_state().  A restore that
 //     witnesses an inconsistency is kRecoveryViolation — loud, never
 //     silent corruption.
 //   * stop() drains gracefully: the pump is retired first (no new
-//     inbound), each worker performs a final inbox-drain sweep, then
-//     joins.  drain() additionally arms a final checkpoint flush (and
-//     session-log compaction) on that last sweep; a bare stop() is the
+//     inbound), each worker performs a final pass, then joins.  drain()
+//     additionally arms a final checkpoint flush (and session-log
+//     compaction) after that last pass; a bare stop() is the
 //     crash-shaped shutdown — buffered checkpoints are lost, the log
 //     still rehydrates cleanly.
 //
@@ -53,17 +60,20 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/rtt.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "proto/session_adapter.hpp"
@@ -162,25 +172,12 @@ struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
   std::size_t workers = 2;
-  /// Protocol steps granted per active session per sweep.
-  std::size_t steps_per_sweep = 2;
-  /// Bounded in-flight credit per sender session: stepping pauses while
-  /// (frames sent - frames received) >= max_inflight.  Receiver-side
-  /// re-acks decay the credit, so a burst of losses stalls the session
-  /// only until the next keepalive round-trip.
-  std::size_t max_inflight = 32;
   /// Per-session inbox bound; overflow frames are shed (backpressure —
   /// indistinguishable from wire loss, which the protocols tolerate).
   std::size_t inbox_limit = 64;
-  /// Sweeps without any inbound frame before a session is evicted
+  /// A session that receives nothing for this long is evicted
   /// (0 = never evict).
-  std::uint64_t idle_eviction_sweeps = 0;
-  /// Quiescent-sender keepalive: after this many consecutive sweeps with
-  /// nothing to send, re-send the last data frame (0 = off).  Receiver
-  /// sessions use the same cadence to refresh their cumulative ack.
-  std::uint64_t keepalive_sweeps = 8;
-  /// Worker sweep cadence.
-  std::chrono::microseconds sweep_interval{200};
+  std::chrono::milliseconds idle_eviction{0};
   /// Optional observer (non-owning, must be thread-safe).
   INetProbe* probe = nullptr;
   /// Session checkpoint logs (non-owning; empty = volatile sessions).
@@ -193,12 +190,12 @@ struct MuxConfig {
   /// (0 = unattributed).  Fabric backends set their backend id here so a
   /// handed-off session log stays attributable after re-homing.
   std::uint32_t backend_id = 0;
-  /// A rehydrated session that has seen NO inbound frame for this many
-  /// sweeps is flagged kRecoveryViolation instead of waiting forever
-  /// (0 = off): its manifest attests to an unfinished exchange with a
-  /// live peer, the wire shows none — the crash lost progress (e.g. a
-  /// completion record) beyond what retransmission can heal.
-  std::uint64_t rehydrate_idle_violation_sweeps = 0;
+  /// A rehydrated session that has seen NO inbound frame for this long
+  /// after start() is flagged kRecoveryViolation instead of waiting
+  /// forever (0 = off): its manifest attests to an unfinished exchange
+  /// with a live peer, the wire shows none — the crash lost progress
+  /// (e.g. a completion record) beyond what retransmission can heal.
+  std::chrono::milliseconds rehydrate_idle_violation{0};
 };
 
 /// Every event the mux counts: one entry each in its counter table,
@@ -268,8 +265,9 @@ struct SessionReport {
   std::size_t items = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  /// Send-to-next-inbound round-trip samples, microseconds (sender
-  /// sessions; mirrors the engine metric ack_rtt).
+  /// Unambiguous send-to-answer round trips, microseconds (sender
+  /// sessions, Karn-sampled by RttEstimator; mirrors the engine metric
+  /// ack_rtt).
   std::vector<std::uint64_t> ack_rtt_us;
 };
 
@@ -334,18 +332,18 @@ class SessionMux {
 
   /// Wait (polling) until every session is terminal or `timeout` elapses.
   /// Returns true when all sessions reached a terminal state.  Also arms
-  /// the final-sweep checkpoint flush + session-log compaction in
+  /// the final-pass checkpoint flush + session-log compaction in
   /// stop() — drain-then-stop is the graceful, fully-flushed shutdown;
   /// a bare stop() is the crash-shaped one.
   bool drain(std::chrono::milliseconds timeout);
 
-  /// Graceful shutdown: retire the pump, final-sweep the shards, join.
+  /// Graceful shutdown: retire the pump, run a final pass per shard, join.
   /// Idempotent; the destructor calls it.
   void stop();
 
   /// Crash-shaped shutdown for restart drills: retire the threads WITHOUT
-  /// the final drain sweep, checkpoint flush, or log compaction — the
-  /// session log is left exactly as of the last cadence flush and held
+  /// the final pass, checkpoint flush, or log compaction — the session
+  /// log is left exactly as of the last group commit and held
   /// (durability-gated) frames are dropped, which is what a process kill
   /// leaves behind.  Rehydrate a fresh mux from the same stores to model
   /// the restart.
@@ -372,6 +370,10 @@ class SessionMux {
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+  using time_point = Clock::time_point;
+  static constexpr time_point kNever = time_point::max();
+
   struct Session {
     std::uint32_t id = 0;
     bool is_sender = false;
@@ -384,12 +386,10 @@ class SessionMux {
     // --- worker-private state (shard owner only) ------------------------
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
-    std::size_t inflight = 0;        // sent minus received, floored at 0
-    std::uint64_t idle_sweeps = 0;   // sweeps since last inbound frame
-    std::uint64_t quiet_sweeps = 0;  // sweeps since last outbound frame
     std::size_t items_reported = 0;  // probe on_item high-water mark
     bool refin_pending = false;      // completed receiver saw a retransmit
     bool dirty = false;              // state may have moved since last flush
+    bool in_pass = false;            // already queued for the current pass
     // What the last manifest record said — the only fields that move
     // within a generation — so an unchanged session writes no record.
     bool checkpointed = false;
@@ -401,16 +401,34 @@ class SessionMux {
     // drops the oldest — indistinguishable from wire loss).
     std::vector<std::pair<Frame, std::vector<std::uint8_t>>> held;
     std::vector<std::uint8_t> last_data_frame;  // keepalive payload
-    std::deque<std::chrono::steady_clock::time_point> pending_sends;
+    std::optional<sim::MsgId> last_msg;  // payload of the last data frame
+    // --- deadlines ------------------------------------------------------
+    time_point due = kNever;        // sender: retransmit timeout
+    time_point queued_at = kNever;  // this session's live timer-heap entry
+    time_point last_heard{};        // last inbound frame (or start())
+    RttEstimator rtt;               // sender: samples + RTO
     std::vector<std::uint64_t> ack_rtt_us;
   };
 
+  /// A timer-heap entry: `session` (an index into sessions_) wakes at `at`.
+  /// The heap is a min-heap: std::greater<> on `at`.
+  struct Timer {
+    time_point at;
+    std::size_t session;
+    bool operator>(const Timer& o) const { return at > o.at; }
+  };
+
   struct Shard {
-    std::mutex mu;  // guards the inboxes of this shard's sessions
+    std::mutex mu;  // guards the inboxes of this shard's sessions + ready
+    /// Signalled by the pump when `ready` goes from empty to non-empty.
+    std::condition_variable_any wake;
+    /// Sessions whose inbox went from empty to non-empty (under mu).
+    std::vector<std::size_t> ready;
     std::vector<std::size_t> members;  // indices into sessions_
-    // Worker-private: each session's inbox is drained into this one
-    // buffer, reused across sweeps, so a sweep allocates nothing.
-    std::vector<Frame> arrived;
+    // Worker-private, reused across passes so a pass allocates nothing:
+    std::vector<std::size_t> batch;  // this pass's sessions: ready + due
+    std::vector<Frame> arrived;      // one session's drained inbox
+    std::vector<Timer> timers;       // min-heap on `at`
     std::size_t slot = 0;              // index into slots_
     std::size_t idx = 0;               // own index (probe attribution)
   };
@@ -424,18 +442,31 @@ class SessionMux {
 
   void pump_loop(std::stop_token st);
   void worker_loop(std::stop_token st, std::size_t shard_idx);
-  /// One pass over a shard: drain inboxes, step sessions, emit frames.
-  void sweep(Shard& shard);
-  void deliver(Session& s, const Frame& f);
-  void step_session(Session& s);
-  void emit(Session& s, FrameKind kind, sim::MsgId msg);
+  /// One pass over a shard at `now`: every ready session and every
+  /// session whose deadline is due steps once, then the shard
+  /// group-commits and releases those sessions.  No sleeping inside.
+  void pass(Shard& shard, time_point now);
+  /// Deliver one session's inbox and run its event at `now`.
+  void run_session(Shard& shard, Session& s, time_point now);
+  /// The sender's and the receiver's deadline rules (docs/NETWORK.md).
+  void run_sender(Session& s, time_point now, bool heard, bool fired);
+  void run_receiver(Session& s, time_point now);
+  /// Queue `s`'s next wake-up (deadline or idle verdict) on the heap.
+  void schedule(Shard& shard, std::size_t idx);
+  void deliver(Session& s, const Frame& f, time_point now);
+  /// One protocol step; nullopt when it emitted nothing or went terminal.
+  std::optional<sim::MsgId> step_session(Session& s, time_point now);
+  void emit(Session& s, FrameKind kind, sim::MsgId msg, time_point now);
   /// The unconditional tail of emit(): transport send + accounting.
   void send_now(Session& s, const Frame& f,
-                const std::vector<std::uint8_t>& bytes);
-  /// Group-commit every dirty session of the shard as one manifest
-  /// batch, then release all held frames (they are now covered).
-  void flush_shard(Shard& shard, bool force);
-  void release_held(Session& s);
+                const std::vector<std::uint8_t>& bytes, time_point now);
+  /// Re-send the last data frame (a quiescent endpoint's keepalive).
+  void resend_last(Session& s, time_point now);
+  /// Group-commit every dirty session of the pass (`force`: of the whole
+  /// shard) as one manifest batch, then release their held frames at
+  /// `now`.
+  void flush_shard(Shard& shard, time_point now, bool force);
+  void release_held(Session& s, time_point now);
   /// Move `s` into the terminal `state` (never kActive) and count it.
   void finalize(Session& s, SessionState state);
   bool durable() const { return !slots_.empty(); }

@@ -1,6 +1,7 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -158,6 +159,16 @@ std::string SweepReport::to_json() const {
      << ",\"write_latency\":" << percentiles_json(write_latency())
      << ",\"trial_steps\":" << percentiles_json(trial_steps());
   if (!metrics_json.empty()) os << ",\"metrics\":" << metrics_json;
+  if (!perf.empty()) {
+    os << ",\"perf\":{";
+    for (std::size_t i = 0; i < perf.size(); ++i) {
+      const Figure& f = perf[i];
+      os << (i == 0 ? "" : ",") << '"' << json_escape(f.name)
+         << "\":{\"value\":" << (std::isfinite(f.value) ? fmt(f.value) : "null")
+         << ",\"unit\":\"" << json_escape(f.unit) << "\"}";
+    }
+    os << '}';
+  }
   os << '}';
   return os.str();
 }

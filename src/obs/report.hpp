@@ -88,6 +88,14 @@ struct SweepReport {
   std::vector<std::uint64_t> trial_step_samples;
   /// Optional metrics snapshot (a MetricsRegistry::to_json() document).
   std::string metrics_json;
+  /// Named numeric figures of merit, serialized as the "perf" object:
+  /// {"<name>":{"value":<number>,"unit":"<unit>"},...}.
+  struct Figure {
+    std::string name;
+    double value = 0.0;
+    std::string unit;
+  };
+  std::vector<Figure> perf;
 
   void add_trial(const sim::RunResult& r);
   double avg_steps() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "net/flight_recorder.hpp"
@@ -124,13 +125,17 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
     resolver.resolve_now(sid);
   }
 
-  // Script the plan as an absolute-time switch list (window faults get an
-  // on and an off edge), then fire each on schedule.
+  // Script the plan as a switch list (window faults get an on and an off
+  // edge).  An edge is due `at` after its action's anchor: traffic start,
+  // or the moment the anchor backend's recorder had seen `after_items`
+  // writes.
+  using Clock = std::chrono::steady_clock;
   struct Edge {
     std::chrono::milliseconds at;
-    FabricFaultAction action;
+    std::size_t action;  // index into `actions`
     bool on;
   };
+  std::vector<FabricFaultAction> actions;
   std::vector<Edge> edges;
   for (const FabricFaultAction& a : cfg.plan.actions) {
     const bool windowed = a.kind != FabricFaultKind::kBackendCrash &&
@@ -139,24 +144,29 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
         (a.backend < 1 || a.backend > cfg.backends)) {
       continue;
     }
-    edges.push_back({a.at, a, true});
-    if (windowed) edges.push_back({a.at + a.len, a, false});
+    if (a.after_items > 0 &&
+        (a.after_backend < 1 || a.after_backend > cfg.backends)) {
+      continue;
+    }
+    edges.push_back({a.at, actions.size(), true});
+    if (windowed) edges.push_back({a.at + a.len, actions.size(), false});
+    actions.push_back(a);
   }
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const Edge& a, const Edge& b) { return a.at < b.at; });
 
   fab.start();
   client.mux().start();
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
+  // Per action: when its anchor was reached (nullopt: not yet).
+  std::vector<std::optional<Clock::time_point>> anchor(actions.size());
+  const auto due = [&](const Edge& e) { return *anchor[e.action] + e.at; };
   std::vector<std::uint32_t> crashed;
   std::vector<std::uint32_t> rejoined;  // handshake acked; reclaim pending
-  for (const Edge& e : edges) {
-    std::this_thread::sleep_until(t0 + e.at);
-    const FabricFaultAction& a = e.action;
+  const auto fire = [&](const Edge& e) {
+    const FabricFaultAction& a = actions[e.action];
     switch (a.kind) {
       case FabricFaultKind::kBackendCrash:
         if (e.on) {
-          fab.kill_backend(a.backend);
+          res.crash_active.push_back(fab.kill_backend(a.backend));
           crashed.push_back(a.backend);
         }
         break;
@@ -179,6 +189,45 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
         }
         break;
     }
+  };
+  // Poll the anchors and fire every due edge in due order.  An anchor that
+  // can no longer be reached (the client is done, or the drain budget is
+  // spent) drops its action's edges unfired.
+  const auto plan_deadline = t0 + cfg.drain_timeout;
+  while (!edges.empty()) {
+    const auto now = Clock::now();
+    const bool over = client.mux().all_terminal() || now >= plan_deadline;
+    bool pending = false;  // an anchor still being watched
+    for (std::size_t i = 0; i < actions.size(); ++i) {
+      if (anchor[i]) continue;
+      const FabricFaultAction& a = actions[i];
+      if (a.after_items == 0) {
+        anchor[i] = t0;
+      } else if (recorders[a.after_backend - 1]->items() >= a.after_items) {
+        anchor[i] = now;
+      } else {
+        pending = pending || !over;
+      }
+    }
+    std::vector<Edge> ready;
+    std::erase_if(edges, [&](const Edge& e) {
+      if (!anchor[e.action]) return !pending;  // unreachable: dropped
+      if (due(e) > now) return false;
+      ready.push_back(e);
+      return true;
+    });
+    std::stable_sort(ready.begin(), ready.end(),
+                     [&](const Edge& a, const Edge& b) {
+                       return due(a) < due(b);
+                     });
+    for (const Edge& e : ready) fire(e);
+    // Sleep to the next due edge, or one poll while an anchor is watched.
+    auto wake = pending ? now + std::chrono::microseconds(50)
+                        : Clock::time_point::max();
+    for (const Edge& e : edges) {
+      if (anchor[e.action]) wake = std::min(wake, due(e));
+    }
+    if (!edges.empty()) std::this_thread::sleep_until(wake);
   }
 
   // Death rides on heartbeat silence, not traffic: a crash that lands
@@ -319,7 +368,10 @@ FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
       a.kind = FabricFaultKind::kRouterSplit;
     }
     a.backend = static_cast<std::uint32_t>(1 + rng.below(backends));
-    a.at = std::chrono::milliseconds(5 + rng.below(60));
+    // A few items in, so the fault hits live traffic however fast the
+    // run is.
+    a.after_backend = a.backend;
+    a.after_items = 1 + rng.below(8);
     a.len = std::chrono::milliseconds(30 + rng.below(90));
     plan.actions.push_back(a);
   }
@@ -332,46 +384,57 @@ FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
   FabricFaultPlan plan;
   if (backends < 2) return sample_fabric_plan(seed, backends);
 
-  // The spine of every trial: one crash, one rejoin of the same backend,
-  // far enough apart that the strike ladder condemns it and a re-home
-  // completes in between — so the reclaim genuinely crosses three
-  // generations of ownership (victim gen-1 -> survivor -> victim gen-2).
+  // The spine of every trial: one crash a few items into the victim's
+  // traffic, one rejoin of the same backend far enough after it that the
+  // strike ladder condemns it and a re-home completes in between — so the
+  // reclaim genuinely crosses three generations of ownership (victim
+  // gen-1 -> survivor -> victim gen-2).  Every action counts from the
+  // crash's anchor.
   const auto victim = static_cast<std::uint32_t>(1 + rng.below(backends));
+  const std::uint64_t crash_items = 1 + rng.below(8);
+  const auto anchored = [&](FabricFaultAction a) {
+    a.after_backend = victim;
+    a.after_items = crash_items;
+    plan.actions.push_back(std::move(a));
+  };
   FabricFaultAction crash;
   crash.kind = FabricFaultKind::kBackendCrash;
   crash.backend = victim;
-  crash.at = std::chrono::milliseconds(5 + rng.below(25));
-  plan.actions.push_back(crash);
+  anchored(crash);
 
   FabricFaultAction rj;
   rj.kind = FabricFaultKind::kRejoin;
   rj.backend = victim;
-  rj.at = crash.at + std::chrono::milliseconds(60 + rng.below(60));
-  plan.actions.push_back(rj);
+  rj.at = std::chrono::milliseconds(60 + rng.below(60));
+  anchored(rj);
 
-  // Ambient stress, maybe: a partition window pinning a SURVIVOR off the
+  // Ambient stress, maybe, all on one SURVIVOR so that with three backends
+  // another one stays up to take the re-homes.  Never on the victim: it is
+  // dead until it rejoins, and a blackout over its probation strikes the
+  // rejoin out (a second sticky death), so the acked rejoin would never
+  // reclaim.  First a partition window pinning the survivor off the
   // router side (the nameserver keeps granting its lease; the partition
   // is a network fact, not a membership fact) ...
+  auto other = static_cast<std::uint32_t>(1 + rng.below(backends));
+  if (other == victim) other = victim % backends + 1;
   if (rng.below(2) == 0) {
-    auto other = static_cast<std::uint32_t>(1 + rng.below(backends));
-    if (other == victim) other = victim % backends + 1;
     FabricFaultAction p;
     p.kind = rng.below(2) == 0 ? FabricFaultKind::kPartition
                                : FabricFaultKind::kPartitionOneWay;
     p.group_a = {0};
     p.group_b = {other};
-    p.at = std::chrono::milliseconds(10 + rng.below(40));
+    p.at = std::chrono::milliseconds(rng.below(40));
     p.len = std::chrono::milliseconds(20 + rng.below(40));
-    plan.actions.push_back(p);
+    anchored(p);
   }
   // ... and/or a probe blackout to keep false suspicion in the mix.
   if (rng.below(2) == 0) {
     FabricFaultAction bl;
     bl.kind = FabricFaultKind::kProbeBlackout;
-    bl.backend = static_cast<std::uint32_t>(1 + rng.below(backends));
-    bl.at = std::chrono::milliseconds(5 + rng.below(50));
+    bl.backend = other;
+    bl.at = std::chrono::milliseconds(rng.below(50));
     bl.len = std::chrono::milliseconds(20 + rng.below(60));
-    plan.actions.push_back(bl);
+    anchored(bl);
   }
   return plan;
 }

@@ -3,8 +3,9 @@
 //
 // The engine-level soak (stp/soak.hpp) scripts faults in *logical* time
 // (channel steps) against one protocol instance; the fabric soak scripts
-// them in *wall-clock* time against the whole fleet, because the faults
-// under test — a backend crash, a probe blackout, a split router, a host
+// them in *wall-clock* time against the whole fleet (optionally counted
+// from a progress anchor: backend N has written K items), because the
+// faults under test — a backend crash, a probe blackout, a split router, a host
 // partition, a rejoin — are properties of running threads and heartbeat
 // timeouts, not of a deterministic step function.  What stays
 // deterministic is the acceptance criterion, which is timing-insensitive:
@@ -59,10 +60,10 @@ struct FabricSoakConfig {
   std::size_t seq_len = 5;
   int domain = 8;
   fabric::HealthConfig health;
-  /// Pacing template for every cell and the client (session_stores /
-  /// backend_id / probe are overwritten per mux).  Throttle it
-  /// (steps_per_sweep, max_inflight, sweep_interval) so scripted faults
-  /// land mid-traffic instead of after a sub-millisecond sprint.
+  /// Template for every cell and the client (session_stores /
+  /// backend_id / probe are overwritten per mux).  A run takes
+  /// milliseconds, so a fault meant to land mid-traffic anchors on
+  /// progress ("after bN:K"), not on the clock.
   net::MuxConfig mux;
   /// Wait for completion after the last scripted action.
   std::chrono::milliseconds drain_timeout{60'000};
@@ -75,6 +76,9 @@ struct FabricSoakResult {
   std::size_t completed = 0;      ///< client sessions that completed
   std::size_t live_violations = 0;  ///< safety + recovery, client + cells
   std::size_t rehomes = 0;          ///< successful fence-and-re-homes
+  /// Per fired crash, in order: the victim's sessions still active at the
+  /// kill (0: the traffic it hosted was over, or it was already fenced).
+  std::vector<std::size_t> crash_active;
   std::size_t rejoins = 0;          ///< kJoin handshakes acked
   std::size_t reclaims = 0;         ///< successful rejoin-and-reclaims
   std::vector<std::uint64_t> restore_latency_us;  ///< per re-home absorb
@@ -94,14 +98,17 @@ struct FabricSoakResult {
 FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg);
 
 /// Deterministic small random plan for one sweep trial: 1-3 actions,
-/// crashes capped at backends-1 so a survivor always exists.
+/// crashes capped at backends-1 so a survivor always exists.  Each action
+/// fires once its backend has written 1-8 items.
 FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
                                    std::size_t backends);
 
 /// Deterministic resilience plan: a crash → rejoin pair (so every trial
 /// exercises reclaim across three generations of ownership) plus up to
 /// two ambient faults — a router-side partition window and/or a probe
-/// blackout.  Partitions scope host 0 (router side) against one backend.
+/// blackout, both on the same survivor.  Partitions scope host 0 (router
+/// side) against one backend.  Every action counts from the moment the victim has written 1-8 items,
+/// so the crash lands mid-traffic.
 FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
                                        std::size_t backends);
 

@@ -805,6 +805,12 @@ store::SessionManifest receiver_manifest(std::uint32_t id,
 /// plumbing a kill/restart drill needs.  Client senders arm the dup-ack
 /// go-back so a durably-rewound receiver (storage-fault tail loss) heals
 /// by bounded retransmission instead of wedging the stop-and-wait pair.
+/// Items per session in a run killed at the kill window.  A session
+/// finishes an item per round trip, while the window waits for the
+/// unluckiest session's first item, which may take several backed-off
+/// retransmit timeouts; 64 items keep even the luckiest session open.
+constexpr std::size_t kKillWindowLen = 64;
+
 struct RestartRig {
   std::size_t n = 0;
   std::size_t len = 0;
@@ -818,10 +824,6 @@ struct RestartRig {
   net::MuxConfig base_cfg() const {
     net::MuxConfig cfg;
     cfg.workers = 2;
-    cfg.steps_per_sweep = 2;
-    cfg.max_inflight = 8;
-    cfg.keepalive_sweeps = 4;
-    cfg.sweep_interval = 400us;
     return cfg;
   }
 
@@ -851,13 +853,14 @@ struct RestartRig {
   }
 
   /// Wait for the kill window: every session made progress (>= 1 item, so
-  /// every session is manifested) and — by construction, equal-length
-  /// near-lockstep sequences — none is anywhere near completing.
+  /// every session is manifested).  The wait polls finely and callers give
+  /// every session kKillWindowLen or more items, so even a session that
+  /// never lost a frame is nowhere near completing when the window opens.
   bool wait_kill_window(std::chrono::seconds timeout) const {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
       if (probe1->min_progress(n) >= 1) return true;
-      std::this_thread::sleep_for(1ms);
+      std::this_thread::sleep_for(50us);
     }
     return false;
   }
@@ -868,11 +871,10 @@ struct RestartRig {
 
   /// Construct generation 2 on the same transport endpoint and stores and
   /// re-admit every manifested session.
-  net::RehydrateReport restart(std::uint64_t idle_violation_sweeps = 0) {
+  net::RehydrateReport restart() {
     net::MuxConfig scfg = base_cfg();
     scfg.probe = probe2.get();
     scfg.session_stores = {&st0, &st1};
-    scfg.rehydrate_idle_violation_sweeps = idle_violation_sweeps;
     server2 = std::make_unique<net::StpServer>(wire.b.get(), scfg);
     return server2->rehydrate(stenning_receiver_factory(),
                               [this](std::uint32_t id) {
@@ -934,7 +936,6 @@ TEST(DurableMux, DrainFlushesCompactsAndRehydratesCompleted) {
   auto wire = net::make_loopback();
 
   net::MuxConfig cfg;
-  cfg.sweep_interval = 200us;
   net::StpClient client(wire.a.get(), cfg);
   net::MuxConfig scfg = cfg;
   scfg.session_stores = {&st};
@@ -1000,7 +1001,6 @@ TEST(DurableMux, BareStopWithoutDrainLeavesACleanlyRehydratableLog) {
   auto wire = net::make_loopback();
 
   net::MuxConfig cfg;
-  cfg.sweep_interval = 200us;
   net::StpClient client(wire.a.get(), cfg);
   net::MuxConfig scfg = cfg;
   scfg.session_stores = {&st};
@@ -1060,7 +1060,7 @@ net::LoopbackConfig lossy_wire(std::uint64_t seed) {
 
 TEST(DurableMux, KillRestartMidTrafficRehydratesAndCompletes) {
   constexpr std::size_t kSessions = 32;
-  constexpr std::size_t kLen = 8;
+  constexpr std::size_t kLen = kKillWindowLen;
   RestartRig rig;
   rig.start(kSessions, kLen, lossy_wire(0xD0D0));
   ASSERT_TRUE(rig.wait_kill_window(60s));
@@ -1114,8 +1114,6 @@ TEST(DurableMux, RestartRacingFinHealsViaReFin) {
 
   auto wire = net::make_loopback();
   net::MuxConfig cfg;
-  cfg.sweep_interval = 200us;
-  cfg.keepalive_sweeps = 4;
   net::StpClient client(wire.a.get(), cfg);
   auto pair = proto::make_stenning(kDomain, true);
   client.add_session(kId, std::move(pair.sender), x);  // FIN never arrived
@@ -1151,7 +1149,7 @@ void run_fault_matrix_case(
     const std::function<void(RestartRig&)>& inject,
     std::uint64_t min_records_skipped) {
   constexpr std::size_t kSessions = 16;
-  constexpr std::size_t kLen = 8;
+  constexpr std::size_t kLen = kKillWindowLen;
   RestartRig rig;
   rig.start(kSessions, kLen, lossy_wire(0xFA017));
   ASSERT_TRUE(rig.wait_kill_window(60s));
@@ -1297,9 +1295,8 @@ TEST(DurableMuxViolation, LostCompletionWithSilentPeerIsFlaggedNotWedged) {
   DurableProbe probe(kId + 1);
   net::MuxConfig scfg;
   scfg.probe = &probe;
-  scfg.sweep_interval = 200us;
   scfg.session_stores = {&st};
-  scfg.rehydrate_idle_violation_sweeps = 30;
+  scfg.rehydrate_idle_violation = 6ms;
   net::StpServer server(wire.b.get(), scfg);
   const auto rep = server.rehydrate(stenning_receiver_factory(),
                                     [&](std::uint32_t) { return x; });
@@ -1527,7 +1524,7 @@ TEST(DurableMuxRehydrate, ExtraSourcesAreReadOnlyAndReManifestIntoOwnStores) {
 
 TEST(DurableMuxAcceptance, KillRestartThousandSessionsUnderLossAndReorder) {
   constexpr std::size_t kSessions = 1000;
-  constexpr std::size_t kLen = 6;
+  constexpr std::size_t kLen = kKillWindowLen;
 
   net::LoopbackConfig wire;
   fault::FaultPlan plan = fault::periodic_plan(

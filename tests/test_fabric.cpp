@@ -108,15 +108,9 @@ fabric::HealthConfig aggressive_health() {
   return h;
 }
 
-/// Mux pacing that stretches a run to tens of milliseconds so scripted
-/// mid-run faults actually land mid-run.
-net::MuxConfig throttled_mux() {
+net::MuxConfig fabric_mux() {
   net::MuxConfig m;
   m.workers = 2;
-  m.steps_per_sweep = 1;
-  m.max_inflight = 2;
-  m.sweep_interval = 1ms;
-  m.keepalive_sweeps = 8;
   return m;
 }
 
@@ -172,6 +166,19 @@ struct FabricRig {
   void start() {
     fab->start();
     client->mux().start();
+  }
+
+  /// Block until backend `id` has written `items` items in all (read from
+  /// its recorder, which outlives its generations), so a fault scripted
+  /// after it lands mid-traffic however fast the run is.
+  bool wait_items(std::uint32_t id, std::uint64_t items,
+                  std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (recorders[id - 1]->items() < items) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(50us);
+    }
+    return true;
   }
 
   bool finish(std::chrono::milliseconds timeout) {
@@ -454,10 +461,12 @@ TEST(Fabric, CleanRunShardsSessionsAndAnswersProbes) {
 
 TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
   FabricRig rig;
-  rig.build(3, 24, 16, aggressive_health(), throttled_mux());
+  rig.build(3, 24, 16, aggressive_health(), fabric_mux());
   rig.start();
-  std::this_thread::sleep_for(8ms);
-  rig.fab->kill_backend(2);
+  // Kill once backend 2 is a quarter through its share (8 sessions x 16
+  // items), so its sessions are still open and must be re-homed.
+  ASSERT_TRUE(rig.wait_items(2, 8 * 4, 10s));
+  EXPECT_GT(rig.fab->kill_backend(2), 0u);  // the kill hit live traffic
   ASSERT_TRUE(rig.finish(60s));
   rig.expect_client_all_completed();
 
@@ -510,9 +519,37 @@ TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
 // Fabric: probe blackout (false suspicion)
 // --------------------------------------------------------------------------
 
+TEST(BackendCell, AbsorbKeepsOwnedSessionsThatNeverCheckpointed) {
+  // A session the cell owns but that has heard nothing has no manifest
+  // record, so the absorb's bare stop leaves nothing durable naming it.
+  // It must still be hosted afterwards (cold-added, like an incoming
+  // session no log names).  Two crashes in quick succession hit this: the
+  // survivor of the first re-home absorbs again before the moved
+  // sessions' senders, backed off, have reached it.
+  store::MemStore own;
+  own.reset();
+  auto link = net::make_loopback();
+  fabric::CellConfig cc;
+  cc.id = 3;
+  cc.stores = {&own};
+  cc.make_receiver = stenning_factory();
+  cc.expected_for = [](std::uint32_t sid) { return seq_for(sid, 4); };
+  fabric::BackendCell cell(link.b.get(), cc);
+  cell.add_session(7);
+  cell.start();
+  const auto rep =
+      cell.rehome_absorb({}, {}, std::vector<std::uint32_t>{7});
+  cell.stop();
+  EXPECT_EQ(rep.cold_added, (std::vector<std::uint32_t>{7}));
+  const auto reports = cell.server().mux().reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].id, 7u);
+  EXPECT_EQ(reports[0].state, net::SessionState::kActive);
+}
+
 TEST(Fabric, ShortProbeBlackoutConvergesWithoutDeath) {
   FabricRig rig;
-  rig.build(2, 8, 16, lenient_health(), throttled_mux());
+  rig.build(2, 8, 16, lenient_health(), fabric_mux());
   rig.start();
   rig.fab->set_probe_blackout(1, true);
   std::this_thread::sleep_for(30ms);  // < one lenient timeout
@@ -526,7 +563,7 @@ TEST(Fabric, ShortProbeBlackoutConvergesWithoutDeath) {
 
 TEST(Fabric, LongProbeBlackoutFencesTheSuspectAndStillDeliversExactly) {
   FabricRig rig;
-  rig.build(2, 12, 16, aggressive_health(), throttled_mux());
+  rig.build(2, 12, 16, aggressive_health(), fabric_mux());
   rig.start();
   // Heartbeats to backend 1 vanish for good; data still flows.  The
   // router MUST falsely suspect it — and fencing makes that safe.  Death
@@ -561,7 +598,7 @@ TEST(Fabric, LongProbeBlackoutFencesTheSuspectAndStillDeliversExactly) {
 
 TEST(Fabric, RouterSplitHealsWhenTheWindowLifts) {
   FabricRig rig;
-  rig.build(2, 8, 16, lenient_health(), throttled_mux());
+  rig.build(2, 8, 16, lenient_health(), fabric_mux());
   rig.start();
   rig.fab->set_data_split(1, true);
   std::this_thread::sleep_for(40ms);
@@ -579,25 +616,38 @@ TEST(Fabric, RouterSplitHealsWhenTheWindowLifts) {
 // Fabric soak harness
 // --------------------------------------------------------------------------
 
+/// A crash of backend `b` once it has written `items` items, so it lands
+/// mid-traffic however fast the run is.
+stp::FabricFaultAction crash_after(std::uint32_t b, std::uint64_t items) {
+  stp::FabricFaultAction a;
+  a.kind = stp::FabricFaultKind::kBackendCrash;
+  a.backend = b;
+  a.after_backend = b;
+  a.after_items = items;
+  return a;
+}
+
 stp::FabricSoakConfig soak_base(std::size_t sessions, std::size_t len) {
   stp::FabricSoakConfig cfg;
   cfg.backends = 3;
   cfg.sessions = sessions;
   cfg.seq_len = len;
   cfg.health = aggressive_health();
-  cfg.mux = throttled_mux();
+  cfg.mux = fabric_mux();
   cfg.drain_timeout = 60s;
   return cfg;
 }
 
 TEST(FabricSoak, ScriptedCrashPlanRidesOut) {
   auto cfg = soak_base(16, 12);
-  cfg.plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2,
-                              std::chrono::milliseconds(10), {}, {}, {}});
+  // Backend 2 hosts 5 sessions x 12 items; kill it a quarter through.
+  cfg.plan.actions.push_back(crash_after(2, 15));
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_EQ(res.completed, 16u);
   EXPECT_EQ(res.live_violations, 0u);
+  ASSERT_EQ(res.crash_active.size(), 1u);
+  EXPECT_GT(res.crash_active[0], 0u);  // the kill hit live traffic
   EXPECT_EQ(res.rehomes, 1u);
   ASSERT_EQ(res.restore_latency_us.size(), 1u);
   EXPECT_GT(res.restore_latency_us[0], 0u);
@@ -627,6 +677,10 @@ TEST(FabricSoak, SampledPlansAreDeterministicAndBounded) {
     for (const auto& act : a.actions) {
       EXPECT_GE(act.backend, 1u);
       EXPECT_LE(act.backend, 3u);
+      // Anchored on its own backend's progress, a few items in.
+      EXPECT_EQ(act.after_backend, act.backend);
+      EXPECT_GE(act.after_items, 1u);
+      EXPECT_LE(act.after_items, 8u);
       if (act.kind == stp::FabricFaultKind::kBackendCrash) ++crashes;
     }
     EXPECT_LE(crashes, 2u);  // a survivor always exists
@@ -683,12 +737,15 @@ TEST(FabricAcceptance, CrashRehomed256SessionsAttestedAgainstLiveVerdicts) {
   // The full width drains in ~1s on an idle core but can stretch past a
   // minute under load on a single-core runner.
   cfg.drain_timeout = std::chrono::milliseconds(240'000);
-  cfg.plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 1,
-                              std::chrono::milliseconds(15), {}, {}, {}});
+  // Kill backend 1 a quarter through its share (a third of the sessions,
+  // 8 items each).
+  cfg.plan.actions.push_back(crash_after(1, kAcceptanceSessions * 8 / 12));
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_EQ(res.completed, kAcceptanceSessions);
   EXPECT_EQ(res.live_violations, 0u);
+  ASSERT_EQ(res.crash_active.size(), 1u);
+  EXPECT_GT(res.crash_active[0], 0u);  // the kill hit live traffic
   EXPECT_EQ(res.rehomes, 1u);
   ASSERT_FALSE(res.restore_latency_us.empty());
 

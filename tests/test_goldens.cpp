@@ -81,7 +81,6 @@ const std::vector<std::string> kMuxKeys = {
 TEST(MetricKeys, VolatilePair) {
   auto wire = net::make_loopback();
   net::MuxConfig cfg;
-  cfg.sweep_interval = 200us;
   net::StpClient client(wire.a.get(), cfg);
   net::StpServer server(wire.b.get(), cfg);
   for (std::uint32_t id = 0; id < 3; ++id) {
@@ -104,7 +103,6 @@ TEST(MetricKeys, DrainedDurableServer) {
   st.reset();
   auto wire = net::make_loopback();
   net::MuxConfig cfg;
-  cfg.sweep_interval = 200us;
   net::StpClient client(wire.a.get(), cfg);
   net::MuxConfig scfg = cfg;
   scfg.session_stores = {&st};

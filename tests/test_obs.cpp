@@ -3,6 +3,7 @@
 // export), and the machine-readable report schema.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "channel/del_channel.hpp"
@@ -331,6 +332,24 @@ TEST(Report, SweepReportSchemaAndVerdictSplit) {
   EXPECT_TRUE(json_valid(json)) << json;
   EXPECT_NE(json.find("\"name\":\"unit_sweep\""), std::string::npos);
   EXPECT_NE(json.find("\"budget-exhausted\":1"), std::string::npos);
+}
+
+TEST(Report, PerfFiguresSerializeAsNumbersWithUnits) {
+  SweepReport rep;
+  rep.name = "unit_perf";
+  EXPECT_EQ(rep.to_json().find("\"perf\""), std::string::npos);
+  rep.perf.push_back({"n64.items_per_s", 1500.5, "1/s"});
+  rep.perf.push_back({"n64.cpu_s", std::numeric_limits<double>::infinity(),
+                      "s"});
+  const std::string json = rep.to_json();
+  EXPECT_TRUE(json_valid(json)) << json;
+  // A non-finite figure is written as null, which validate_bench_json
+  // rejects, never as a token JSON cannot parse.
+  EXPECT_NE(json.find("\"perf\":{\"n64.items_per_s\":{\"value\":1500.5,"
+                      "\"unit\":\"1/s\"},\"n64.cpu_s\":{\"value\":null,"
+                      "\"unit\":\"s\"}}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Report, StalledTrialsSplitFromExhausted) {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -339,6 +340,28 @@ TEST(FabricPlanText, MalformedInputThrows) {
                ContractError);
 }
 
+TEST(FabricPlanText, ProgressAnchorsRoundTrip) {
+  const std::string text =
+      "backend-crash@0ms b2 after b2:8; rejoin@120ms b2 after b2:8; "
+      "partition@20ms+40ms 0|3 after b2:8; probe-blackout@5ms+80ms b1";
+  const auto plan = fault::fabric_plan_from_text(text);
+  ASSERT_EQ(plan.size(), 4u);
+  EXPECT_EQ(fault::to_text(plan), text);
+  EXPECT_EQ(plan.actions[0].after_backend, 2u);
+  EXPECT_EQ(plan.actions[0].after_items, 8u);
+  EXPECT_EQ(plan.actions[2].group_b, (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(plan.actions[2].after_items, 8u);
+  EXPECT_EQ(plan.actions[3].after_items, 0u);  // counts from traffic start
+  for (const char* bad :
+       {"backend-crash@0ms b2 after", "backend-crash@0ms b2 after b2",
+        "backend-crash@0ms b2 after b2:", "backend-crash@0ms b2 after b:8",
+        "backend-crash@0ms b2 after x2:8", "backend-crash@0ms b2 after b2:0",
+        "backend-crash@0ms b2 after b2:8x", "backend-crash@0ms b2 before b2:8",
+        "backend-crash@0ms b2 after b2:8 extra"}) {
+    EXPECT_THROW(fault::fabric_plan_from_text(bad), ContractError) << bad;
+  }
+}
+
 TEST(FabricPlanText, SoakToStringDelegatesUnchanged) {
   stp::FabricFaultPlan plan;
   plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2, 20ms, {},
@@ -532,13 +555,7 @@ stp::FabricSoakConfig rejoin_base(std::size_t sessions, std::size_t len) {
   cfg.sessions = sessions;
   cfg.seq_len = len;
   cfg.health = fast_health();
-  net::MuxConfig m;
-  m.workers = 2;
-  m.steps_per_sweep = 1;
-  m.max_inflight = 2;
-  m.sweep_interval = 1ms;
-  m.keepalive_sweeps = 8;
-  cfg.mux = m;
+  cfg.mux.workers = 2;
   cfg.drain_timeout = 120s;
   return cfg;
 }
@@ -548,16 +565,29 @@ stp::FabricSoakConfig rejoin_base(std::size_t sessions, std::size_t len) {
 // kJoin retries add ~250ms of grace on top).
 constexpr std::chrono::milliseconds kRejoinAt = kSanitized ? 1800ms : 120ms;
 
+/// `a` with its clock anchored on backend `b` having written `items`
+/// items: the scripted crashes land mid-traffic however fast the run is,
+/// and everything anchored alike keeps its spacing from the crash.
+stp::FabricFaultAction after(std::uint32_t b, std::uint64_t items,
+                             stp::FabricFaultAction a) {
+  a.after_backend = b;
+  a.after_items = items;
+  return a;
+}
+
 TEST(RejoinReclaim, CrashRejoinReclaimRoundTrip) {
   auto cfg = rejoin_base(12, 8);
+  // Backend 2 hosts 4 sessions x 8 items; kill it a quarter through.
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
-  cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
+      after(2, 8, {stp::FabricFaultKind::kBackendCrash, 2, 0ms, {}, {}, {}}));
+  cfg.plan.actions.push_back(after(
+      2, 8, {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}}));
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_EQ(res.completed, 12u);
   EXPECT_EQ(res.live_violations, 0u);
+  ASSERT_EQ(res.crash_active.size(), 1u);
+  EXPECT_GT(res.crash_active[0], 0u);  // the kill hit live traffic
   EXPECT_EQ(res.rehomes, 1u);
   EXPECT_EQ(res.rejoins, 1u);
   EXPECT_EQ(res.reclaims, 1u);
@@ -576,8 +606,10 @@ TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
   // from the nameserver/router side mid-recovery, heal, rejoin the dead
   // backend, reclaim — then attest the whole story from the merged trace.
   auto cfg = rejoin_base(12, 8);
+  // Every action counts from backend 1 being a quarter through its share
+  // (4 sessions x 8 items), which is when it dies.
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 1, 10ms, {}, {}, {}});
+      after(1, 8, {stp::FabricFaultKind::kBackendCrash, 1, 0ms, {}, {}, {}}));
   {
     stp::FabricFaultAction p;
     p.kind = stp::FabricFaultKind::kPartition;
@@ -586,17 +618,20 @@ TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
     // scheduler can stretch the heal past the ladder, and a condemned
     // survivor is a legitimate outcome the run must also absorb (its
     // sessions re-home again); hence GE on rehomes below.
-    p.at = kSanitized ? 200ms : 30ms;
+    p.at = kSanitized ? 190ms : 20ms;
     p.len = kSanitized ? 250ms : 20ms;
     p.group_a = {0};
     p.group_b = {3};
-    cfg.plan.actions.push_back(p);
+    cfg.plan.actions.push_back(after(1, 8, p));
   }
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 1,
-       kRejoinAt + (kSanitized ? 700ms : 60ms), {}, {}, {}});
+      after(1, 8,
+            {stp::FabricFaultKind::kRejoin, 1,
+             kRejoinAt + (kSanitized ? 700ms : 60ms), {}, {}, {}}));
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
+  ASSERT_EQ(res.crash_active.size(), 1u);
+  EXPECT_GT(res.crash_active[0], 0u);  // the kill hit live traffic
   EXPECT_GE(res.rehomes, 1u);
   EXPECT_EQ(res.rejoins, 1u);
   EXPECT_EQ(res.reclaims, 1u);
@@ -635,26 +670,43 @@ TEST(RejoinReclaim, SampleResiliencePlanIsDeterministicAndShaped) {
     EXPECT_EQ(a.actions[1].kind, stp::FabricFaultKind::kRejoin);
     EXPECT_EQ(a.actions[0].backend, a.actions[1].backend);
     EXPECT_LT(a.actions[0].at.count(), a.actions[1].at.count());
+    // ... both counted from the victim's progress, like every action.
+    for (const auto& act : a.actions) {
+      EXPECT_EQ(act.after_backend, a.actions[0].backend);
+      EXPECT_EQ(act.after_items, a.actions[0].after_items);
+    }
+    EXPECT_GE(a.actions[0].after_items, 1u);
+    EXPECT_EQ(a.actions[0].at.count(), 0);
     // Round-trips through the artifact grammar.
     EXPECT_EQ(fault::fabric_plan_from_text(fault::to_text(a)), a);
-    // Partitions, when sampled, never pin the crash victim.
+    // Blackouts and partitions, when sampled, hit one survivor, never the
+    // crash victim.
+    std::set<std::uint32_t> disturbed;
     for (const auto& act : a.actions) {
+      if (act.kind == stp::FabricFaultKind::kProbeBlackout) {
+        disturbed.insert(act.backend);
+      }
       if (!fault::is_partition_fault(act.kind)) continue;
       EXPECT_EQ(act.group_a, (std::vector<std::uint32_t>{0}));
       ASSERT_EQ(act.group_b.size(), 1u);
-      EXPECT_NE(act.group_b[0], a.actions[0].backend);
+      disturbed.insert(act.group_b[0]);
     }
+    EXPECT_LE(disturbed.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(disturbed.count(a.actions[0].backend), 0u) << "seed " << seed;
   }
 }
 
 TEST(RejoinReclaim, PublishMetricsEmitsDistinctDropCounters) {
   auto cfg = rejoin_base(6, 6);
+  // Backend 2 hosts 2 sessions x 6 items; kill it a quarter through.
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
-  cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
+      after(2, 3, {stp::FabricFaultKind::kBackendCrash, 2, 0ms, {}, {}, {}}));
+  cfg.plan.actions.push_back(after(
+      2, 3, {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}}));
   const auto res = stp::run_fabric_soak(cfg);
   ASSERT_TRUE(res.ok) << res.failure;
+  ASSERT_EQ(res.crash_active.size(), 1u);
+  EXPECT_GT(res.crash_active[0], 0u);  // the kill hit live traffic
   // (No nonzero-drop assertion: the fenced window between condemnation
   // and re-home is milliseconds wide, so whether any client frame lands
   // inside it is scheduling luck.  The split counters themselves are

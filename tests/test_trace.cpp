@@ -452,8 +452,6 @@ TEST(FlightRecorder, CensusMatchesMuxCountersIncludingKeepalives) {
   net::FlightRecorder client_rec;
   net::FlightRecorder server_rec;
   net::MuxConfig cfg;
-  cfg.sweep_interval = 500us;
-  cfg.keepalive_sweeps = 4;
   net::MuxConfig ccfg = cfg;
   ccfg.probe = &client_rec;
   net::MuxConfig scfg = cfg;
@@ -854,11 +852,7 @@ TracedRun traced_run(std::size_t n, std::size_t len) {
   net::FlightRecorder recorder;
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.steps_per_sweep = 2;
-  cfg.max_inflight = 8;
   cfg.inbox_limit = 64;
-  cfg.keepalive_sweeps = 4;
-  cfg.sweep_interval = 500us;
   net::MuxConfig server_cfg = cfg;
   server_cfg.probe = &recorder;
 
