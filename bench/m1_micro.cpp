@@ -2,15 +2,23 @@
 //
 // Not a paper result; these keep the simulator honest as an artifact: step
 // rate of the kernel, channel op costs, protocol step costs, ranking, the
-// throughput of the two analysis engines (exploration, mirror attack), and
-// the cost of building and reading one session checkpoint record.
+// throughput of the two analysis engines (exploration, mirror attack), the
+// cost of building and reading one session checkpoint record, and the
+// transport layer: one send+poll, and one round trip through two
+// wait+poll hops, sleeping against waking.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <thread>
 
 #include "channel/del_channel.hpp"
 #include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "common.hpp"
 #include "knowledge/explorer.hpp"
+#include "net/frame.hpp"
+#include "net/loopback.hpp"
+#include "net/udp.hpp"
 #include "proto/session_adapter.hpp"
 #include "proto/suite.hpp"
 #include "seq/repetition_free.hpp"
@@ -254,5 +262,101 @@ void BM_ReceiverSaveState(benchmark::State& state) {
                           static_cast<std::int64_t>(ep->save_state().size()));
 }
 BENCHMARK(BM_ReceiverSaveState)->Arg(0)->Arg(128)->Arg(1024);
+
+// Transports.  The wake round trips ping-pong one frame between the
+// timed thread and an echo thread; each side polls and, finding nothing,
+// waits the mux pump's bound.  Arg wake:0 sleeps that bound (what a
+// decorator that does not forward wait() gets), wake:1 waits on the
+// transport, so the pair prices the pump's wakeup per hop.
+
+/// The mux pump's wait bound (kPollBackoff in net/mux.cpp).
+constexpr std::chrono::microseconds kPumpWait{50};
+
+std::vector<std::uint8_t> wire_frame() {
+  net::Frame f;
+  f.kind = net::FrameKind::kData;
+  f.session = 1;
+  f.msg = 1;
+  return net::encode(f);
+}
+
+void BM_LoopbackSendPoll(benchmark::State& state) {
+  auto pair = net::make_loopback();
+  const auto frame = wire_frame();
+  for (auto _ : state) {
+    pair.a->send(frame);
+    auto got = pair.b->poll();
+    benchmark::DoNotOptimize(got);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LoopbackSendPoll);
+
+/// Forwards send() and poll() but not wait(), which therefore sleeps.
+class Sleeping final : public net::ITransport {
+ public:
+  explicit Sleeping(net::ITransport* inner) : inner_(inner) {}
+  bool send(const std::vector<std::uint8_t>& bytes) override {
+    return inner_->send(bytes);
+  }
+  std::optional<std::vector<std::uint8_t>> poll() override {
+    return inner_->poll();
+  }
+  std::string name() const override { return "sleeping+" + inner_->name(); }
+
+ private:
+  net::ITransport* inner_;
+};
+
+void wake_round_trips(benchmark::State& state, net::ITransport* a,
+                      net::ITransport* b) {
+  Sleeping sleep_a(a);
+  Sleeping sleep_b(b);
+  if (state.range(0) == 0) {
+    a = &sleep_a;
+    b = &sleep_b;
+  }
+  std::jthread echo([b](std::stop_token st) {
+    while (!st.stop_requested()) {
+      if (auto f = b->poll()) {
+        b->send(*f);
+      } else {
+        b->wait(kPumpWait);
+      }
+    }
+  });
+  const auto frame = wire_frame();
+  for (auto _ : state) {
+    a->send(frame);
+    auto resend_at = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!a->poll()) {
+      a->wait(kPumpWait);
+      // A lost datagram would stall the run; resend it like a sender.
+      if (std::chrono::steady_clock::now() > resend_at) {
+        a->send(frame);
+        resend_at += std::chrono::seconds(1);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_LoopbackWakeRoundTrip(benchmark::State& state) {
+  auto pair = net::make_loopback();
+  wake_round_trips(state, pair.a.get(), pair.b.get());
+}
+BENCHMARK(BM_LoopbackWakeRoundTrip)->ArgName("wake")->Arg(0)->Arg(1)
+    ->UseRealTime();
+
+void BM_UdpWakeRoundTrip(benchmark::State& state) {
+  auto pair = net::make_udp_pair();
+  if (!pair) {
+    state.SkipWithError("environment forbids UDP sockets");
+    return;
+  }
+  wake_round_trips(state, pair->a.get(), pair->b.get());
+}
+BENCHMARK(BM_UdpWakeRoundTrip)->ArgName("wake")->Arg(0)->Arg(1)
+    ->UseRealTime();
 
 }  // namespace

@@ -104,6 +104,10 @@ std::optional<std::vector<std::uint8_t>> ResolverTransport::poll() {
   return std::nullopt;
 }
 
+void ResolverTransport::wait(std::chrono::microseconds max) {
+  inner_->wait(max);
+}
+
 void ResolverTransport::resolve_now(std::uint32_t session) {
   std::lock_guard<std::mutex> hold(mu_);
   last_resolve_.erase(session);  // explicit query beats the rate limit

@@ -17,7 +17,10 @@
 //     kNotOwner frames are consumed and, when they carry an epoch newer
 //     than the cached lease, invalidate it and trigger an immediate
 //     re-resolve.  That is the epoch fence: a stale lease is redirected,
-//     never silently blackholed.
+//     never silently blackholed;
+//   * on wait    — forwarded to the inner endpoint, so a client's pump
+//     sleeps until the wire has a datagram, as it does without a
+//     resolver.
 //
 // Everything else passes through byte-identical, so the codec's
 // corruption guarantees and the mux's accounting are undisturbed.
@@ -59,6 +62,9 @@ class ResolverTransport final : public net::ITransport {
 
   bool send(const std::vector<std::uint8_t>& bytes) override;
   std::optional<std::vector<std::uint8_t>> poll() override;
+  /// Forwarded: a control frame ends the wait like data does, and the
+  /// next poll() consumes it.
+  void wait(std::chrono::microseconds max) override;
   std::string name() const override;
 
   /// Connect-time query: issue a kResolve for `session` now, ahead of

@@ -11,7 +11,9 @@ using net::kFabricSession;
 
 namespace {
 
-/// Pump sleep after a pass in which no link had traffic.
+/// Pump sleep after a pass in which no link had traffic.  A sleep, not
+/// ITransport::wait: the pump polls the client link and every backend
+/// link, and one wait covers one transport.
 constexpr std::chrono::microseconds kPollBackoff{50};
 /// Frames taken from one link per pump pass (fairness bound).
 constexpr std::size_t kBurst = 64;

@@ -1,6 +1,7 @@
 #include "net/loopback.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -60,33 +61,27 @@ class LoopbackCore {
 
   bool send(sim::Dir dir, const std::vector<std::uint8_t>& bytes) {
     Link& l = link(dir);
-    std::lock_guard<std::mutex> hold(l.mu);
-    ++l.stats.attempted;
-    fire_due(l, l.by_sends, l.stats.attempted);
-    fire_due(l, l.by_ticks, l.ticks);
-    note_windows(l, dir);
-    if (l.ticks < l.blackout_until) {
-      ++l.stats.blacked_out;
-      return false;
-    }
-    if (l.pending_drops > 0) {
-      --l.pending_drops;
-      ++l.stats.dropped;
-      return false;
-    }
-    if ((l.cap > 0 && l.queue.size() >= l.cap) ||
-        (cfg_.max_queue > 0 && l.queue.size() >= cfg_.max_queue)) {
-      ++l.stats.shed;
-      return false;
-    }
-    l.queue.push_back(bytes);
-    ++l.stats.queued;
-    if (l.pending_dups > 0) {
-      --l.pending_dups;
-      l.queue.push_back(bytes);
-      ++l.stats.duplicated;
-    }
-    return true;
+    std::unique_lock<std::mutex> hold(l.mu);
+    const bool was_deliverable = deliverable(l);
+    const bool queued = admit(l, dir, bytes);
+    // Only the send that makes the link deliverable can end a wait; later
+    // ones find the waiter already woken.  (A poll that ends a freeze does
+    // not signal: another thread's waiter then sleeps out its bound.)
+    const bool wake = l.waiters > 0 && !was_deliverable && deliverable(l);
+    hold.unlock();
+    // Signalled after the unlock, so the woken poller does not block on
+    // the mutex this thread still holds.
+    if (wake) l.ready.notify_all();
+    return queued;
+  }
+
+  /// Block until the next poll() tick of `dir` would deliver, or `max`.
+  void wait(sim::Dir dir, std::chrono::microseconds max) {
+    Link& l = link(dir);
+    std::unique_lock<std::mutex> hold(l.mu);
+    ++l.waiters;
+    l.ready.wait_for(hold, max, [&l] { return deliverable(l); });
+    --l.waiters;
   }
 
   std::optional<std::vector<std::uint8_t>> poll(sim::Dir dir) {
@@ -142,6 +137,9 @@ class LoopbackCore {
  private:
   struct Link {
     std::mutex mu;
+    std::condition_variable ready;  // signalled when a send makes the
+                                    // link deliverable
+    std::uint32_t waiters = 0;      // threads inside wait()
     std::deque<std::vector<std::uint8_t>> queue;
     Rng rng;
     Lane by_sends;  // sorted by trigger threshold
@@ -164,6 +162,61 @@ class LoopbackCore {
   };
 
   Link& link(sim::Dir dir) { return links_[static_cast<int>(dir)]; }
+
+  /// Run one send() through the fault timeline and the queue bounds.
+  /// Caller holds the link mutex.  True when the frame was queued.
+  bool admit(Link& l, sim::Dir dir, const std::vector<std::uint8_t>& bytes) {
+    ++l.stats.attempted;
+    fire_due(l, l.by_sends, l.stats.attempted);
+    fire_due(l, l.by_ticks, l.ticks);
+    note_windows(l, dir);
+    if (l.ticks < l.blackout_until) {
+      ++l.stats.blacked_out;
+      return false;
+    }
+    if (l.pending_drops > 0) {
+      --l.pending_drops;
+      ++l.stats.dropped;
+      return false;
+    }
+    if (full(l)) {
+      ++l.stats.shed;
+      return false;
+    }
+    l.queue.push_back(bytes);
+    ++l.stats.queued;
+    if (l.pending_dups > 0) {
+      --l.pending_dups;
+      push_copy(l, bytes);
+    }
+    return true;
+  }
+
+  /// True when the link holds as many frames as its cap or max_queue
+  /// allows.  Caller holds the link mutex.
+  bool full(const Link& l) const {
+    return (l.cap > 0 && l.queue.size() >= l.cap) ||
+           (cfg_.max_queue > 0 && l.queue.size() >= cfg_.max_queue);
+  }
+
+  /// Queue one duplicate, or shed it when the link is full: a dup burst
+  /// must not grow a bounded link past its bound.
+  void push_copy(Link& l, const std::vector<std::uint8_t>& bytes) {
+    if (full(l)) {
+      ++l.stats.shed;
+      return;
+    }
+    l.queue.push_back(bytes);
+    ++l.stats.duplicated;
+  }
+
+  /// True when the next poll() tick would deliver: a frame is queued and
+  /// that tick is past every freeze fired so far.  A tick-triggered
+  /// action not yet fired may still empty that poll; the waiter then
+  /// polls once for nothing and waits again.  Caller holds the link mutex.
+  static bool deliverable(const Link& l) {
+    return !l.queue.empty() && l.ticks + 1 >= l.freeze_until;
+  }
 
   static std::string window_name(const char* kind, sim::Dir dir) {
     return std::string(kind) + " " + sim::to_cstr(dir);
@@ -214,9 +267,9 @@ class LoopbackCore {
         break;
       case fault::FaultKind::kDupBurst:
         if (a.count == 0) {
+          // push_back on a deque keeps references to its elements valid.
           const std::size_t n = l.queue.size();
-          for (std::size_t i = 0; i < n; ++i) l.queue.push_back(l.queue[i]);
-          l.stats.duplicated += n;
+          for (std::size_t i = 0; i < n; ++i) push_copy(l, l.queue[i]);
         } else {
           l.pending_dups += a.count;
         }
@@ -252,6 +305,10 @@ class LoopbackEnd final : public ITransport {
 
   std::optional<std::vector<std::uint8_t>> poll() override {
     return core_->poll(in());
+  }
+
+  void wait(std::chrono::microseconds max) override {
+    core_->wait(in(), max);
   }
 
   std::string name() const override {

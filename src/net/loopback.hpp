@@ -10,16 +10,16 @@
 // Plan-grammar mapping in the transport context (see docs/NETWORK.md):
 //
 //   trigger  @sends N  — fires when the link has seen N send() calls
-//            @step N   — fires when the link has seen N poll() calls
-//                        (the pump polls continuously, so poll ticks
-//                        advance steadily like time); window durations
-//                        (`len`) are measured in the same poll ticks
+//            @step N   — fires when the link has seen N poll() calls;
+//                        window durations (`len`) are measured in the
+//                        same poll ticks (see "Tick pace" below)
 //            @writes   — no output tape here; such actions never fire
 //
 //   drop     burst: discard the next `count` sends (0 = flush everything
 //            queued right now)
 //   dup      burst: enqueue the next `count` sends twice (0 = duplicate
-//            everything queued right now)
+//            everything queued right now); a copy that would pass the
+//            cap or max_queue bound is shed like any other send
 //   blackout window: sends vanish for `len` poll ticks
 //   freeze   window: nothing is deliverable for `len` poll ticks (frames
 //            are retained, not dropped)
@@ -36,6 +36,17 @@
 // Reordering needs no plan action: `reorder_window` W > 1 makes poll()
 // return a uniformly chosen frame among the W oldest queued (seeded Rng,
 // guarded by the link mutex — util::Rng itself is not thread-safe).
+//
+// wait() blocks on a per-link condition variable until the next poll()
+// tick would deliver: a frame is queued and that tick is outside every
+// freeze window.  send() signals it only when a waiter is registered and
+// the send made the link deliverable.
+//
+// Tick pace: the mux pump polls in bursts and, when a burst finds
+// nothing, waits at most its backoff bound.  A frame ends the wait at
+// once; an idle, frozen or blacked-out link sleeps the whole bound, so
+// `@step` triggers and `len` windows keep advancing at about one tick per
+// bound instead of spinning through.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +77,9 @@ struct LoopbackStats {
   std::uint64_t queued = 0;       // sends that reached the queue
   std::uint64_t delivered = 0;    // successful polls
   std::uint64_t dropped = 0;      // discarded by drop bursts
-  std::uint64_t duplicated = 0;   // extra copies from dup bursts
+  std::uint64_t duplicated = 0;   // extra copies queued by dup bursts
   std::uint64_t blacked_out = 0;  // swallowed by blackout windows
-  std::uint64_t shed = 0;         // shed by caps or the max_queue bound
+  std::uint64_t shed = 0;         // sends and copies past cap/max_queue
   std::uint64_t frozen_polls = 0;  // polls answered empty by a freeze
 };
 

@@ -16,7 +16,10 @@ constexpr std::size_t kMaxRttSamples = 4096;
 /// flushes; overflow drops the oldest (== wire loss, retransmission
 /// heals it).
 constexpr std::size_t kMaxHeldFrames = 8;
-/// Pump sleep after a poll burst that found nothing.
+/// Bound on the pump's transport wait after a poll burst that found
+/// nothing: a frame ends the wait at once, so this sets only how fast an
+/// idle pump notices stop() and how fast loopback poll ticks advance
+/// (fault windows count them) while nothing arrives.
 constexpr std::chrono::microseconds kPollBackoff{50};
 
 /// The per-reason reject counter of `why`.
@@ -241,7 +244,7 @@ void SessionMux::pump_loop(std::stop_token st) {
       }
       route(*frame);
     }
-    if (!any) std::this_thread::sleep_for(kPollBackoff);
+    if (!any) transport_->wait(kPollBackoff);
   }
 }
 

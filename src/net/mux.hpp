@@ -9,7 +9,10 @@
 //     thread fills, is mutex-guarded.
 //   * The pump (one std::jthread) polls the transport, decodes frames
 //     (rejecting malformed bytes — counted, never thrown), and routes
-//     them to the owning shard's inbox by session id.
+//     them to the owning shard's inbox by session id.  When a poll burst
+//     finds nothing it blocks in the transport's wait() until a frame
+//     arrives (bounded by a 50 µs backoff, so stop() is seen promptly),
+//     so a frame waits for the pump only as long as the wakeup takes.
 //   * Workers (std::jthread each) are event-driven: the pump appends a
 //     session to its shard's ready list when the session's inbox goes
 //     non-empty, and each session keeps one deadline (retransmit timeout

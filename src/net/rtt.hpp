@@ -41,16 +41,21 @@ class RttEstimator {
   /// that pose as short samples and keep the timeout too low.  A longer
   /// one makes a session whose first frame is lost wait it out.
   static constexpr micros kInitialRto{3'000};
-  /// Floor: about one loopback round trip through two pumps and a worker
-  /// pass, so an answer that is merely late is rarely retransmitted.
+  /// Floor.  A quiet loopback round trip takes tens of microseconds now
+  /// that the pumps wait on the transport instead of sleeping, but under
+  /// load an answer queues behind other sessions' frames and worker
+  /// passes; the floor keeps such a merely late answer from being
+  /// retransmitted.  Lowering it moves the item latency p99 and wants its
+  /// own measurement.
   static constexpr micros kMinRto{250};
   /// Ceiling of the backed-off timeout: a silent peer costs each session
   /// five frames a second.
   static constexpr micros kMaxRto{200'000};
   /// RFC 6298's K is 4.  Here the samples already include the receiver's
-  /// group-commit hold and the pumps' poll backoff, a heavy but bounded
-  /// tail; K = 4 put every first retransmission past the 99th percentile
-  /// of the round trip and doubled the item latency p99 on a lossy link.
+  /// group-commit hold and the scheduling of two pumps and two worker
+  /// passes, a heavy but bounded tail; K = 4 put every first
+  /// retransmission past the 99th percentile of the round trip and
+  /// doubled the item latency p99 on a lossy link.
   /// A spurious retransmission costs one frame and one duplicate ack,
   /// which the mux never answers at once (docs/NETWORK.md).
   static constexpr std::int64_t kRttvarWeight = 2;

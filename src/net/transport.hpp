@@ -4,7 +4,10 @@
 // *unreliable* link: send() hands one encoded frame to the wire, poll()
 // retrieves the next frame the peer's sends have made deliverable.  Both
 // are non-blocking and thread-safe — the session mux calls send() from
-// worker threads while its pump thread polls.
+// worker threads while its pump thread polls.  wait(max) is the one call
+// that blocks: it returns once poll() may have a datagram, or after `max`,
+// so a pump that found nothing sleeps until the wire has work for it
+// instead of for a fixed backoff.
 //
 // The contract is deliberately the paper's channel model, not TCP's:
 // frames may be lost, duplicated, and reordered; the only guarantee is
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace stpx::net {
@@ -51,6 +55,14 @@ class ITransport {
 
   /// Retrieve the next deliverable datagram, if any.  Non-blocking.
   virtual std::optional<std::vector<std::uint8_t>> poll() = 0;
+
+  /// Block until poll() may have a datagram or until `max` has passed.
+  /// It may return early, and a return promises nothing: the caller polls
+  /// and, finding nothing, waits again.  The default sleeps for `max`,
+  /// so a decorator that does not forward the call keeps that pace.
+  virtual void wait(std::chrono::microseconds max) {
+    std::this_thread::sleep_for(max);
+  }
 
   virtual std::string name() const = 0;
 };

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -115,6 +116,25 @@ std::optional<std::vector<std::uint8_t>> UdpTransport::poll() {
   }
   n_->received.fetch_add(1, std::memory_order_relaxed);
   return std::vector<std::uint8_t>(buf, buf + n);
+}
+
+void UdpTransport::wait(std::chrono::microseconds max) {
+  pollfd p{};
+  p.fd = fd_;
+  p.events = POLLIN;
+#if defined(__linux__)
+  const auto whole = std::chrono::duration_cast<std::chrono::seconds>(max);
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(whole.count());
+  ts.tv_nsec = static_cast<long>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(max - whole)
+          .count());
+  ::ppoll(&p, 1, &ts, nullptr);
+#else
+  // poll() counts milliseconds; round up so the bound is never shortened
+  // to a busy spin.
+  ::poll(&p, 1, static_cast<int>((max.count() + 999) / 1000));
+#endif
 }
 
 UdpStats UdpTransport::stats() const {
@@ -241,6 +261,9 @@ UdpTransport::~UdpTransport() = default;
 bool UdpTransport::send(const std::vector<std::uint8_t>&) { return false; }
 std::optional<std::vector<std::uint8_t>> UdpTransport::poll() {
   return std::nullopt;
+}
+void UdpTransport::wait(std::chrono::microseconds max) {
+  ITransport::wait(max);
 }
 UdpStats UdpTransport::stats() const { return {}; }
 

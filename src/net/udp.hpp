@@ -6,7 +6,9 @@
 // be lost, duplicated, reordered; delivered ones are intact modulo the
 // codec's checksum), so the endpoints are thin syscall wrappers: send()
 // that treats EWOULDBLOCK/ENOBUFS as a shed frame, recv() with
-// MSG_DONTWAIT for poll().
+// MSG_DONTWAIT for poll(), and ppoll(POLLIN) on the fd for wait().  A
+// pending ICMP error also ends a wait; the next poll()'s recv consumes it,
+// so a dead peer cannot make a waiting pump spin.
 //
 // Transient-errno policy: on a connected UDP socket a dead or not-yet-born
 // peer surfaces as ECONNREFUSED (the kernel relaying a previous ICMP
@@ -62,8 +64,8 @@ struct UdpStats {
 
 /// An ITransport over one connected, non-blocking UDP socket.  The fd is
 /// immutable after construction and kernel datagram syscalls are atomic
-/// per message, so send()/poll() are thread-safe without a user-space
-/// lock.
+/// per message, so send()/poll()/wait() are thread-safe without a
+/// user-space lock.
 class UdpTransport final : public ITransport {
  public:
   explicit UdpTransport(int fd);
@@ -73,6 +75,7 @@ class UdpTransport final : public ITransport {
 
   bool send(const std::vector<std::uint8_t>& bytes) override;
   std::optional<std::vector<std::uint8_t>> poll() override;
+  void wait(std::chrono::microseconds max) override;
   std::string name() const override { return "udp"; }
 
   UdpStats stats() const;

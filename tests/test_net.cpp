@@ -326,6 +326,108 @@ TEST(NetLoopback, MaxQueueBoundSheds) {
   EXPECT_EQ(pair.stats(sim::Dir::kSenderToReceiver).shed, 1u);
 }
 
+TEST(NetLoopback, DupBurstsRespectQueueBounds) {
+  {
+    // A per-send dup: the copy would be the link's second frame.
+    net::LoopbackConfig cfg;
+    cfg.max_queue = 1;
+    cfg.plan = fault::plan_from_text("dup @sends 1 dir SR count 1");
+    auto pair = net::make_loopback(cfg);
+    EXPECT_TRUE(pair.a->send(frame_bytes(1, 1)));
+    const auto st = pair.stats(sim::Dir::kSenderToReceiver);
+    EXPECT_EQ(st.duplicated, 0u);
+    EXPECT_EQ(st.shed, 1u);
+    std::vector<sim::MsgId> got;
+    while (auto b = pair.b->poll()) got.push_back(net::decode(*b)->msg);
+    EXPECT_EQ(got, (std::vector<sim::MsgId>{1}));
+  }
+  {
+    // Dup-all of two queued frames under a bound of three: one copy fits,
+    // the other is shed, and so is the send that fired the burst.
+    net::LoopbackConfig cfg;
+    cfg.max_queue = 3;
+    cfg.plan = fault::plan_from_text("dup @sends 3 dir SR count 0");
+    auto pair = net::make_loopback(cfg);
+    EXPECT_TRUE(pair.a->send(frame_bytes(1, 1)));
+    EXPECT_TRUE(pair.a->send(frame_bytes(1, 2)));
+    EXPECT_FALSE(pair.a->send(frame_bytes(1, 3)));
+    const auto st = pair.stats(sim::Dir::kSenderToReceiver);
+    EXPECT_EQ(st.duplicated, 1u);
+    EXPECT_EQ(st.shed, 2u);
+    std::vector<sim::MsgId> got;
+    while (auto b = pair.b->poll()) got.push_back(net::decode(*b)->msg);
+    EXPECT_EQ(got, (std::vector<sim::MsgId>{1, 2, 1}));
+  }
+}
+
+TEST(NetLoopback, WaitWakesOnSend) {
+  auto pair = net::make_loopback();
+  std::atomic<bool> waiting{false};
+  std::chrono::steady_clock::duration waited{};
+  std::jthread waiter([&] {
+    waiting.store(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    pair.b->wait(5s);
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);  // let the waiter block
+  ASSERT_TRUE(pair.a->send(frame_bytes(1, 7)));
+  waiter.join();
+  EXPECT_LT(waited, 2500ms);
+  const auto b = pair.b->poll();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(net::decode(*b)->msg, 7);
+}
+
+TEST(NetLoopback, WaitReturnsAtOnceWithAFrameQueued) {
+  auto pair = net::make_loopback();
+  ASSERT_TRUE(pair.a->send(frame_bytes(1, 3)));
+  const auto t0 = std::chrono::steady_clock::now();
+  pair.b->wait(5s);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2500ms);
+  // Only the link that holds the frame is woken; the other one is empty.
+  const auto t1 = std::chrono::steady_clock::now();
+  pair.a->wait(20ms);
+  EXPECT_GE(std::chrono::steady_clock::now() - t1, 20ms);
+  const auto b = pair.b->poll();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(net::decode(*b)->msg, 3);
+}
+
+TEST(NetLoopback, WaitSleepsItsBoundThroughFreezeAndBlackout) {
+  // Only lower bounds: a waiter must not be woken by a frame the next
+  // poll cannot deliver, but a slow build may oversleep freely.
+  const auto waited_with_send = [](net::LoopbackPair& pair) {
+    std::jthread sender([&] {
+      std::this_thread::sleep_for(5ms);
+      pair.a->send(frame_bytes(1, 2));
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    pair.b->wait(30ms);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    sender.join();
+    return waited;
+  };
+  {
+    net::LoopbackConfig cfg;
+    cfg.plan = fault::plan_from_text("freeze @step 0 dir SR len 1000");
+    auto pair = net::make_loopback(cfg);
+    ASSERT_TRUE(pair.a->send(frame_bytes(1, 1)));  // queued, frozen
+    EXPECT_GE(waited_with_send(pair), 30ms);
+    EXPECT_FALSE(pair.b->poll().has_value());
+  }
+  {
+    net::LoopbackConfig cfg;
+    cfg.plan = fault::plan_from_text("blackout @step 0 dir SR len 1000");
+    auto pair = net::make_loopback(cfg);
+    EXPECT_FALSE(pair.a->send(frame_bytes(1, 1)));  // swallowed
+    EXPECT_GE(waited_with_send(pair), 30ms);
+    EXPECT_FALSE(pair.b->poll().has_value());
+    EXPECT_EQ(pair.stats(sim::Dir::kSenderToReceiver).blacked_out, 2u);
+  }
+}
+
 TEST(NetLoopback, ReorderDeliversPermutation) {
   net::LoopbackConfig cfg;
   cfg.reorder_window = 4;
@@ -1003,6 +1105,29 @@ TEST(NetUdp, TransientSendErrorsCountAsWireLossNotSheds) {
   EXPECT_GE(st.send_transient_drops + st.recv_transient_errors, 1u);
   EXPECT_EQ(st.send_sheds, 0u);
   EXPECT_EQ(accepted, sends);  // every send still reported accepted
+}
+
+TEST(NetUdp, WaitWakesOnDatagram) {
+  if (!net::udp_supported()) GTEST_SKIP() << "UDP not compiled in";
+  auto pair = net::make_udp_pair();
+  if (!pair) GTEST_SKIP() << "environment forbids UDP sockets";
+
+  std::atomic<bool> waiting{false};
+  std::chrono::steady_clock::duration waited{};
+  std::jthread waiter([&] {
+    waiting.store(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    pair->b->wait(5s);
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);  // let the waiter block
+  ASSERT_TRUE(pair->a->send(frame_bytes(4, 21)));
+  waiter.join();
+  EXPECT_LT(waited, 2500ms);
+  const auto in = pair->b->poll();
+  ASSERT_TRUE(in.has_value());
+  EXPECT_EQ(net::decode(*in)->msg, 21);
 }
 
 TEST(NetUdp, RendezvousHandshakeConnectsAPeer) {

@@ -421,8 +421,8 @@ TEST(Nameserver, GrantsFreshOwnersAndFencesDeadOrStale) {
   EXPECT_EQ(st[fabric::NameserverCounter::kRedirects], 1u);
 }
 
-/// Scripted ITransport: records every send, serves a queue of inbound
-/// frames to poll().
+/// Scripted ITransport: records every send and wait bound, serves a
+/// queue of inbound frames to poll().
 class ScriptedTransport final : public net::ITransport {
  public:
   bool send(const std::vector<std::uint8_t>& bytes) override {
@@ -435,10 +435,12 @@ class ScriptedTransport final : public net::ITransport {
     inbound.pop_front();
     return out;
   }
+  void wait(std::chrono::microseconds max) override { waits.push_back(max); }
   std::string name() const override { return "scripted"; }
 
   std::vector<std::vector<std::uint8_t>> sent;
   std::deque<std::vector<std::uint8_t>> inbound;
+  std::vector<std::chrono::microseconds> waits;
 };
 
 net::Frame data_frame(std::uint32_t session) {
@@ -533,6 +535,15 @@ TEST(Resolver, UnleasedDataTriggersRateLimitedResolveButStillPasses) {
   }
   EXPECT_EQ(data, 2u);
   EXPECT_EQ(resolves, 1u);
+}
+
+TEST(Resolver, WaitForwardsToTheInnerTransport) {
+  ScriptedTransport wire;
+  fabric::ResolverTransport rt(&wire);
+  rt.wait(50us);
+  rt.wait(7ms);
+  EXPECT_EQ(wire.waits, (std::vector<std::chrono::microseconds>{50us, 7ms}));
+  EXPECT_TRUE(wire.sent.empty());  // a wait puts nothing on the wire
 }
 
 // --------------------------------------------------------------------------
