@@ -1,6 +1,7 @@
 // Pinned output shapes: the metric key sets that
-// publish_metrics emits and the byte-exact Chrome trace documents of both
-// trace families.  Dashboards, the benchmark and archived traces read
+// publish_metrics emits, the byte-exact registry document a MetricsProbe
+// builds from engine runs, and the byte-exact Chrome trace documents of
+// both trace families.  Dashboards, the benchmark and archived traces read
 // these by name or byte, so a refactor of the counting or exporting code
 // must leave every line here passing unchanged.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "channel/del_channel.hpp"
+#include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "fabric/membership.hpp"
 #include "fabric/router.hpp"
@@ -155,6 +157,83 @@ TEST(MetricKeys, FlightRecorder) {
       "counter net.trace.recorded",
   };
   EXPECT_EQ(key_set(reg), want);
+}
+
+// --------------------------------------------------------------------------
+// Engine metrics, byte for byte.
+// --------------------------------------------------------------------------
+
+/// The seeded chaos run ChromeGolden.EngineRun renders: two overlapping
+/// fault windows, an instant fault and a receiver crash-restart.
+stp::SystemSpec chaos_golden_spec() {
+  stp::SystemSpec spec;
+  spec.protocols = [] { return proto::make_repfree_del(2); };
+  spec.channel = [](std::uint64_t seed) {
+    return std::make_unique<channel::DelChannel>(0.0, seed);
+  };
+  spec.scheduler = [](std::uint64_t seed) {
+    return std::make_unique<channel::FairRandomScheduler>(seed);
+  };
+  spec.engine.max_steps = 2000;
+  return spec;
+}
+
+const char* const kChaosGoldenPlan =
+    "blackout @step 2 dir SR len 6 match *\n"
+    "freeze @step 4 len 3\n"
+    "drop @step 1 dir RS count 1 match *\n"
+    "crash-receiver @step 9\n";
+
+TEST(MetricsGolden, EngineRuns) {
+  obs::MetricsRegistry reg;
+  obs::MetricsProbe probe(&reg);
+
+  stp::SystemSpec chaos = chaos_golden_spec();
+  chaos.engine.probe = &probe;
+  const auto r1 = stp::run_one(
+      stp::with_chaos(chaos, fault::plan_from_text(kChaosGoldenPlan)), {0, 1},
+      5);
+  ASSERT_TRUE(r1.completed);
+
+  // A scrambled receiver under a convergence window: the stabilization.*
+  // family (the repetition-free receiver rejects the scrambled blob, and
+  // the run still converges).
+  stp::SystemSpec scramble;
+  scramble.protocols = [] { return proto::make_repfree_dup(6); };
+  scramble.channel = [](std::uint64_t) {
+    return std::make_unique<channel::DupChannel>();
+  };
+  scramble.scheduler = [](std::uint64_t seed) {
+    return std::make_unique<channel::FairRandomScheduler>(seed);
+  };
+  scramble.engine.max_steps = 60000;
+  scramble.engine.stall_window = 6000;
+  scramble.engine.convergence_window = 2;
+  scramble.engine.probe = &probe;
+  const auto r2 = stp::run_one(
+      stp::with_chaos(scramble,
+                      fault::plan_from_text(
+                          "scramble-state @writes 2 proc receiver count 7\n")),
+      {0, 1, 2, 3, 4, 5}, 2026);
+  ASSERT_EQ(r2.verdict, sim::RunVerdict::kCompleted);
+
+  const std::string want =
+      R"j({"counters":{"crashes.receiver":1,"delivers.rs":41,"delivers.sr":58,)j"
+      R"j("dup_replays.rs":35,"dup_replays.sr":50,"faults.blackout":1,)j"
+      R"j("faults.crash-receiver":1,"faults.drop":1,"faults.freeze":1,)j"
+      R"j("faults.scramble-state":1,"recoveries.cold":1,"runs":2,"sends.rs":10,)j"
+      R"j("sends.sr":9,"stabilization.converged":1,"stabilization.scrambles":1,)j"
+      R"j("stabilization.scrambles.rejected":1,"steps":205,"verdict.completed":2,)j"
+      R"j("writes":8},"gauges":{"inflight.rs":{"value":-32,"max":1},)j"
+      R"j("inflight.sr":{"value":-50,"max":1}},"histograms":{)j"
+      R"j("ack_rtt":{"count":7,"sum":33,"max":13,"p50":4,"p90":16,"p99":16},)j"
+      R"j("occupancy.rs":{"count":205,"sum":6,"max":1,"p50":1,"p90":1,"p99":1},)j"
+      R"j("occupancy.sr":{"count":205,"sum":5,"max":1,"p50":1,"p90":1,"p99":1},)j"
+      R"j("recovery.latency":{"count":1,"sum":3,"max":3,"p50":4,"p90":4,"p99":4},)j"
+      R"j("stabilization.latency":{"count":1,"sum":163,"max":163,"p50":256,)j"
+      R"j("p90":256,"p99":256},)j"
+      R"j("write_latency":{"count":8,"sum":203,"max":60,"p50":32,"p90":64,"p99":64}}})j";
+  EXPECT_EQ(reg.to_json(), want);
 }
 
 // --------------------------------------------------------------------------
