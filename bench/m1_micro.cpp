@@ -3,19 +3,23 @@
 // Not a paper result; these keep the simulator honest as an artifact: step
 // rate of the kernel, channel op costs, protocol step costs, ranking, the
 // throughput of the two analysis engines (exploration, mirror attack), the
-// cost of building and reading one session checkpoint record, and the
-// transport layer: one send+poll, and one round trip through two
-// wait+poll hops, sleeping against waking.
+// cost of building and reading one session checkpoint record, the
+// transport layer (one send+poll, and one round trip through two
+// wait+poll hops, sleeping against waking), and one flight-recorder
+// record.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <latch>
 #include <thread>
+#include <vector>
 
 #include "channel/del_channel.hpp"
 #include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "common.hpp"
 #include "knowledge/explorer.hpp"
+#include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/udp.hpp"
@@ -358,5 +362,53 @@ void BM_UdpWakeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_UdpWakeRoundTrip)->ArgName("wake")->Arg(0)->Arg(1)
     ->UseRealTime();
+
+// One flight-recorder record, the wire's per-event observability cost.
+// Each iteration starts `producers` fresh threads (so each binds a ring
+// afresh, round-robin) that record kRecordsPerProducer item events into a
+// new recorder with `rings` rings, sized so nothing is dropped: a drop
+// skips the copy and would flatter the figure.  ns_per_event is each
+// producer's wall time per record; rings:2/producers:4 shares each ring
+// between two threads through its producer mutex.
+constexpr std::size_t kRecordsPerProducer = 1 << 16;
+
+void BM_FlightRecorderRecord(benchmark::State& state) {
+  const auto rings = static_cast<std::size_t>(state.range(0));
+  const auto producers = static_cast<std::size_t>(state.range(1));
+  double seconds = 0;
+  for (auto _ : state) {
+    net::FlightRecorderConfig cfg;
+    cfg.shards = rings;
+    cfg.ring_capacity = kRecordsPerProducer * producers / rings;
+    net::FlightRecorder rec(cfg);
+    std::latch go(static_cast<std::ptrdiff_t>(producers) + 1);
+    std::vector<std::jthread> threads;
+    for (std::size_t p = 0; p < producers; ++p) {
+      threads.emplace_back([&rec, &go, p] {
+        const obs::TraceEvent ev{.msg = 1,
+                                 .session = static_cast<std::uint32_t>(p),
+                                 .kind = obs::TraceEventKind::kItem};
+        go.arrive_and_wait();
+        for (std::size_t i = 0; i < kRecordsPerProducer; ++i) rec.record(ev);
+      });
+    }
+    go.arrive_and_wait();
+    const auto t0 = std::chrono::steady_clock::now();
+    threads.clear();  // joins
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count());
+    seconds += dt.count();
+    if (rec.stats().dropped != 0) state.SkipWithError("a ring overflowed");
+  }
+  state.counters["ns_per_event"] =
+      seconds * 1e9 /
+      (static_cast<double>(state.iterations()) * kRecordsPerProducer);
+}
+BENCHMARK(BM_FlightRecorderRecord)
+    ->ArgNames({"rings", "producers"})
+    ->Args({1, 1})
+    ->Args({2, 4})
+    ->UseManualTime();
 
 }  // namespace

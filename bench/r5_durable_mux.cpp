@@ -84,26 +84,27 @@ net::LoopbackConfig lossy_wire() {
   return wire;
 }
 
-/// Per-session prefix attestation across a restart: on_rehydrate seeds the
-/// expected next index from the restored durable position, so a superseded
-/// checkpoint re-earns items but never skips or repeats one within a
-/// server generation.
-class ProgressProbe final : public net::INetProbe {
+/// Per-session prefix attestation across a restart: the rehydrate event
+/// seeds the expected next index from the restored durable position, so a
+/// superseded checkpoint re-earns items but never skips or repeats one
+/// within a server generation.
+class ProgressProbe final : public obs::IProbe {
  public:
   explicit ProgressProbe(std::size_t max_sessions) : next_(max_sessions) {
     for (auto& a : next_) a.store(0, std::memory_order_relaxed);
   }
 
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_rehydrate(std::uint32_t session, std::size_t position,
-                    net::SessionState) override {
-    ++rehydrated_;
-    next_[session].store(position, std::memory_order_relaxed);
+  void record(const obs::TraceEvent& ev) override {
+    const auto index = static_cast<std::size_t>(ev.msg);
+    if (ev.kind == obs::TraceEventKind::kItem) {
+      ++items_;
+      const std::size_t want =
+          next_[ev.session].fetch_add(1, std::memory_order_relaxed);
+      if (index != want) out_of_order_ = true;
+    } else if (ev.kind == obs::TraceEventKind::kRehydrate) {
+      ++rehydrated_;
+      next_[ev.session].store(index, std::memory_order_relaxed);
+    }
   }
 
   std::size_t min_progress(std::size_t n) const {

@@ -109,7 +109,7 @@ struct PointResult {
 /// Drain `rec` into `sink` every couple of milliseconds until stopped,
 /// then once more for the tail.  Single consumer per recorder.
 void drain_loop(std::stop_token stop, net::FlightRecorder* rec,
-                std::vector<net::TraceEvent>* sink) {
+                std::vector<obs::TraceEvent>* sink) {
   while (!stop.stop_requested()) {
     auto batch = rec->drain();
     sink->insert(sink->end(), batch.begin(), batch.end());
@@ -147,8 +147,8 @@ PointResult run_point(std::size_t n, bool recorder_on,
     ctx.expected_items[id] = kSeqLen;
   }
 
-  std::vector<net::TraceEvent> client_events;
-  std::vector<net::TraceEvent> server_events;
+  std::vector<obs::TraceEvent> client_events;
+  std::vector<obs::TraceEvent> server_events;
   const auto t0 = std::chrono::steady_clock::now();
   bool drained_in_time = false;
   {
@@ -193,7 +193,7 @@ PointResult run_point(std::size_t n, bool recorder_on,
   // Concatenated periodic drains can interleave slightly across shards at
   // the batch boundaries; a stable sort by timestamp restores one global
   // order without disturbing per-shard ties.
-  const auto by_ts = [](const net::TraceEvent& a, const net::TraceEvent& b) {
+  const auto by_ts = [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
     return a.ts_us < b.ts_us;
   };
   std::stable_sort(client_events.begin(), client_events.end(), by_ts);

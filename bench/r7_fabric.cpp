@@ -489,8 +489,8 @@ std::optional<ChildMeta> read_meta(const std::filesystem::path& p) {
   return m;
 }
 
-std::vector<net::TraceEvent> read_trace(const std::filesystem::path& p) {
-  std::vector<net::TraceEvent> evs;
+std::vector<obs::TraceEvent> read_trace(const std::filesystem::path& p) {
+  std::vector<obs::TraceEvent> evs;
   std::ifstream in(p);
   std::string line;
   while (std::getline(in, line)) {

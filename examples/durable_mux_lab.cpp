@@ -56,13 +56,14 @@ seq::Sequence seq_for(std::uint32_t id) {
 
 /// Tracks per-session progress so the lab knows when to kill (the kill
 /// window) and how many sessions gen-2 rehydrated.
-class LabProbe final : public net::INetProbe {
+class LabProbe final : public obs::IProbe {
  public:
-  void on_item(std::uint32_t session, std::size_t) override {
-    if (session < kSessions) ++progress_[session];
-  }
-  void on_rehydrate(std::uint32_t, std::size_t, net::SessionState) override {
-    ++rehydrated_;
+  void record(const obs::TraceEvent& ev) override {
+    if (ev.kind == obs::TraceEventKind::kItem && ev.session < kSessions) {
+      ++progress_[ev.session];
+    } else if (ev.kind == obs::TraceEventKind::kRehydrate) {
+      ++rehydrated_;
+    }
   }
   std::size_t min_progress() const {
     std::size_t lo = progress_[0].load();

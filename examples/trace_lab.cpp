@@ -6,7 +6,7 @@
 //
 // 40 concurrent Stenning sessions run over a lossy, reordering loopback
 // wire that also goes dark for a scripted blackout window mid-run.  A
-// FlightRecorder attached to the server mux captures every probe hook
+// FlightRecorder attached to the server mux captures every wire event
 // into bounded per-thread rings; a drainer thread merges them into one
 // time-ordered stream while the run is still flying.  Afterwards the lab:
 //
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
 
   std::cout << "flying " << kSessions
             << " sessions with the flight recorder on...\n";
-  std::vector<net::TraceEvent> events;
+  std::vector<obs::TraceEvent> events;
   bool drained;
   {
     std::jthread drainer([&](std::stop_token stop) {
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   auto tail = recorder.drain();
   events.insert(events.end(), tail.begin(), tail.end());
   std::stable_sort(events.begin(), events.end(),
-                   [](const net::TraceEvent& a, const net::TraceEvent& b) {
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
                      return a.ts_us < b.ts_us;
                    });
 

@@ -4,13 +4,15 @@
 #include <set>
 #include <sstream>
 
+#include "net/frame.hpp"
+#include "net/mux.hpp"
 #include "obs/report.hpp"
 #include "obs/sinks.hpp"
 
 namespace stpx::analysis {
 
-using net::TraceEvent;
-using net::TraceEventKind;
+using obs::TraceEvent;
+using obs::TraceEventKind;
 
 std::int64_t TraceReport::value(const std::string& key) const {
   const auto it = values.find(key);
@@ -240,13 +242,13 @@ class PrefixAttestor final : public ITraceAnalyzer {
       }
       case TraceEventKind::kRehydrate: {
         // A rehydration resumes the session at the durable `position` —
-        // assignment, in either direction, exactly like a live probe's
-        // on_rehydrate.  Raising covers indices accepted before the crash
-        // that never reappear; LOWERING is the crash-rewind case: the dead
-        // generation's trace may witness items beyond the last durable
-        // checkpoint, and the surviving generation legitimately re-earns
-        // them (a released ack never outran the durable position, so the
-        // peer replays them — docs/RECOVERY.md).
+        // assignment, in either direction, exactly like a live probe
+        // handling the rehydrate event.  Raising covers indices accepted
+        // before the crash that never reappear; LOWERING is the
+        // crash-rewind case: the dead generation's trace may witness items
+        // beyond the last durable checkpoint, and the surviving generation
+        // legitimately re-earns them (a released ack never outran the
+        // durable position, so the peer replays them — docs/RECOVERY.md).
         Session& s = sessions_[ev.session];
         s.next_index = static_cast<std::size_t>(ev.msg);
         break;

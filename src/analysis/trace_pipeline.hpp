@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "net/trace_event.hpp"
+#include "net/trace_sinks.hpp"
 #include "obs/metrics.hpp"
 
 namespace stpx::analysis {
@@ -66,7 +66,7 @@ class ITraceAnalyzer {
   /// Namespace prefix of the keys this analyzer writes (e.g. "ack_rtt").
   virtual std::string name() const = 0;
   virtual void begin(const TraceContext& ctx) { (void)ctx; }
-  virtual void on_event(const net::TraceEvent& ev) = 0;
+  virtual void on_event(const obs::TraceEvent& ev) = 0;
   /// Contribute keys to `out`; clear `out.ok` to veto the overall verdict.
   virtual void finish(const TraceContext& ctx, TraceReport& out) = 0;
 };
@@ -77,7 +77,7 @@ class TracePipeline {
   std::size_t size() const { return analyzers_.size(); }
 
   /// One pass: every analyzer sees every event in stream order.
-  TraceReport run(const std::vector<net::TraceEvent>& events,
+  TraceReport run(const std::vector<obs::TraceEvent>& events,
                   const TraceContext& ctx = {});
 
  private:

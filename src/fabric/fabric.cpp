@@ -231,7 +231,7 @@ void Fabric::handle_join(std::uint32_t id) {
   reclaims_.push_back(std::move(rec));
 }
 
-std::vector<net::TraceEvent> merge_backend_traces(
+std::vector<obs::TraceEvent> merge_backend_traces(
     const std::vector<TracePart>& parts) {
   std::uint64_t min_epoch = 0;
   bool any = false;
@@ -239,16 +239,16 @@ std::vector<net::TraceEvent> merge_backend_traces(
     if (!any || p.epoch_us < min_epoch) min_epoch = p.epoch_us;
     any = true;
   }
-  std::vector<net::TraceEvent> merged;
+  std::vector<obs::TraceEvent> merged;
   for (const TracePart& p : parts) {
     const std::uint64_t base = p.epoch_us - min_epoch;
-    for (net::TraceEvent ev : p.events) {
+    for (obs::TraceEvent ev : p.events) {
       ev.ts_us += base;
       merged.push_back(std::move(ev));
     }
   }
   std::stable_sort(merged.begin(), merged.end(),
-                   [](const net::TraceEvent& a, const net::TraceEvent& b) {
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
                      return a.ts_us < b.ts_us;
                    });
   return merged;

@@ -49,7 +49,7 @@
 #include "fabric/cell.hpp"
 #include "fabric/router.hpp"
 #include "net/loopback.hpp"
-#include "net/trace_event.hpp"
+#include "obs/probe.hpp"
 
 namespace stpx::fabric {
 
@@ -67,7 +67,7 @@ struct FabricConfig {
   std::function<std::vector<store::IStableStore*>(std::uint32_t)> stores_for;
   /// Optional per-backend observer (e.g. one FlightRecorder per cell,
   /// configured with backend_id = cell id).
-  std::function<net::INetProbe*(std::uint32_t)> probe_for;
+  std::function<obs::IProbe*(std::uint32_t)> probe_for;
   /// Link template for the client link and every backend link.
   net::LoopbackConfig link;
   /// Supervisor poll cadence for death events.
@@ -180,14 +180,14 @@ class Fabric {
 /// (FlightRecorder::epoch_offset_us()).
 struct TracePart {
   std::uint64_t epoch_us = 0;
-  std::vector<net::TraceEvent> events;
+  std::vector<obs::TraceEvent> events;
 };
 
 /// Rebase every part onto the earliest epoch and merge into one stream
 /// ordered by the rebased timestamp (stable: ties keep part order, so a
 /// backend's own events never reorder).  Feed the result to the
 /// trace-analysis pipeline to attest sessions across a re-home.
-std::vector<net::TraceEvent> merge_backend_traces(
+std::vector<obs::TraceEvent> merge_backend_traces(
     const std::vector<TracePart>& parts);
 
 }  // namespace stpx::fabric

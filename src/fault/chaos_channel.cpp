@@ -82,19 +82,16 @@ bool ChaosChannel::fire(const FaultAction& a, sim::TickEffect& fx) {
   }
   ++stats_.actions_fired;
   if (probe_) {
-    obs::FaultEvent ev;
-    ev.step = step_;
-    ev.kind = to_cstr(a.kind);
-    ev.dir = a.dir;
-    ev.count = a.count;
     // Windows report their effective (clamped) span so trace spans match
     // what the channel actually enforces below.
-    ev.duration = (a.kind == FaultKind::kBlackout ||
-                   a.kind == FaultKind::kFreeze)
-                      ? std::max<std::uint64_t>(a.duration, 1)
-                      : 0;
-    ev.match = a.match;
-    probe_->on_fault(ev);
+    probe_->record({.ts_us = step_,
+                    .msg = a.match,
+                    .aux = is_window_fault(a.kind)
+                               ? std::max<std::uint64_t>(a.duration, 1)
+                               : a.count,
+                    .kind = obs::TraceEventKind::kFault,
+                    .detail = static_cast<std::uint8_t>(a.kind),
+                    .dir = a.dir});
   }
   switch (a.kind) {
     case FaultKind::kDropBurst: {

@@ -34,10 +34,6 @@ bool uses_count(FaultKind k) {
          k == FaultKind::kScrambleState;
 }
 
-bool uses_duration(FaultKind k) {
-  return k == FaultKind::kBlackout || k == FaultKind::kFreeze;
-}
-
 }  // namespace
 
 std::string to_text(const FaultPlan& plan) {
@@ -48,7 +44,7 @@ std::string to_text(const FaultPlan& plan) {
     if (uses_dir(a.kind)) os << " dir " << dir_token(a.dir);
     if (uses_proc(a.kind)) os << " proc " << sim::to_cstr(a.proc);
     if (uses_count(a.kind)) os << " count " << a.count;
-    if (uses_duration(a.kind)) os << " len " << a.duration;
+    if (is_window_fault(a.kind)) os << " len " << a.duration;
     if (uses_match(a.kind)) {
       os << " match ";
       if (a.match == kAnyMsg) {
@@ -208,7 +204,7 @@ FaultPlan sample_plan(Rng& rng, const SamplerConfig& cfg) {
                 : a.kind == FaultKind::kScrambleState ? rng.below(1u << 16)
                                                       : 1 + rng.below(cfg.max_burst);
     }
-    if (uses_duration(a.kind)) a.duration = 1 + rng.below(cfg.max_duration);
+    if (is_window_fault(a.kind)) a.duration = 1 + rng.below(cfg.max_duration);
     if (a.kind == FaultKind::kForgeMessage) {
       // Forged ids come from the finite alphabet, not the wildcard: a forge
       // must name the lie it injects so plans replay exactly.

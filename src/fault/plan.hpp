@@ -104,6 +104,12 @@ constexpr bool is_store_fault(FaultKind k) {
          k == FaultKind::kCorruptRecord || k == FaultKind::kStaleSnapshot;
 }
 
+/// True for the window kinds, which read `duration` (and no fault kind
+/// reads both `duration` and `count`).
+constexpr bool is_window_fault(FaultKind k) {
+  return k == FaultKind::kBlackout || k == FaultKind::kFreeze;
+}
+
 /// True for the transient-corruption kinds of the stabilization layer
 /// (PR 4): faults that *lie* — mutate payloads, forge messages, or scramble
 /// process state — rather than merely losing or replaying.

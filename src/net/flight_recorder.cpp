@@ -12,10 +12,13 @@ std::size_t round_pow2(std::size_t v) {
   return p;
 }
 
+std::atomic<std::uint64_t> next_recorder_id{0};
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
-    : epoch_(std::chrono::steady_clock::now()),
+    : id_(next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+      epoch_(std::chrono::steady_clock::now()),
       capacity_(round_pow2(std::max<std::size_t>(cfg.ring_capacity, 8))),
       backend_id_(cfg.backend_id) {
   const std::size_t shards = std::max<std::size_t>(cfg.shards, 1);
@@ -38,29 +41,25 @@ std::uint64_t FlightRecorder::now_us() const {
 
 FlightRecorder::Ring& FlightRecorder::ring_for_thread() {
   // First event from a thread claims the next slot round-robin; the
-  // binding is cached thread-locally per recorder instance, so the hot
+  // binding is cached thread-locally per recorder id (not address: a new
+  // recorder may reuse a dead one's storage with fewer rings), so the hot
   // path is one small linear scan of thread-owned memory.
-  thread_local std::vector<std::pair<const FlightRecorder*, std::size_t>>
-      bindings;
-  for (const auto& [rec, slot] : bindings) {
-    if (rec == this) return *rings_[slot];
+  thread_local std::vector<std::pair<std::uint64_t, std::size_t>> bindings;
+  for (const auto& [id, slot] : bindings) {
+    if (id == id_) return *rings_[slot];
   }
   const std::size_t slot =
       next_slot_.fetch_add(1, std::memory_order_relaxed) % rings_.size();
-  bindings.emplace_back(this, slot);
+  bindings.emplace_back(id_, slot);
   return *rings_[slot];
 }
 
-void FlightRecorder::record(TraceEvent ev) {
+void FlightRecorder::record(const obs::TraceEvent& ev) {
   Ring& r = ring_for_thread();
-  if (ev.kind == TraceEventKind::kItem) {
+  if (ev.kind == obs::TraceEventKind::kItem) {
     r.items.fetch_add(1, std::memory_order_relaxed);
   }
-  ev.backend = backend_id_;
   std::lock_guard<std::mutex> hold(r.producer_mu);
-  // Stamped under the producer mutex so a shared ring stays ts-ordered
-  // even when two threads interleave (drain()'s merge relies on it).
-  ev.ts_us = now_us();
   const std::uint64_t head = r.head.load(std::memory_order_relaxed);
   const std::uint64_t tail = r.tail.load(std::memory_order_acquire);
   if (head - tail >= capacity_) {
@@ -71,107 +70,30 @@ void FlightRecorder::record(TraceEvent ev) {
     r.seq.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ev.seq = r.seq.fetch_add(1, std::memory_order_relaxed);
-  r.buf[head & (capacity_ - 1)] = ev;
+  obs::TraceEvent& slot = r.buf[head & (capacity_ - 1)];
+  slot = ev;
+  // Stamped under the producer mutex so a shared ring stays ts-ordered
+  // even when two threads interleave (drain()'s merge relies on it).
+  slot.ts_us = now_us();
+  slot.seq = r.seq.fetch_add(1, std::memory_order_relaxed);
+  slot.backend = backend_id_;
   r.head.store(head + 1, std::memory_order_release);
 }
 
-void FlightRecorder::on_frame_sent(std::uint32_t session, const Frame& f) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFrameSent;
-  ev.session = session;
-  ev.detail = static_cast<std::uint8_t>(f.kind);
-  ev.dir = f.dir;
-  ev.msg = f.msg;
-  record(ev);
-}
-
-void FlightRecorder::on_frame_received(std::uint32_t session,
-                                       const Frame& f) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFrameReceived;
-  ev.session = session;
-  ev.detail = static_cast<std::uint8_t>(f.kind);
-  ev.dir = f.dir;
-  ev.msg = f.msg;
-  record(ev);
-}
-
-void FlightRecorder::on_frame_rejected(RejectReason why) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFrameRejected;
-  ev.detail = static_cast<std::uint8_t>(why);
-  record(ev);
-}
-
-void FlightRecorder::on_frame_shed(std::uint32_t session) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFrameShed;
-  ev.session = session;
-  record(ev);
-}
-
-void FlightRecorder::on_item(std::uint32_t session, std::size_t index) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kItem;
-  ev.session = session;
-  ev.msg = static_cast<std::int64_t>(index);
-  record(ev);
-}
-
-void FlightRecorder::on_session_state(std::uint32_t session,
-                                      SessionState s) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kSessionState;
-  ev.session = session;
-  ev.detail = static_cast<std::uint8_t>(s);
-  record(ev);
-}
-
-void FlightRecorder::on_rehydrate(std::uint32_t session, std::size_t position,
-                                  SessionState s) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kRehydrate;
-  ev.session = session;
-  ev.msg = static_cast<std::int64_t>(position);
-  ev.detail = static_cast<std::uint8_t>(s);
-  record(ev);
-}
-
-void FlightRecorder::on_checkpoint_flush(std::size_t shard,
-                                         std::size_t records,
-                                         std::uint64_t bytes,
-                                         std::uint64_t duration_us) {
-  (void)bytes;  // counted by the mux (MuxCounter::kCheckpointBytes)
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kCheckpointFlush;
-  ev.session = static_cast<std::uint32_t>(shard);
-  ev.msg = static_cast<std::int64_t>(records);
-  ev.aux = duration_us;
-  record(ev);
-}
-
-void FlightRecorder::on_probe_answered(std::int64_t nonce) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kProbeAnswered;
-  ev.msg = nonce;
-  record(ev);
-}
-
-std::vector<TraceEvent> FlightRecorder::drain() {
+std::vector<obs::TraceEvent> FlightRecorder::drain() {
   // Consume each ring's published window, then k-way merge.  Each ring is
   // (ts, seq)-ordered already — one producer at a time writes it and both
   // ts and seq are monotone per ring — so a merge by (ts, seq) yields one
   // globally time-ordered stream (seq breaks same-microsecond ties
   // deterministically within a shard; cross-shard same-microsecond order
   // is arbitrary but stable for a given drain).
-  std::vector<std::vector<TraceEvent>> streams;
+  std::vector<std::vector<obs::TraceEvent>> streams;
   streams.reserve(rings_.size());
   for (auto& rp : rings_) {
     Ring& r = *rp;
     const std::uint64_t head = r.head.load(std::memory_order_acquire);
     const std::uint64_t tail = r.tail.load(std::memory_order_relaxed);
-    std::vector<TraceEvent> s;
+    std::vector<obs::TraceEvent> s;
     s.reserve(head - tail);
     for (std::uint64_t i = tail; i < head; ++i) {
       s.push_back(r.buf[i & (capacity_ - 1)]);
@@ -180,7 +102,7 @@ std::vector<TraceEvent> FlightRecorder::drain() {
     if (!s.empty()) streams.push_back(std::move(s));
   }
 
-  std::vector<TraceEvent> out;
+  std::vector<obs::TraceEvent> out;
   std::size_t total = 0;
   for (const auto& s : streams) total += s.size();
   out.reserve(total);
@@ -193,8 +115,8 @@ std::vector<TraceEvent> FlightRecorder::drain() {
         best = i;
         continue;
       }
-      const TraceEvent& a = streams[i][cursor[i]];
-      const TraceEvent& b = streams[best][cursor[best]];
+      const obs::TraceEvent& a = streams[i][cursor[i]];
+      const obs::TraceEvent& b = streams[best][cursor[best]];
       if (a.ts_us < b.ts_us ||
           (a.ts_us == b.ts_us && a.seq < b.seq)) {
         best = i;

@@ -1,7 +1,8 @@
 // FlightRecorder — the wire-level observatory's capture stage.
 //
-// An INetProbe implementation that turns every mux hook into a compact
-// TraceEvent and appends it to a bounded per-shard ring buffer:
+// A probe that appends every TraceEvent it is given to a bounded
+// per-shard ring buffer, stamping its timestamp, ring sequence number and
+// backend id:
 //
 //   * Shards are claimed per *producer thread*: the first event a thread
 //     records binds it to a free ring, so in the common case (threads <=
@@ -33,7 +34,8 @@
 #include <vector>
 
 #include "net/mux.hpp"
-#include "net/trace_event.hpp"
+#include "net/trace_sinks.hpp"
+#include "obs/probe.hpp"
 
 namespace stpx::net {
 
@@ -56,30 +58,21 @@ struct FlightRecorderStats {
   std::vector<std::uint64_t> dropped_per_shard;
 };
 
-class FlightRecorder final : public INetProbe {
+class FlightRecorder final : public obs::IProbe {
  public:
   explicit FlightRecorder(FlightRecorderConfig cfg = {});
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
   ~FlightRecorder() override;
 
-  // --- INetProbe hooks (each is one ring append) ------------------------
-  void on_frame_sent(std::uint32_t session, const Frame& f) override;
-  void on_frame_received(std::uint32_t session, const Frame& f) override;
-  void on_frame_rejected(RejectReason why) override;
-  void on_frame_shed(std::uint32_t session) override;
-  void on_item(std::uint32_t session, std::size_t index) override;
-  void on_session_state(std::uint32_t session, SessionState s) override;
-  void on_rehydrate(std::uint32_t session, std::size_t position,
-                    SessionState s) override;
-  void on_checkpoint_flush(std::size_t shard, std::size_t records,
-                           std::uint64_t bytes,
-                           std::uint64_t duration_us) override;
-  void on_probe_answered(std::int64_t nonce) override;
+  /// Append `ev` to the calling thread's ring, stamped with the
+  /// recorder's clock (ts_us), the ring's sequence number (seq) and this
+  /// recorder's backend id.  One ring append; thread-safe.
+  void record(const obs::TraceEvent& ev) override;
 
   /// Consume every event published so far, merge-sorted by (ts_us, seq).
   /// Single consumer; safe against concurrent producers.
-  std::vector<TraceEvent> drain();
+  std::vector<obs::TraceEvent> drain();
 
   FlightRecorderStats stats() const;
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
@@ -95,8 +88,8 @@ class FlightRecorder final : public INetProbe {
             .count());
   }
   std::uint32_t backend_id() const { return backend_id_; }
-  /// on_item events seen so far, recorded or dropped: the items written
-  /// by every generation reporting here.  Safe to poll from any thread.
+  /// kItem events seen so far, recorded or dropped: the items written by
+  /// every generation reporting here.  Safe to poll from any thread.
   std::uint64_t items() const;
   std::size_t shard_count() const { return rings_.size(); }
   std::size_t ring_capacity() const { return capacity_; }
@@ -109,7 +102,7 @@ class FlightRecorder final : public INetProbe {
   /// release order; tail_ by the (single) consumer.  buf_ slots in
   /// [tail_, head_) are owned by the consumer, the rest by producers.
   struct Ring {
-    std::vector<TraceEvent> buf;
+    std::vector<obs::TraceEvent> buf;
     std::mutex producer_mu;  // uncontended while threads <= shards
     std::atomic<std::uint64_t> head{0};
     std::atomic<std::uint64_t> tail{0};
@@ -119,9 +112,11 @@ class FlightRecorder final : public INetProbe {
   };
 
   Ring& ring_for_thread();
-  void record(TraceEvent ev);
   std::uint64_t now_us() const;
 
+  /// Process-unique, never reused: keys each thread's ring binding, which
+  /// a recycled recorder address must not inherit.
+  const std::uint64_t id_;
   std::chrono::steady_clock::time_point epoch_;
   std::size_t capacity_ = 0;  // power of two
   std::uint32_t backend_id_ = 0;

@@ -51,6 +51,16 @@ std::uint64_t us_between(std::chrono::steady_clock::time_point from,
           .count());
 }
 
+/// The frame-sent / frame-received event of `f` on `session`.
+obs::TraceEvent frame_event(obs::TraceEventKind kind, std::uint32_t session,
+                            const Frame& f) {
+  return {.msg = f.msg,
+          .session = session,
+          .kind = kind,
+          .detail = static_cast<std::uint8_t>(f.kind),
+          .dir = f.dir};
+}
+
 }  // namespace
 
 SessionMux::SessionMux(ITransport* transport, MuxConfig cfg)
@@ -208,7 +218,11 @@ RehydrateReport SessionMux::rehydrate(
       ++rep.completed;
     }
     if (cfg_.probe != nullptr) {
-      cfg_.probe->on_rehydrate(id, s.endpoint->items_done(), s.state);
+      cfg_.probe->record(
+          {.msg = static_cast<std::int64_t>(s.endpoint->items_done()),
+           .session = id,
+           .kind = obs::TraceEventKind::kRehydrate,
+           .detail = static_cast<std::uint8_t>(s.state)});
     }
     rep.restore_latency_us.push_back(
         us_between(t0, std::chrono::steady_clock::now()));
@@ -261,7 +275,10 @@ void SessionMux::answer_probe(const Frame& probe) {
   ack.msg = probe.msg;  // echo the nonce
   transport_->send(encode(ack));
   n_.add(MuxCounter::kProbesAnswered);
-  if (cfg_.probe != nullptr) cfg_.probe->on_probe_answered(probe.msg);
+  if (cfg_.probe != nullptr) {
+    cfg_.probe->record(
+        {.msg = probe.msg, .kind = obs::TraceEventKind::kProbeAnswered});
+  }
 }
 
 void SessionMux::route(const Frame& f) {
@@ -301,7 +318,10 @@ void SessionMux::route(const Frame& f) {
   if (wake) shard.wake.notify_one();
   if (shed) {
     n_.add(MuxCounter::kFramesShed);
-    if (cfg_.probe != nullptr) cfg_.probe->on_frame_shed(f.session);
+    if (cfg_.probe != nullptr) {
+      cfg_.probe->record(
+          {.session = f.session, .kind = obs::TraceEventKind::kFrameShed});
+    }
     return;
   }
   n_.add(MuxCounter::kFramesReceived);
@@ -310,7 +330,10 @@ void SessionMux::route(const Frame& f) {
 void SessionMux::note_reject(RejectReason why) {
   n_.add(MuxCounter::kFramesRejected);
   n_.add(reject_counter(why));
-  if (cfg_.probe != nullptr) cfg_.probe->on_frame_rejected(why);
+  if (cfg_.probe != nullptr) {
+    cfg_.probe->record({.kind = obs::TraceEventKind::kFrameRejected,
+                        .detail = static_cast<std::uint8_t>(why)});
+  }
 }
 
 void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
@@ -504,7 +527,10 @@ void SessionMux::deliver(Session& s, const Frame& f, time_point now) {
   ++s.frames_in;
   s.last_heard = now;
   s.dirty = true;  // any inbound frame may move durable protocol state
-  if (cfg_.probe != nullptr) cfg_.probe->on_frame_received(s.id, f);
+  if (cfg_.probe != nullptr) {
+    cfg_.probe->record(
+        frame_event(obs::TraceEventKind::kFrameReceived, s.id, f));
+  }
   if (s.state != SessionState::kActive) {
     // Terminal receiver still answering retransmits: schedule a re-FIN.
     if (!s.is_sender && s.state == SessionState::kCompleted &&
@@ -532,7 +558,9 @@ std::optional<sim::MsgId> SessionMux::step_session(Session& s,
     n_.add(MuxCounter::kItemsDone, items - s.items_reported);
     if (cfg_.probe != nullptr) {
       for (std::size_t j = s.items_reported; j < items; ++j) {
-        cfg_.probe->on_item(s.id, j);
+        cfg_.probe->record({.msg = static_cast<std::int64_t>(j),
+                            .session = s.id,
+                            .kind = obs::TraceEventKind::kItem});
       }
     }
     s.items_reported = items;
@@ -589,7 +617,9 @@ void SessionMux::send_now(Session& s, const Frame& f,
     s.last_data_frame = bytes;
   }
   if (s.is_sender) s.rtt.on_send(now);
-  if (cfg_.probe != nullptr) cfg_.probe->on_frame_sent(s.id, f);
+  if (cfg_.probe != nullptr) {
+    cfg_.probe->record(frame_event(obs::TraceEventKind::kFrameSent, s.id, f));
+  }
 }
 
 void SessionMux::resend_last(Session& s, time_point now) {
@@ -651,9 +681,11 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
     n_.add(MuxCounter::kCheckpointRecords, batch.size());
     n_.add(MuxCounter::kCheckpointBytes, batch_bytes);
     if (cfg_.probe != nullptr) {
-      cfg_.probe->on_checkpoint_flush(
-          shard.idx, batch.size(), batch_bytes,
-          us_between(flush_t0, std::chrono::steady_clock::now()));
+      cfg_.probe->record(
+          {.msg = static_cast<std::int64_t>(batch.size()),
+           .aux = us_between(flush_t0, std::chrono::steady_clock::now()),
+           .session = static_cast<std::uint32_t>(shard.idx),
+           .kind = obs::TraceEventKind::kCheckpointFlush});
     }
   }
   // Everything held is now covered by a durable record (this batch, or
@@ -666,7 +698,11 @@ void SessionMux::finalize(Session& s, SessionState state) {
   s.dirty = true;  // the terminal state itself is worth a manifest record
   n_.add(state_counter(state));
   terminal_.fetch_add(1, std::memory_order_release);
-  if (cfg_.probe != nullptr) cfg_.probe->on_session_state(s.id, state);
+  if (cfg_.probe != nullptr) {
+    cfg_.probe->record({.session = s.id,
+                        .kind = obs::TraceEventKind::kSessionState,
+                        .detail = static_cast<std::uint8_t>(state)});
+  }
 }
 
 std::vector<SessionReport> SessionMux::reports() const {

@@ -54,10 +54,9 @@
 //
 // Thread-safety invariants: session objects are touched only by their
 // shard's worker; the counter table is atomics; the transport must be
-// thread-safe (both provided implementations are); an attached INetProbe
-// must be thread-safe (hooks fire concurrently from workers and pump);
-// session stores are NOT assumed thread-safe — the mux serializes access
-// per store with its own mutex.
+// thread-safe (both provided implementations are), and so must an
+// attached probe (MuxConfig::probe); session stores are NOT assumed
+// thread-safe — the mux serializes access per store with its own mutex.
 #pragma once
 
 #include <array>
@@ -79,6 +78,7 @@
 #include "net/rtt.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "proto/session_adapter.hpp"
 #include "store/session_log.hpp"
 
@@ -113,64 +113,6 @@ constexpr const char* to_cstr(SessionState s) {
 /// Number of SessionState values.
 inline constexpr std::size_t kSessionStateCount = 5;
 
-/// Thread-safe observer of mux events.  Hooks fire concurrently from the
-/// pump and every worker; implementations must be safe under that (the
-/// engine-side obs::IProbe contract is single-threaded, hence this
-/// separate interface).
-class INetProbe {
- public:
-  virtual ~INetProbe() = default;
-  virtual void on_frame_sent(std::uint32_t session, const Frame& f) {
-    (void)session;
-    (void)f;
-  }
-  virtual void on_frame_received(std::uint32_t session, const Frame& f) {
-    (void)session;
-    (void)f;
-  }
-  virtual void on_frame_rejected(RejectReason why) { (void)why; }
-  /// An inbound frame for `session` was shed by inbox backpressure (the
-  /// session's bounded inbox was full).  Distinct from wire loss: the
-  /// frame made it across the transport and the mux chose to drop it.
-  virtual void on_frame_shed(std::uint32_t session) { (void)session; }
-  /// A receiver session appended output item `index`, still a correct
-  /// prefix of its expected sequence (fires per write — the wire-level
-  /// analogue of the engine probe's on_write).
-  virtual void on_item(std::uint32_t session, std::size_t index) {
-    (void)session;
-    (void)index;
-  }
-  virtual void on_session_state(std::uint32_t session, SessionState s) {
-    (void)session;
-    (void)s;
-  }
-  /// A manifested session was re-admitted by rehydrate(): `position` is
-  /// the restored items_done() and `s` the state it rehydrated into
-  /// (kActive, kCompleted, or kRecoveryViolation).  Fires before
-  /// start(), single-threaded.
-  virtual void on_rehydrate(std::uint32_t session, std::size_t position,
-                            SessionState s) {
-    (void)session;
-    (void)position;
-    (void)s;
-  }
-  /// The pump answered an inbound fabric heartbeat (kProbe) with a
-  /// kProbeAck echoing `nonce` — the liveness signal a FabricRouter's
-  /// health monitor consumes (docs/FABRIC.md).  Fires from the pump.
-  virtual void on_probe_answered(std::int64_t nonce) { (void)nonce; }
-  /// A shard group-committed `records` manifest records (`bytes` payload
-  /// bytes) in `duration_us` microseconds.  Fires only for non-empty
-  /// commits, from that shard's worker thread.
-  virtual void on_checkpoint_flush(std::size_t shard, std::size_t records,
-                                   std::uint64_t bytes,
-                                   std::uint64_t duration_us) {
-    (void)shard;
-    (void)records;
-    (void)bytes;
-    (void)duration_us;
-  }
-};
-
 struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
@@ -181,8 +123,10 @@ struct MuxConfig {
   /// A session that receives nothing for this long is evicted
   /// (0 = never evict).
   std::chrono::milliseconds idle_eviction{0};
-  /// Optional observer (non-owning, must be thread-safe).
-  INetProbe* probe = nullptr;
+  /// Optional observer of the wire events (non-owning).  The pump and
+  /// every worker call its record() concurrently, so a probe attached to a
+  /// mux must be thread-safe.
+  obs::IProbe* probe = nullptr;
   /// Session checkpoint logs (non-owning; empty = volatile sessions).
   /// Shard i commits to stores[i % size], so giving one store per worker
   /// removes all cross-shard store contention.  The mux never resets the
@@ -389,7 +333,7 @@ class SessionMux {
     // --- worker-private state (shard owner only) ------------------------
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
-    std::size_t items_reported = 0;  // probe on_item high-water mark
+    std::size_t items_reported = 0;  // item-event high-water mark
     bool refin_pending = false;      // completed receiver saw a retransmit
     bool dirty = false;              // state may have moved since last flush
     bool in_pass = false;            // already queued for the current pass

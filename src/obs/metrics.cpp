@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "fault/plan.hpp"
 #include "util/expect.hpp"
 
 namespace stpx::obs {
@@ -109,126 +110,110 @@ MetricsProbe::MetricsProbe(MetricsRegistry* registry) : reg_(registry) {
   STPX_EXPECT(reg_ != nullptr, "MetricsProbe: null registry");
 }
 
-void MetricsProbe::on_run_begin(std::size_t items_total) {
-  (void)items_total;
-  reg_->counter("runs").inc();
-  inflight_[0] = inflight_[1] = 0;
-  seen_[0].clear();
-  seen_[1].clear();
-  pending_sends_.clear();
-  last_write_step_ = 0;
-  restart_pending_ = false;
-  last_restart_step_ = 0;
-  reg_->gauge("inflight.sr").set(0);
-  reg_->gauge("inflight.rs").set(0);
-}
-
-void MetricsProbe::on_step(std::uint64_t step, const sim::Action& a) {
-  (void)step;
-  (void)a;
-  reg_->counter("steps").inc();
-  // Occupancy over time: sample the in-flight level once per step.
-  reg_->histogram("occupancy.sr", pow2_bounds(16))
-      .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
-          inflight_[0], 0)));
-  reg_->histogram("occupancy.rs", pow2_bounds(16))
-      .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
-          inflight_[1], 0)));
-}
-
-void MetricsProbe::on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-  (void)msg;
-  reg_->counter(std::string("sends.") + dir_suffix(dir)).inc();
-  reg_->gauge(std::string("inflight.") + dir_suffix(dir)).add(1);
-  ++inflight_[di(dir)];
-  if (dir == sim::Dir::kSenderToReceiver) {
-    // Bounded pending queue: enough to pair each outstanding data message
-    // with the next ack the sender sees; cap so a flooding sender cannot
-    // grow the probe without bound.
-    if (pending_sends_.size() < 1024) pending_sends_.push_back(step);
+void MetricsProbe::record(const TraceEvent& ev) {
+  const std::uint64_t step = ev.ts_us;
+  switch (ev.kind) {
+    case TraceEventKind::kRunBegin:
+      reg_->counter("runs").inc();
+      inflight_[0] = inflight_[1] = 0;
+      seen_[0].clear();
+      seen_[1].clear();
+      pending_sends_.clear();
+      last_write_step_ = 0;
+      restart_pending_ = false;
+      last_restart_step_ = 0;
+      reg_->gauge("inflight.sr").set(0);
+      reg_->gauge("inflight.rs").set(0);
+      break;
+    case TraceEventKind::kStep:
+      reg_->counter("steps").inc();
+      // Occupancy over time: sample the in-flight level once per step.
+      reg_->histogram("occupancy.sr", pow2_bounds(16))
+          .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
+              inflight_[0], 0)));
+      reg_->histogram("occupancy.rs", pow2_bounds(16))
+          .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
+              inflight_[1], 0)));
+      break;
+    case TraceEventKind::kSend:
+      reg_->counter(std::string("sends.") + dir_suffix(ev.dir)).inc();
+      reg_->gauge(std::string("inflight.") + dir_suffix(ev.dir)).add(1);
+      ++inflight_[di(ev.dir)];
+      if (ev.dir == sim::Dir::kSenderToReceiver) {
+        // Bounded pending queue: enough to pair each outstanding data
+        // message with the next ack the sender sees; cap so a flooding
+        // sender cannot grow the probe without bound.
+        if (pending_sends_.size() < 1024) pending_sends_.push_back(step);
+      }
+      break;
+    case TraceEventKind::kDeliver:
+      reg_->counter(std::string("delivers.") + dir_suffix(ev.dir)).inc();
+      reg_->gauge(std::string("inflight.") + dir_suffix(ev.dir)).add(-1);
+      --inflight_[di(ev.dir)];
+      if (++seen_[di(ev.dir)][ev.msg] > 1) {
+        reg_->counter(std::string("dup_replays.") + dir_suffix(ev.dir)).inc();
+      }
+      if (ev.dir == sim::Dir::kReceiverToSender && !pending_sends_.empty()) {
+        // Ack round trip: oldest unacknowledged data send -> this delivery
+        // to the sender.  An approximation (ids are protocol-private), but
+        // a faithful one for the stop-and-wait style protocols under study.
+        reg_->histogram("ack_rtt", pow2_bounds(20))
+            .observe(step - pending_sends_.front());
+        pending_sends_.erase(pending_sends_.begin());
+      }
+      break;
+    case TraceEventKind::kWrite:
+      reg_->counter("writes").inc();
+      reg_->histogram("write_latency", pow2_bounds(20))
+          .observe(step - last_write_step_);
+      last_write_step_ = step;
+      if (restart_pending_) {
+        // Recovery latency: the most recent restart -> this first write
+        // after it, i.e. how long recovery took to resume visible progress.
+        reg_->histogram("recovery.latency", pow2_bounds(20))
+            .observe(step - last_restart_step_);
+        restart_pending_ = false;
+      }
+      break;
+    case TraceEventKind::kCrash:
+      reg_->counter(std::string("crashes.") +
+                    sim::to_cstr(static_cast<sim::Proc>(ev.detail)))
+          .inc();
+      break;
+    case TraceEventKind::kRestart:
+      reg_->counter(ev.aux != 0 ? "recoveries" : "recoveries.cold").inc();
+      if (ev.msg > 0) {
+        reg_->counter("records_replayed")
+            .inc(static_cast<std::uint64_t>(ev.msg));
+      }
+      restart_pending_ = true;
+      last_restart_step_ = step;
+      break;
+    case TraceEventKind::kStall:
+      reg_->counter("stalls").inc();
+      break;
+    case TraceEventKind::kScramble:
+      reg_->counter("stabilization.scrambles").inc();
+      if (ev.aux == 0) reg_->counter("stabilization.scrambles.rejected").inc();
+      break;
+    case TraceEventKind::kConverge:
+      reg_->counter("stabilization.converged").inc();
+      reg_->histogram("stabilization.latency", pow2_bounds(20))
+          .observe(ev.aux);
+      break;
+    case TraceEventKind::kRunEnd:
+      reg_->counter(std::string("verdict.") +
+                    sim::to_cstr(static_cast<sim::RunVerdict>(ev.detail)))
+          .inc();
+      break;
+    case TraceEventKind::kFault:
+      reg_->counter(std::string("faults.") +
+                    fault::to_cstr(static_cast<fault::FaultKind>(ev.detail)))
+          .inc();
+      break;
+    default:  // wire kinds: the mux counts its own (publish_metrics)
+      break;
   }
-}
-
-void MetricsProbe::on_deliver(std::uint64_t step, sim::Dir dir,
-                              sim::MsgId msg) {
-  reg_->counter(std::string("delivers.") + dir_suffix(dir)).inc();
-  reg_->gauge(std::string("inflight.") + dir_suffix(dir)).add(-1);
-  --inflight_[di(dir)];
-  if (++seen_[di(dir)][msg] > 1) {
-    reg_->counter(std::string("dup_replays.") + dir_suffix(dir)).inc();
-  }
-  if (dir == sim::Dir::kReceiverToSender && !pending_sends_.empty()) {
-    // Ack round trip: oldest unacknowledged data send -> this delivery to
-    // the sender.  An approximation (ids are protocol-private), but a
-    // faithful one for the stop-and-wait style protocols under study.
-    reg_->histogram("ack_rtt", pow2_bounds(20))
-        .observe(step - pending_sends_.front());
-    pending_sends_.erase(pending_sends_.begin());
-  }
-}
-
-void MetricsProbe::on_write(std::uint64_t step, std::size_t index,
-                            seq::DataItem item) {
-  (void)index;
-  (void)item;
-  reg_->counter("writes").inc();
-  reg_->histogram("write_latency", pow2_bounds(20))
-      .observe(step - last_write_step_);
-  last_write_step_ = step;
-  if (restart_pending_) {
-    // Recovery latency: the most recent restart -> this first write after
-    // it, i.e. how long recovery took to resume visible progress.
-    reg_->histogram("recovery.latency", pow2_bounds(20))
-        .observe(step - last_restart_step_);
-    restart_pending_ = false;
-  }
-}
-
-void MetricsProbe::on_crash(std::uint64_t step, sim::Proc who) {
-  (void)step;
-  reg_->counter(std::string("crashes.") + sim::to_cstr(who)).inc();
-}
-
-void MetricsProbe::on_restart(std::uint64_t step, sim::Proc who,
-                              bool rehydrated,
-                              std::uint64_t records_replayed) {
-  (void)who;
-  reg_->counter(rehydrated ? "recoveries" : "recoveries.cold").inc();
-  if (records_replayed > 0) {
-    reg_->counter("records_replayed").inc(records_replayed);
-  }
-  restart_pending_ = true;
-  last_restart_step_ = step;
-}
-
-void MetricsProbe::on_stall(std::uint64_t step) {
-  (void)step;
-  reg_->counter("stalls").inc();
-}
-
-void MetricsProbe::on_scramble(std::uint64_t step, sim::Proc who,
-                               bool accepted) {
-  (void)step;
-  (void)who;
-  reg_->counter("stabilization.scrambles").inc();
-  if (!accepted) reg_->counter("stabilization.scrambles.rejected").inc();
-}
-
-void MetricsProbe::on_converge(std::uint64_t step,
-                               std::uint64_t steps_since_corruption) {
-  (void)step;
-  reg_->counter("stabilization.converged").inc();
-  reg_->histogram("stabilization.latency", pow2_bounds(20))
-      .observe(steps_since_corruption);
-}
-
-void MetricsProbe::on_run_end(std::uint64_t steps, sim::RunVerdict verdict) {
-  (void)steps;
-  reg_->counter(std::string("verdict.") + sim::to_cstr(verdict)).inc();
-}
-
-void MetricsProbe::on_fault(const FaultEvent& ev) {
-  reg_->counter(std::string("faults.") + ev.kind).inc();
 }
 
 }  // namespace stpx::obs

@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms,
-// plus the MetricsProbe that populates one from engine/chaos hooks.
+// plus the MetricsProbe that populates one from engine/chaos events.
 //
 // Instruments are owned by the registry and addressed by name; repeated
 // lookups with the same name return the same instrument.  Iteration order
@@ -192,25 +192,11 @@ class MetricsProbe final : public IProbe {
   /// `registry` is non-owning and must outlive the probe's use.
   explicit MetricsProbe(MetricsRegistry* registry);
 
-  void on_run_begin(std::size_t items_total) override;
-  void on_step(std::uint64_t step, const sim::Action& a) override;
-  void on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_write(std::uint64_t step, std::size_t index,
-                seq::DataItem item) override;
-  void on_crash(std::uint64_t step, sim::Proc who) override;
-  void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                  std::uint64_t records_replayed) override;
-  void on_stall(std::uint64_t step) override;
-  void on_scramble(std::uint64_t step, sim::Proc who, bool accepted) override;
-  void on_converge(std::uint64_t step,
-                   std::uint64_t steps_since_corruption) override;
-  void on_run_end(std::uint64_t steps, sim::RunVerdict verdict) override;
-  void on_fault(const FaultEvent& ev) override;
+  void record(const TraceEvent& ev) override;
 
  private:
   MetricsRegistry* reg_;
-  // --- per-run state, cleared by on_run_begin ---------------------------
+  // --- per-run state, cleared by run_begin ------------------------------
   std::int64_t inflight_[2] = {0, 0};
   std::map<sim::MsgId, std::uint64_t> seen_[2];  // deliveries per id per dir
   std::vector<std::uint64_t> pending_sends_;     // S->R send steps, FIFO

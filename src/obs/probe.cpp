@@ -1,6 +1,6 @@
 #include "obs/probe.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace stpx::obs {
 
@@ -13,56 +13,8 @@ void MultiProbe::add(IProbe* p) {
   if (p != nullptr) probes_.push_back(p);
 }
 
-void MultiProbe::on_run_begin(std::size_t items_total) {
-  for (IProbe* p : probes_) p->on_run_begin(items_total);
-}
-
-void MultiProbe::on_step(std::uint64_t step, const sim::Action& a) {
-  for (IProbe* p : probes_) p->on_step(step, a);
-}
-
-void MultiProbe::on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-  for (IProbe* p : probes_) p->on_send(step, dir, msg);
-}
-
-void MultiProbe::on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-  for (IProbe* p : probes_) p->on_deliver(step, dir, msg);
-}
-
-void MultiProbe::on_write(std::uint64_t step, std::size_t index,
-                          seq::DataItem item) {
-  for (IProbe* p : probes_) p->on_write(step, index, item);
-}
-
-void MultiProbe::on_crash(std::uint64_t step, sim::Proc who) {
-  for (IProbe* p : probes_) p->on_crash(step, who);
-}
-
-void MultiProbe::on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                            std::uint64_t records_replayed) {
-  for (IProbe* p : probes_) p->on_restart(step, who, rehydrated, records_replayed);
-}
-
-void MultiProbe::on_stall(std::uint64_t step) {
-  for (IProbe* p : probes_) p->on_stall(step);
-}
-
-void MultiProbe::on_scramble(std::uint64_t step, sim::Proc who,
-                             bool accepted) {
-  for (IProbe* p : probes_) p->on_scramble(step, who, accepted);
-}
-
-void MultiProbe::on_converge(std::uint64_t step,
-                             std::uint64_t steps_since_corruption) {
-  for (IProbe* p : probes_) p->on_converge(step, steps_since_corruption);
-}
-
-void MultiProbe::on_run_end(std::uint64_t steps, sim::RunVerdict verdict) {
-  for (IProbe* p : probes_) p->on_run_end(steps, verdict);
-}
-
-void MultiProbe::on_fault(const FaultEvent& ev) {
-  for (IProbe* p : probes_) p->on_fault(ev);
+void MultiProbe::record(const TraceEvent& ev) {
+  for (IProbe* p : probes_) p->record(ev);
 }
 
 }  // namespace stpx::obs

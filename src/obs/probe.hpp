@@ -1,29 +1,36 @@
-// Run observatory: the probe interface the engine (and the chaos layer)
-// report into while a run executes.
+// The event record and the probe interface every stpx run reports into.
 //
-// The engine's RunResult is an end-state artifact; the paper's arguments —
-// and any live diagnosis of a sweep or soak — are about what happened
-// *during* the run: which direction carried traffic, how long items waited
-// to be written, when a fault window opened.  An IProbe is a passive
-// observer of exactly those events.  Hooks fire synchronously from
-// Engine::apply() / ChaosChannel::fire(), so implementations must be cheap
-// and must not touch the engine re-entrantly.
+// The paper's arguments — and any live diagnosis of a sweep, a soak or a
+// running mux — are about what happened *during* a run: which direction
+// carried traffic, how long items waited to be written, when a fault
+// window opened.  Every producer reports those events as one compact
+// TraceEvent through one call, IProbe::record:
 //
-// Wiring: set EngineConfig::probe (a non-owning pointer; the caller keeps
-// the probe alive for the duration of the run).  With no probe attached the
-// engine pays a single null-pointer test per hook site — nothing is
-// recorded and nothing is allocated.  stp::with_chaos() forwards the same
-// probe into its ChaosChannel decorator so fault firings land in the same
-// stream.  Note that Engine::clone() shares the probe pointer: analysis
-// layers that branch runs (knowledge explorer, attack synthesizer) will
-// interleave events from every branch, so attach probes to linear runs.
+//   * sim::Engine and fault::ChaosChannel report the engine kinds, stamped
+//     with the engine step, synchronously from Engine::apply() /
+//     ChaosChannel::fire().  Set EngineConfig::probe (non-owning; the
+//     caller keeps the probe alive for the run).  stp::with_chaos()
+//     forwards the same probe into its ChaosChannel, so fault firings land
+//     in the same stream.  Engine::clone() shares the probe pointer:
+//     analysis layers that branch runs (knowledge explorer, attack
+//     synthesizer) interleave events from every branch, so attach probes to
+//     linear runs.
+//   * net::SessionMux reports the wire kinds from its pump and workers
+//     concurrently (see MuxConfig::probe); net::FlightRecorder stamps their
+//     timestamps.
 //
-// This header is intentionally link-free (pure interface + inline no-op
-// defaults): sim depends on it, while the obs *library* (metrics, sinks,
-// reports) depends on sim.  That keeps the library DAG acyclic:
+// With no probe attached a producer pays one null-pointer test per event
+// site — nothing is recorded and nothing is allocated.
+//
+// This header is link-free for sim and fault, which use only the record
+// and the interface; the obs *library* (MultiProbe, metrics, reports)
+// sits above them.  That keeps the library DAG acyclic:
 //   util <- seq <- sim(+probe.hpp) <- {channel, fault} <- obs <- proto ...
+// The JSONL codec and the trace sinks live in net (net/trace_sinks.hpp),
+// the lowest library that can name every enum a record carries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,107 +38,125 @@
 
 namespace stpx::obs {
 
-/// A fault action fired by the chaos layer.  `kind` is the stable text name
-/// (fault::to_cstr of the FaultKind) so the probe layer does not depend on
-/// the fault library; `duration > 0` marks window faults (blackout/freeze),
-/// whose effect spans [step, step + duration).
-struct FaultEvent {
-  std::uint64_t step = 0;
-  const char* kind = "";
-  sim::Dir dir = sim::Dir::kSenderToReceiver;
-  std::uint64_t count = 0;
-  std::uint64_t duration = 0;
-  sim::MsgId match = -1;
+/// Which event a TraceEvent records.  The wire kinds come first and keep
+/// their values; the engine kinds follow.
+enum class TraceEventKind : std::uint8_t {
+  // --- wire (net::SessionMux) --------------------------------------------
+  kFrameSent = 0,
+  kFrameReceived,
+  kFrameRejected,
+  kFrameShed,        // an inbound frame shed by inbox backpressure
+  kItem,             // a receiver session wrote a correct-prefix item
+  kSessionState,     // a session entered a terminal state
+  kRehydrate,        // rehydrate() re-admitted a manifested session
+  kCheckpointFlush,  // a shard group-committed manifest records
+  kProbeAnswered,    // fabric heartbeat echoed; msg carries the nonce
+  // --- engine (sim::Engine, fault::ChaosChannel) -------------------------
+  kRunBegin,
+  kStep,      // an action is about to be applied (once per step)
+  kSend,      // a process handed a message to the channel
+  kDeliver,   // one copy of a message was delivered
+  kWrite,     // the receiver appended an output item
+  kCrash,     // a process was crash-restarted (volatile state lost)
+  kRestart,   // paired with kCrash: the process came back up
+  kStall,     // the watchdog declared the run stalled
+  kScramble,  // a scramble-state fault struck a process
+  kConverge,  // a corrupted run met the suffix-safety criterion at run end
+  kRunEnd,
+  kFault,     // the chaos layer fired a fault action
 };
 
+constexpr const char* to_cstr(TraceEventKind k) {
+  switch (k) {
+    case TraceEventKind::kFrameSent: return "frame-sent";
+    case TraceEventKind::kFrameReceived: return "frame-received";
+    case TraceEventKind::kFrameRejected: return "frame-rejected";
+    case TraceEventKind::kFrameShed: return "frame-shed";
+    case TraceEventKind::kItem: return "item";
+    case TraceEventKind::kSessionState: return "session-state";
+    case TraceEventKind::kRehydrate: return "rehydrate";
+    case TraceEventKind::kCheckpointFlush: return "checkpoint-flush";
+    case TraceEventKind::kProbeAnswered: return "probe-answered";
+    case TraceEventKind::kRunBegin: return "run_begin";
+    case TraceEventKind::kStep: return "step";
+    case TraceEventKind::kSend: return "send";
+    case TraceEventKind::kDeliver: return "deliver";
+    case TraceEventKind::kWrite: return "write";
+    case TraceEventKind::kCrash: return "crash";
+    case TraceEventKind::kRestart: return "restart";
+    case TraceEventKind::kStall: return "stall";
+    case TraceEventKind::kScramble: return "scramble";
+    case TraceEventKind::kConverge: return "converge";
+    case TraceEventKind::kRunEnd: return "run_end";
+    case TraceEventKind::kFault: return "fault";
+  }
+  return "?";
+}
+
+/// Number of TraceEventKind values.
+inline constexpr std::size_t kTraceEventKindCount = 21;
+
+/// One event, as a fixed-size POD a recorder can copy into a ring without
+/// allocating.  (Not the engine's sim::TraceEvent, which is the per-step
+/// replay record.)  Payload fields are kind-dependent:
+///
+///   kind              msg          aux            session  detail        dir
+///   frame-sent/-recv  MsgId        -              session  FrameKind     dir
+///   frame-rejected    -            -              -        RejectReason  -
+///   frame-shed        -            -              session  -             -
+///   item              index        -              session  -             -
+///   session-state     -            -              session  SessionState  -
+///   rehydrate         position     -              session  SessionState  -
+///   checkpoint-flush  records      duration (µs)  shard    -             -
+///   probe-answered    nonce        -              -        -             -
+///   run_begin         items        -              -        -             -
+///   step              action msg   -              -        ActionKind    -
+///   send / deliver    MsgId        -              -        -             dir
+///   write             item         index          -        -             -
+///   crash             -            -              -        Proc          -
+///   restart           records      rehydrated     -        Proc          -
+///                     replayed     (0/1)
+///   scramble          -            accepted (0/1) -        Proc          -
+///   converge          -            steps since    -        -             -
+///                                  corruption
+///   run_end           -            -              -        RunVerdict    -
+///   fault             match        count, or the  -        FaultKind     dir
+///                                  window length
+///                                  (blackout/freeze)
+///
+/// `ts_us` is the recorder's epoch-relative microseconds for wire kinds and
+/// the engine step for engine kinds (the Chrome export renders 1 step as
+/// 1 µs).  `seq` is a recorder's per-ring write index (0 from the engine),
+/// and `backend` the fabric backend whose recorder stamped the event (0 =
+/// unattributed / single-process).
+struct TraceEvent {
+  std::uint64_t ts_us = 0;
+  std::uint64_t seq = 0;
+  std::int64_t msg = 0;
+  std::uint64_t aux = 0;
+  std::uint32_t session = 0;
+  std::uint32_t backend = 0;
+  TraceEventKind kind = TraceEventKind::kFrameSent;
+  std::uint8_t detail = 0;
+  sim::Dir dir = sim::Dir::kSenderToReceiver;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
+};
+
+/// A passive observer of a run's event stream.  Engine-side producers call
+/// it from the run's one thread; a probe attached to a mux must be
+/// thread-safe (MuxConfig::probe).
 class IProbe {
  public:
   virtual ~IProbe() = default;
-
-  /// begin(x) was called: a fresh run over `items_total` input items.
-  virtual void on_run_begin(std::size_t items_total) { (void)items_total; }
-
-  /// An action is about to be applied at `step` (fires once per step).
-  virtual void on_step(std::uint64_t step, const sim::Action& a) {
-    (void)step;
-    (void)a;
-  }
-
-  /// A process handed a message to the channel (counted even if a fault
-  /// later swallows it — sends are the process's observable act).
-  virtual void on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-    (void)step;
-    (void)dir;
-    (void)msg;
-  }
-
-  /// One copy of `msg` was delivered in `dir`.
-  virtual void on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-    (void)step;
-    (void)dir;
-    (void)msg;
-  }
-
-  /// The receiver appended output item `index` (0-based) with value `item`.
-  virtual void on_write(std::uint64_t step, std::size_t index,
-                        seq::DataItem item) {
-    (void)step;
-    (void)index;
-    (void)item;
-  }
-
-  /// A process was crash-restarted (volatile state lost).
-  virtual void on_crash(std::uint64_t step, sim::Proc who) {
-    (void)step;
-    (void)who;
-  }
-
-  /// Paired with on_crash: the restarted process came back up.
-  /// `rehydrated` distinguishes a recovery from an attached stable store
-  /// (restore_state succeeded) from a cold start (no store, nothing
-  /// recoverable, or a restore the protocol rejected);
-  /// `records_replayed` is the store records scanned during recovery.
-  virtual void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                          std::uint64_t records_replayed) {
-    (void)step;
-    (void)who;
-    (void)rehydrated;
-    (void)records_replayed;
-  }
-
-  /// The engine watchdog declared the run stalled.
-  virtual void on_stall(std::uint64_t step) { (void)step; }
-
-  /// A scramble-state fault struck `who`.  `accepted` is whether any
-  /// mutated blob survived restore_state() validation — false means the
-  /// process detected and rejected the corruption (hardened protocols).
-  virtual void on_scramble(std::uint64_t step, sim::Proc who, bool accepted) {
-    (void)step;
-    (void)who;
-    (void)accepted;
-  }
-
-  /// A corrupted run satisfied the suffix-safety convergence criterion at
-  /// run end; `steps_since_corruption` is the stabilization latency from
-  /// the first injected corruption.
-  virtual void on_converge(std::uint64_t step,
-                           std::uint64_t steps_since_corruption) {
-    (void)step;
-    (void)steps_since_corruption;
-  }
-
-  /// run_to_completion() returned (verdict as of that moment).
-  virtual void on_run_end(std::uint64_t steps, sim::RunVerdict verdict) {
-    (void)steps;
-    (void)verdict;
-  }
-
-  /// The chaos layer fired a fault action (see FaultEvent).
-  virtual void on_fault(const FaultEvent& ev) { (void)ev; }
+  virtual void record(const TraceEvent& ev) = 0;
 };
 
-/// Fan-out: forwards every hook to each registered probe, in order.  Lets a
-/// caller attach a MetricsProbe and a trace sink to the same run.
+/// Fan-out: forwards every event to each registered probe, in order.  Lets
+/// a caller attach a MetricsProbe and a trace sink to the same run.
+/// Defined out of line (probe.cpp): an inline record() would be
+/// speculatively inlined at every event site of the engine and the mux,
+/// bloating their hot paths even when no probe is attached.
 class MultiProbe final : public IProbe {
  public:
   MultiProbe() = default;
@@ -140,21 +165,7 @@ class MultiProbe final : public IProbe {
   /// Register a probe (non-owning; ignored if null).
   void add(IProbe* p);
 
-  void on_run_begin(std::size_t items_total) override;
-  void on_step(std::uint64_t step, const sim::Action& a) override;
-  void on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_write(std::uint64_t step, std::size_t index,
-                seq::DataItem item) override;
-  void on_crash(std::uint64_t step, sim::Proc who) override;
-  void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                  std::uint64_t records_replayed) override;
-  void on_stall(std::uint64_t step) override;
-  void on_scramble(std::uint64_t step, sim::Proc who, bool accepted) override;
-  void on_converge(std::uint64_t step,
-                   std::uint64_t steps_since_corruption) override;
-  void on_run_end(std::uint64_t steps, sim::RunVerdict verdict) override;
-  void on_fault(const FaultEvent& ev) override;
+  void record(const TraceEvent& ev) override;
 
  private:
   std::vector<IProbe*> probes_;

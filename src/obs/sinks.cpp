@@ -170,8 +170,6 @@ class JsonChecker {
   int depth_ = 0;
 };
 
-const char* dir_name(sim::Dir d) { return sim::to_cstr(d); }
-
 }  // namespace
 
 bool json_valid(const std::string& text) { return JsonChecker(text).run(); }
@@ -250,184 +248,6 @@ void write_chrome_trace(std::ostream& out, const std::string& process,
   }
   for (const Record& r : records) out << ',' << r.json;
   out << "]}";
-}
-
-// --- JsonlSink ------------------------------------------------------------
-
-JsonlSink::JsonlSink(std::ostream& out) : out_(&out) {}
-
-void JsonlSink::on_run_begin(std::size_t items_total) {
-  *out_ << "{\"ev\":\"run_begin\",\"items\":" << items_total << "}\n";
-}
-
-void JsonlSink::on_step(std::uint64_t step, const sim::Action& a) {
-  *out_ << "{\"ev\":\"step\",\"step\":" << step << ",\"action\":\""
-        << sim::to_cstr(a.kind) << '"';
-  if (a.kind == sim::ActionKind::kDeliverToReceiver ||
-      a.kind == sim::ActionKind::kDeliverToSender) {
-    *out_ << ",\"msg\":" << a.msg;
-  }
-  *out_ << "}\n";
-}
-
-void JsonlSink::on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-  *out_ << "{\"ev\":\"send\",\"step\":" << step << ",\"dir\":\""
-        << dir_name(dir) << "\",\"msg\":" << msg << "}\n";
-}
-
-void JsonlSink::on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) {
-  *out_ << "{\"ev\":\"deliver\",\"step\":" << step << ",\"dir\":\""
-        << dir_name(dir) << "\",\"msg\":" << msg << "}\n";
-}
-
-void JsonlSink::on_write(std::uint64_t step, std::size_t index,
-                         seq::DataItem item) {
-  *out_ << "{\"ev\":\"write\",\"step\":" << step << ",\"index\":" << index
-        << ",\"item\":" << item << "}\n";
-}
-
-void JsonlSink::on_crash(std::uint64_t step, sim::Proc who) {
-  *out_ << "{\"ev\":\"crash\",\"step\":" << step << ",\"proc\":\""
-        << sim::to_cstr(who) << "\"}\n";
-}
-
-void JsonlSink::on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                           std::uint64_t records_replayed) {
-  *out_ << "{\"ev\":\"restart\",\"step\":" << step << ",\"proc\":\""
-        << sim::to_cstr(who) << "\",\"rehydrated\":"
-        << (rehydrated ? "true" : "false")
-        << ",\"records_replayed\":" << records_replayed << "}\n";
-}
-
-void JsonlSink::on_stall(std::uint64_t step) {
-  *out_ << "{\"ev\":\"stall\",\"step\":" << step << "}\n";
-}
-
-void JsonlSink::on_run_end(std::uint64_t steps, sim::RunVerdict verdict) {
-  *out_ << "{\"ev\":\"run_end\",\"steps\":" << steps << ",\"verdict\":\""
-        << sim::to_cstr(verdict) << "\"}\n";
-}
-
-void JsonlSink::on_fault(const FaultEvent& ev) {
-  *out_ << "{\"ev\":\"fault\",\"step\":" << ev.step << ",\"kind\":\""
-        << json_escape(ev.kind) << "\",\"dir\":\"" << dir_name(ev.dir)
-        << "\",\"count\":" << ev.count << ",\"duration\":" << ev.duration
-        << ",\"match\":" << ev.match << "}\n";
-}
-
-// --- ChromeTraceSink ------------------------------------------------------
-
-namespace {
-
-// Track (tid) layout inside the single trace process.
-constexpr int kTidSender = 1;
-constexpr int kTidReceiver = 2;
-constexpr int kTidChannelSR = 3;
-constexpr int kTidChannelRS = 4;
-constexpr int kTidEngine = 5;
-constexpr int kTidFaultBase = 6;  // fault lanes stack upward from here
-
-int channel_tid(sim::Dir d) {
-  return d == sim::Dir::kSenderToReceiver ? kTidChannelSR : kTidChannelRS;
-}
-
-}  // namespace
-
-void ChromeTraceSink::on_run_begin(std::size_t items_total) {
-  std::ostringstream args;
-  args << "\"items\":" << items_total;
-  instants_.push_back({0, kTidEngine, "run_begin", args.str(), 0});
-}
-
-void ChromeTraceSink::on_step(std::uint64_t step, const sim::Action& a) {
-  // Process steps render as 1-step slices on the process's own track;
-  // delivery actions are already covered by on_deliver instants.
-  if (a.kind == sim::ActionKind::kSenderStep) {
-    instants_.push_back({step, kTidSender, "S-step", "", 1});
-  } else if (a.kind == sim::ActionKind::kReceiverStep) {
-    instants_.push_back({step, kTidReceiver, "R-step", "", 1});
-  }
-}
-
-void ChromeTraceSink::on_send(std::uint64_t step, sim::Dir dir,
-                              sim::MsgId msg) {
-  std::ostringstream args;
-  args << "\"msg\":" << msg;
-  instants_.push_back(
-      {step, channel_tid(dir), "send " + std::to_string(msg), args.str(), 0});
-}
-
-void ChromeTraceSink::on_deliver(std::uint64_t step, sim::Dir dir,
-                                 sim::MsgId msg) {
-  std::ostringstream args;
-  args << "\"msg\":" << msg;
-  instants_.push_back({step, channel_tid(dir),
-                       "deliver " + std::to_string(msg), args.str(), 0});
-}
-
-void ChromeTraceSink::on_write(std::uint64_t step, std::size_t index,
-                               seq::DataItem item) {
-  std::ostringstream args;
-  args << "\"index\":" << index << ",\"item\":" << item;
-  instants_.push_back({step, kTidReceiver,
-                       "write[" + std::to_string(index) + "]", args.str(), 0});
-}
-
-void ChromeTraceSink::on_crash(std::uint64_t step, sim::Proc who) {
-  const int tid = who == sim::Proc::kSender ? kTidSender : kTidReceiver;
-  instants_.push_back({step, tid, "crash-restart", "", 0});
-}
-
-void ChromeTraceSink::on_restart(std::uint64_t step, sim::Proc who,
-                                 bool rehydrated,
-                                 std::uint64_t records_replayed) {
-  const int tid = who == sim::Proc::kSender ? kTidSender : kTidReceiver;
-  std::ostringstream args;
-  args << "\"rehydrated\":" << (rehydrated ? "true" : "false")
-       << ",\"records_replayed\":" << records_replayed;
-  instants_.push_back(
-      {step, tid, rehydrated ? "restart (rehydrated)" : "restart (cold)",
-       args.str(), 0});
-}
-
-void ChromeTraceSink::on_stall(std::uint64_t step) {
-  instants_.push_back({step, kTidEngine, "stall", "", 0});
-}
-
-void ChromeTraceSink::on_fault(const FaultEvent& ev) {
-  std::ostringstream args;
-  args << "\"kind\":\"" << json_escape(ev.kind) << "\",\"dir\":\""
-       << dir_name(ev.dir) << "\",\"count\":" << ev.count
-       << ",\"match\":" << ev.match;
-  const std::string name = std::string(ev.kind) + " " + dir_name(ev.dir);
-  if (ev.duration > 0) {
-    spans_.push_back({ev.step, ev.step + ev.duration, name, args.str()});
-  } else {
-    instants_.push_back({ev.step, kTidFaultBase, name, args.str(), 0});
-  }
-}
-
-void ChromeTraceSink::write_to(std::ostream& out) const {
-  std::vector<ChromeSpan> spans = spans_;
-  std::vector<ChromeTrack> tracks = {{kTidSender, "sender"},
-                                     {kTidReceiver, "receiver"},
-                                     {kTidChannelSR, "channel S->R"},
-                                     {kTidChannelRS, "channel R->S"},
-                                     {kTidEngine, "engine"}};
-  const auto lanes = place_fault_lanes(spans, kTidFaultBase);
-  tracks.insert(tracks.end(), lanes.begin(), lanes.end());
-  write_chrome_trace(out, "stpx run", tracks, instants_, spans);
-}
-
-std::string ChromeTraceSink::to_json() const {
-  std::ostringstream os;
-  write_to(os);
-  return os.str();
-}
-
-void ChromeTraceSink::clear() {
-  instants_.clear();
-  spans_.clear();
 }
 
 }  // namespace stpx::obs

@@ -1,30 +1,21 @@
-// Trace sinks: probes that serialize the event stream.
+// JSON helpers and the one Chrome trace-event document writer.
 //
-//   * JsonlSink — one JSON object per line, streamed to an ostream as the
-//     run executes; the grep/jq-friendly archival form.
-//   * ChromeTraceSink — buffers the run and exports Chrome trace-event JSON
-//     (the format Perfetto and chrome://tracing load).  Sender, receiver,
-//     and the two channel directions render as threads of one process;
-//     sends/deliveries/writes/crashes are instant events on their track;
-//     process steps are 1-step complete events; chaos fault *windows*
-//     (blackout/freeze) are balanced B/E duration pairs on a dedicated
-//     faults track, so a schedule's blind spots are visible as shaded
-//     spans over the traffic they suppressed.
-//   * write_chrome_trace — the one Chrome trace-event document writer,
-//     shared by ChromeTraceSink and the wire flight recorder's export
-//     (net::write_wire_chrome_trace).
-//
-// Trace timestamps are engine steps, written as microseconds (1 step =
-// 1 us) — Perfetto needs a time unit and steps are the only clock the
-// model has.
+//   * json_escape / json_valid — string escaping for hand-rendered JSON,
+//     and a structural validity check the tests and reports lean on.
+//   * write_chrome_trace — the Chrome trace-event JSON writer (the format
+//     Perfetto and chrome://tracing load) behind both trace exports in
+//     net/trace_sinks.hpp: engine runs (net::ChromeTraceSink) and drained
+//     wire streams (net::write_wire_chrome_trace).  Instants and complete
+//     slices sit on named thread tracks; fault windows are balanced B/E
+//     duration pairs on stacked fault lanes (place_fault_lanes), so a
+//     schedule's blind spots show as shaded spans over the traffic they
+//     suppressed.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#include "obs/probe.hpp"
 
 namespace stpx::obs {
 
@@ -76,54 +67,5 @@ void write_chrome_trace(std::ostream& out, const std::string& process,
                         const std::vector<ChromeTrack>& tracks,
                         const std::vector<ChromeEvent>& events,
                         const std::vector<ChromeSpan>& spans);
-
-/// Streams one JSON object per event line:
-///   {"ev":"send","step":12,"dir":"S->R","msg":3}
-class JsonlSink final : public IProbe {
- public:
-  /// `out` is non-owning and must outlive the sink's use.
-  explicit JsonlSink(std::ostream& out);
-
-  void on_run_begin(std::size_t items_total) override;
-  void on_step(std::uint64_t step, const sim::Action& a) override;
-  void on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_write(std::uint64_t step, std::size_t index,
-                seq::DataItem item) override;
-  void on_crash(std::uint64_t step, sim::Proc who) override;
-  void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                  std::uint64_t records_replayed) override;
-  void on_stall(std::uint64_t step) override;
-  void on_run_end(std::uint64_t steps, sim::RunVerdict verdict) override;
-  void on_fault(const FaultEvent& ev) override;
-
- private:
-  std::ostream* out_;
-};
-
-/// Buffers events and exports a Chrome trace-event JSON document.
-class ChromeTraceSink final : public IProbe {
- public:
-  void on_run_begin(std::size_t items_total) override;
-  void on_step(std::uint64_t step, const sim::Action& a) override;
-  void on_send(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_deliver(std::uint64_t step, sim::Dir dir, sim::MsgId msg) override;
-  void on_write(std::uint64_t step, std::size_t index,
-                seq::DataItem item) override;
-  void on_crash(std::uint64_t step, sim::Proc who) override;
-  void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                  std::uint64_t records_replayed) override;
-  void on_stall(std::uint64_t step) override;
-  void on_fault(const FaultEvent& ev) override;
-
-  /// Render everything buffered so far as {"traceEvents":[...]}.
-  void write_to(std::ostream& out) const;
-  std::string to_json() const;
-  void clear();
-
- private:
-  std::vector<ChromeEvent> instants_;
-  std::vector<ChromeSpan> spans_;  // fault windows
-};
 
 }  // namespace stpx::obs

@@ -89,7 +89,10 @@ void Engine::begin(const seq::Sequence& x) {
   // initial state rather than falling back to a cold start.
   persist(Proc::kSender);
   persist(Proc::kReceiver);
-  if (config_.probe) config_.probe->on_run_begin(x_.size());
+  if (config_.probe) {
+    report({.msg = static_cast<std::int64_t>(x_.size()),
+            .kind = obs::TraceEventKind::kRunBegin});
+  }
 }
 
 SchedView Engine::view() const {
@@ -116,17 +119,28 @@ bool Engine::legal(const Action& a) const {
   return false;
 }
 
+void Engine::report(obs::TraceEvent ev) const {
+  ev.ts_us = stats_.steps;
+  config_.probe->record(ev);
+}
+
 void Engine::note_send(Dir dir, MsgId msg) {
   channel_->send(dir, msg);
   ++stats_.sent[dir_index(dir)];
-  if (config_.probe) config_.probe->on_send(stats_.steps, dir, msg);
+  if (config_.probe) {
+    report({.msg = msg, .kind = obs::TraceEventKind::kSend, .dir = dir});
+  }
 }
 
 void Engine::apply(const Action& a) {
   STPX_EXPECT(begun_, "Engine: begin() not called");
   STPX_EXPECT(legal(a), "Engine: illegal action " + to_string(a));
 
-  if (config_.probe) config_.probe->on_step(stats_.steps, a);
+  if (config_.probe) {
+    report({.msg = a.msg,
+            .kind = obs::TraceEventKind::kStep,
+            .detail = static_cast<std::uint8_t>(a.kind)});
+  }
 
   TraceEvent ev;
   ev.step = stats_.steps;
@@ -162,7 +176,9 @@ void Engine::apply(const Action& a) {
         y_.push_back(d);
         stats_.write_step.push_back(stats_.steps);
         last_progress_step_ = stats_.steps;
-        if (config_.probe) config_.probe->on_write(stats_.steps, pos, d);
+        if (config_.probe) {
+          report({.msg = d, .aux = pos, .kind = obs::TraceEventKind::kWrite});
+        }
         if (correct_prefix_ == pos && pos < x_.size() && x_[pos] == d) {
           ++correct_prefix_;
         }
@@ -186,7 +202,9 @@ void Engine::apply(const Action& a) {
       channel_->deliver(Dir::kSenderToReceiver, a.msg);
       ++stats_.delivered[dir_index(Dir::kSenderToReceiver)];
       if (config_.probe) {
-        config_.probe->on_deliver(stats_.steps, Dir::kSenderToReceiver, a.msg);
+        report({.msg = a.msg,
+                .kind = obs::TraceEventKind::kDeliver,
+                .dir = Dir::kSenderToReceiver});
       }
       receiver_->on_deliver(a.msg);
       if (config_.record_histories) {
@@ -201,7 +219,9 @@ void Engine::apply(const Action& a) {
       channel_->deliver(Dir::kReceiverToSender, a.msg);
       ++stats_.delivered[dir_index(Dir::kReceiverToSender)];
       if (config_.probe) {
-        config_.probe->on_deliver(stats_.steps, Dir::kReceiverToSender, a.msg);
+        report({.msg = a.msg,
+                .kind = obs::TraceEventKind::kDeliver,
+                .dir = Dir::kReceiverToSender});
       }
       sender_->on_deliver(a.msg);
       if (config_.record_histories) {
@@ -274,7 +294,10 @@ void Engine::rehydrate(Proc who) {
         who == Proc::kSender ? sender_->save_state() : receiver_->save_state();
   }
   if (config_.probe) {
-    config_.probe->on_restart(stats_.steps, who, rehydrated, replayed);
+    report({.msg = static_cast<std::int64_t>(replayed),
+            .aux = rehydrated ? 1u : 0u,
+            .kind = obs::TraceEventKind::kRestart,
+            .detail = static_cast<std::uint8_t>(who)});
   }
 }
 
@@ -359,7 +382,9 @@ void Engine::scramble_state(Proc who, std::uint64_t salt) {
   // verdict stays kCompleted.
   if (tokens.size() >= 2) note_corruption();
   if (config_.probe) {
-    config_.probe->on_scramble(stats_.steps, who, accepted);
+    report({.aux = accepted ? 1u : 0u,
+            .kind = obs::TraceEventKind::kScramble,
+            .detail = static_cast<std::uint8_t>(who)});
   }
 }
 
@@ -368,7 +393,10 @@ void Engine::crash_restart_sender() {
   sender_->start(x_);
   ++stats_.crashes[0];
   if (!first_crash_step_) first_crash_step_ = stats_.steps;
-  if (config_.probe) config_.probe->on_crash(stats_.steps, Proc::kSender);
+  if (config_.probe) {
+    report({.kind = obs::TraceEventKind::kCrash,
+            .detail = static_cast<std::uint8_t>(Proc::kSender)});
+  }
   rehydrate(Proc::kSender);
 }
 
@@ -377,7 +405,10 @@ void Engine::crash_restart_receiver() {
   receiver_->start();
   ++stats_.crashes[1];
   if (!first_crash_step_) first_crash_step_ = stats_.steps;
-  if (config_.probe) config_.probe->on_crash(stats_.steps, Proc::kReceiver);
+  if (config_.probe) {
+    report({.kind = obs::TraceEventKind::kCrash,
+            .detail = static_cast<std::uint8_t>(Proc::kReceiver)});
+  }
   rehydrate(Proc::kReceiver);
 }
 
@@ -424,16 +455,19 @@ void Engine::run_to_completion() {
     if (config_.stall_window > 0 && !completed() &&
         stats_.steps - last_progress_step_ >= config_.stall_window) {
       stalled_ = true;
-      if (config_.probe) config_.probe->on_stall(stats_.steps);
+      if (config_.probe) report({.kind = obs::TraceEventKind::kStall});
       break;
     }
     step_once();
   }
   if (config_.probe && corruption_seen_ && converged()) {
-    config_.probe->on_converge(stats_.steps,
-                               stats_.steps - first_corruption_step_);
+    report({.aux = stats_.steps - first_corruption_step_,
+            .kind = obs::TraceEventKind::kConverge});
   }
-  if (config_.probe) config_.probe->on_run_end(stats_.steps, verdict());
+  if (config_.probe) {
+    report({.kind = obs::TraceEventKind::kRunEnd,
+            .detail = static_cast<std::uint8_t>(verdict())});
+  }
 }
 
 RunResult Engine::run(const seq::Sequence& x) {

@@ -36,7 +36,7 @@ struct EngineConfig {
   /// many consecutive steps (livelock / quiescence detection).  0 disables.
   std::uint64_t stall_window = 0;
   /// Optional run observer (non-owning; see obs/probe.hpp).  Null — the
-  /// default — costs one pointer test per hook site and records nothing.
+  /// default — costs one pointer test per event site and records nothing.
   /// clone() shares the pointer, so attach probes to linear runs only.
   obs::IProbe* probe = nullptr;
   /// Optional stable stores (non-owning; see store/stable_store.hpp).
@@ -207,7 +207,12 @@ class Engine {
   void persist(Proc who);
   /// Execute one requested storage fault (no-op without a store).
   void apply_store_fault(const StoreFaultRequest& rq);
-  /// recover() + restore_state() + probe on_restart for a restarted `who`.
+  /// Hand `ev`, stamped with the current step, to the attached probe
+  /// (callers test config_.probe first, so a run without one pays only
+  /// that test).
+  void report(obs::TraceEvent ev) const;
+  /// recover() + restore_state() + a probe restart event for a restarted
+  /// `who`.
   void rehydrate(Proc who);
   /// Execute one requested state scramble: mutate `who`'s save_state() blob
   /// deterministically from `salt` and force it back through

@@ -52,7 +52,7 @@ constexpr const char* to_cstr(ActionKind k) {
 }
 
 /// The two processes, by the engine's indexing convention (RunStats,
-/// crash counters, probe hooks all use 0 = sender, 1 = receiver).
+/// crash counters, probe events all use 0 = sender, 1 = receiver).
 enum class Proc : std::uint8_t {
   kSender = 0,
   kReceiver = 1,

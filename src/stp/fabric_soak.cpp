@@ -102,7 +102,7 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   fc.stores_for = [&stores](std::uint32_t id) {
     return std::vector<store::IStableStore*>{stores[id - 1].get()};
   };
-  fc.probe_for = [&recorders](std::uint32_t id) -> net::INetProbe* {
+  fc.probe_for = [&recorders](std::uint32_t id) -> obs::IProbe* {
     return recorders[id - 1].get();
   };
   fabric::Fabric fab(fc);

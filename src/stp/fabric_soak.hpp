@@ -91,7 +91,7 @@ struct FabricSoakResult {
   /// The merged per-backend trace the attestation ran over, in merge
   /// order — what a failing run writes to a CI artifact so the verdict
   /// can be re-derived offline.
-  std::vector<net::TraceEvent> merged_trace;
+  std::vector<obs::TraceEvent> merged_trace;
 };
 
 /// One full fabric run under `cfg.plan` (see file comment).

@@ -714,12 +714,12 @@ TEST(EndpointDurability, UnusableBlobColdStartsWithEmptyTape) {
 // Rehydration harness
 // --------------------------------------------------------------------------
 
-/// Prefix attestation + kill-window tracking + rehydrate seeding: on_item
-/// must arrive exactly in ascending per-session order, where a rehydrated
-/// session's order resumes from its restored position (on_rehydrate seeds
-/// the expectation) — superseded checkpoints re-earn items, they never
-/// skip or repeat one within a server generation.
-class DurableProbe final : public net::INetProbe {
+/// Prefix attestation + kill-window tracking + rehydrate seeding: item
+/// events must arrive exactly in ascending per-session order, where a
+/// rehydrated session's order resumes from its restored position (the
+/// rehydrate event seeds the expectation) — superseded checkpoints re-earn
+/// items, they never skip or repeat one within a server generation.
+class DurableProbe final : public obs::IProbe {
  public:
   explicit DurableProbe(std::size_t max_sessions)
       : next_(max_sessions), restored_(max_sessions) {
@@ -727,22 +727,34 @@ class DurableProbe final : public net::INetProbe {
     for (auto& a : restored_) a.store(0, std::memory_order_relaxed);
   }
 
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_session_state(std::uint32_t, net::SessionState s) override {
-    if (s == net::SessionState::kCompleted) ++completed_;
-    if (s == net::SessionState::kSafetyViolation) ++violations_;
-    if (s == net::SessionState::kRecoveryViolation) ++recovery_violations_;
-  }
-  void on_rehydrate(std::uint32_t session, std::size_t position,
-                    net::SessionState) override {
-    ++rehydrated_;
-    next_[session].store(position, std::memory_order_relaxed);
-    restored_[session].store(position, std::memory_order_relaxed);
+  void record(const obs::TraceEvent& ev) override {
+    const auto s = static_cast<net::SessionState>(ev.detail);
+    const auto index_or_position = static_cast<std::size_t>(ev.msg);
+    switch (ev.kind) {
+      case obs::TraceEventKind::kItem: {
+        ++items_;
+        const std::size_t want =
+            next_[ev.session].fetch_add(1, std::memory_order_relaxed);
+        if (index_or_position != want) out_of_order_ = true;
+        break;
+      }
+      case obs::TraceEventKind::kSessionState:
+        if (s == net::SessionState::kCompleted) ++completed_;
+        if (s == net::SessionState::kSafetyViolation) ++violations_;
+        if (s == net::SessionState::kRecoveryViolation) {
+          ++recovery_violations_;
+        }
+        break;
+      case obs::TraceEventKind::kRehydrate:
+        ++rehydrated_;
+        next_[ev.session].store(index_or_position,
+                                std::memory_order_relaxed);
+        restored_[ev.session].store(index_or_position,
+                                    std::memory_order_relaxed);
+        break;
+      default:
+        break;
+    }
   }
 
   /// Smallest per-session progress across the first `n` sessions.

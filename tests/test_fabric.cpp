@@ -147,7 +147,7 @@ struct FabricRig {
     fc.stores_for = [this](std::uint32_t id) {
       return std::vector<store::IStableStore*>{stores[id - 1].get()};
     };
-    fc.probe_for = [this](std::uint32_t id) -> net::INetProbe* {
+    fc.probe_for = [this](std::uint32_t id) -> obs::IProbe* {
       return recorders[id - 1].get();
     };
     fab = std::make_unique<fabric::Fabric>(fc);
@@ -398,12 +398,12 @@ TEST(Health, MaintenancePauseForgivesStrikesAndStopsTheClock) {
 // --------------------------------------------------------------------------
 
 TEST(TraceMerge, RebasesOntoEarliestEpochAndOrdersStably) {
-  net::TraceEvent a1;
+  obs::TraceEvent a1;
   a1.ts_us = 10;
-  a1.kind = net::TraceEventKind::kItem;
+  a1.kind = obs::TraceEventKind::kItem;
   a1.session = 1;
   a1.backend = 1;
-  net::TraceEvent b1 = a1;
+  obs::TraceEvent b1 = a1;
   b1.ts_us = 5;
   b1.session = 2;
   b1.backend = 2;

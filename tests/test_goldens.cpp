@@ -250,7 +250,7 @@ TEST(ChromeGolden, EngineRun) {
     return std::make_unique<channel::FairRandomScheduler>(seed);
   };
   spec.engine.max_steps = 2000;
-  obs::ChromeTraceSink sink;
+  net::ChromeTraceSink sink;
   spec.engine.probe = &sink;
   // Two overlapping windows (two fault lanes), an instant fault, and a
   // crash-restart, so every record shape is on the page.
@@ -306,8 +306,8 @@ TEST(ChromeGolden, EngineRun) {
 }
 
 TEST(ChromeGolden, WireEvents) {
-  using net::TraceEvent;
-  using net::TraceEventKind;
+  using obs::TraceEvent;
+  using obs::TraceEventKind;
   const auto ev = [](TraceEventKind kind, std::uint64_t ts,
                      std::uint32_t session, std::int64_t msg,
                      std::uint8_t detail = 0, std::uint64_t aux = 0) {

@@ -538,13 +538,13 @@ ServiceRun make_service(std::size_t n_sessions, net::LoopbackConfig wire_cfg,
 
 /// How many of `rec`'s recorded events are of `kind` (and, for session
 /// states, of state `s`).  Drains the recorder.
-std::size_t census(net::FlightRecorder& rec, net::TraceEventKind kind,
+std::size_t census(net::FlightRecorder& rec, obs::TraceEventKind kind,
                    net::SessionState s = net::SessionState::kActive) {
   const auto evs = rec.drain();
   return static_cast<std::size_t>(
-      std::count_if(evs.begin(), evs.end(), [&](const net::TraceEvent& ev) {
+      std::count_if(evs.begin(), evs.end(), [&](const obs::TraceEvent& ev) {
         return ev.kind == kind &&
-               (kind != net::TraceEventKind::kSessionState ||
+               (kind != obs::TraceEventKind::kSessionState ||
                 ev.detail == static_cast<std::uint8_t>(s));
       }));
 }
@@ -637,7 +637,7 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   EXPECT_EQ(st[MuxCounter::kFramesRejected], 2u);  // garbage + wrong direction
   EXPECT_EQ(st[MuxCounter::kFramesUnknownSession], 1u);
   EXPECT_EQ(st[MuxCounter::kFramesReceived], 0u);
-  EXPECT_EQ(census(recorder, net::TraceEventKind::kFrameRejected), 2u);
+  EXPECT_EQ(census(recorder, obs::TraceEventKind::kFrameRejected), 2u);
 }
 
 TEST(NetMux, InboxBackpressureSheds) {
@@ -678,7 +678,7 @@ TEST(NetMux, IdleSessionsAreEvicted) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kEvicted);
   EXPECT_EQ(server.mux().stats()[MuxCounter::kSessionsEvicted], 1u);
-  EXPECT_EQ(census(recorder, net::TraceEventKind::kSessionState,
+  EXPECT_EQ(census(recorder, obs::TraceEventKind::kSessionState,
                    net::SessionState::kEvicted),
             1u);
 }
@@ -872,24 +872,27 @@ TEST(NetMux, PublishesMetrics) {
 // Acceptance: >= 1000 concurrent sessions over a lossy, reordering link.
 // --------------------------------------------------------------------------
 
-/// Attests prefix safety *at all times*: on_item(session, i) must arrive in
-/// exactly ascending order per session (the adapter has already equality-
-/// checked the written item against expected[i]).
-class PrefixOrderProbe final : public net::INetProbe {
+/// Attests prefix safety *at all times*: item events (session, i) must
+/// arrive in exactly ascending order per session (the adapter has already
+/// equality-checked the written item against expected[i]).
+class PrefixOrderProbe final : public obs::IProbe {
  public:
   explicit PrefixOrderProbe(std::size_t max_sessions)
       : next_(max_sessions) {
     for (auto& a : next_) a.store(0, std::memory_order_relaxed);
   }
 
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_session_state(std::uint32_t, net::SessionState s) override {
-    if (s == net::SessionState::kSafetyViolation) ++violations_;
+  void record(const obs::TraceEvent& ev) override {
+    if (ev.kind == obs::TraceEventKind::kItem) {
+      ++items_;
+      const std::size_t want =
+          next_[ev.session].fetch_add(1, std::memory_order_relaxed);
+      if (static_cast<std::size_t>(ev.msg) != want) out_of_order_ = true;
+    } else if (ev.kind == obs::TraceEventKind::kSessionState &&
+               static_cast<net::SessionState>(ev.detail) ==
+                   net::SessionState::kSafetyViolation) {
+      ++violations_;
+    }
   }
 
   std::uint64_t items() const { return items_; }
@@ -1005,7 +1008,7 @@ TEST(NetMux, PumpAnswersProbesWithEchoedNonce) {
   }
   server.mux().stop();
   EXPECT_GE(server.mux().stats()[MuxCounter::kProbesAnswered], 2u);
-  EXPECT_GE(census(recorder, net::TraceEventKind::kProbeAnswered), 2u);
+  EXPECT_GE(census(recorder, obs::TraceEventKind::kProbeAnswered), 2u);
   // The heartbeat never touched the hosted session.
   EXPECT_EQ(server.mux().stats()[MuxCounter::kSessionsViolated], 0u);
 }

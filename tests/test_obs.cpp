@@ -1,5 +1,5 @@
 // Tests for the run observatory: metrics registry semantics, the engine
-// probe hooks (via real runs), trace sinks (JSONL + Chrome trace-event
+// probe events (via real runs), trace sinks (JSONL + Chrome trace-event
 // export), and the machine-readable report schema.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "fault/plan.hpp"
+#include "net/trace_sinks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/sinks.hpp"
@@ -210,7 +211,7 @@ TEST(JsonValid, AcceptsAndRejects) {
 
 TEST(JsonlSink, EveryLineIsValidJson) {
   std::ostringstream out;
-  JsonlSink sink(out);
+  net::JsonlSink sink(out);
   stp::SystemSpec spec = repfree_dup_spec(2);
   spec.engine.probe = &sink;
   const auto r = stp::run_one(spec, iota(2), 9);
@@ -230,7 +231,7 @@ TEST(JsonlSink, EveryLineIsValidJson) {
 }
 
 TEST(ChromeTraceSink, ExportIsValidAndBalanced) {
-  ChromeTraceSink sink;
+  net::ChromeTraceSink sink;
   MetricsRegistry reg;
   MetricsProbe metrics(&reg);
   MultiProbe multi({&metrics, &sink});

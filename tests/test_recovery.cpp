@@ -348,7 +348,7 @@ TEST(RecoveryObs, ColdRestartCountsAsCold) {
   EXPECT_EQ(reg.counter_value("records_replayed"), 0u);
 }
 
-/// Records crash/restart hook pairs for the probe-contract test.
+/// Records crash/restart event pairs for the probe-contract test.
 struct RestartRecorder final : obs::IProbe {
   struct Crash {
     std::uint64_t step;
@@ -363,12 +363,14 @@ struct RestartRecorder final : obs::IProbe {
   std::vector<Crash> crashes;
   std::vector<Restart> restarts;
 
-  void on_crash(std::uint64_t step, sim::Proc who) override {
-    crashes.push_back({step, who});
-  }
-  void on_restart(std::uint64_t step, sim::Proc who, bool rehydrated,
-                  std::uint64_t records_replayed) override {
-    restarts.push_back({step, who, rehydrated, records_replayed});
+  void record(const obs::TraceEvent& ev) override {
+    const auto who = static_cast<sim::Proc>(ev.detail);
+    if (ev.kind == obs::TraceEventKind::kCrash) {
+      crashes.push_back({ev.ts_us, who});
+    } else if (ev.kind == obs::TraceEventKind::kRestart) {
+      restarts.push_back({ev.ts_us, who, ev.aux != 0,
+                          static_cast<std::uint64_t>(ev.msg)});
+    }
   }
 };
 

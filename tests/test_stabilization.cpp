@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "channel/schedulers.hpp"
 #include "channel/sync_channel.hpp"
 #include "fault/plan.hpp"
+#include "net/trace_sinks.hpp"
+#include "obs/probe.hpp"
 #include "proto/encoded.hpp"
 #include "proto/hardened.hpp"
 #include "proto/suite.hpp"
@@ -408,6 +411,38 @@ TEST(Convergence, LegacyWindowZeroHaltsAtTheViolation) {
                          seq::Sequence{0, 1, 2, 3, 4, 5}, 2026);
   EXPECT_EQ(r.verdict, sim::RunVerdict::kStabilizationViolation);
   EXPECT_FALSE(r.safety_ok);
+}
+
+/// Keeps every event a run reports, in order.
+struct EventLog final : obs::IProbe {
+  std::vector<obs::TraceEvent> events;
+  void record(const obs::TraceEvent& ev) override { events.push_back(ev); }
+};
+
+TEST(StabilizationTrace, ScrambleRunJsonlReadsBackEventForEvent) {
+  // The archive of a stabilization run shows the corruption strike and
+  // the convergence verdict, and reads back to exactly the stream the
+  // probes received.
+  std::ostringstream jsonl;
+  net::JsonlSink sink(jsonl);
+  EventLog log;
+  obs::MultiProbe both({&log, &sink});
+  auto spec = repfree_dup_spec();
+  spec.engine.probe = &both;
+  const auto plan = fault::plan_from_text(
+      "scramble-state @writes 2 proc receiver count 7\n");
+  const auto r = run_one(with_chaos(spec, plan),
+                         seq::Sequence{0, 1, 2, 3, 4, 5}, 2026);
+  ASSERT_EQ(r.verdict, sim::RunVerdict::kCompleted);
+  ASSERT_TRUE(r.converged);
+
+  const std::string text = jsonl.str();
+  EXPECT_NE(text.find("\"ev\":\"scramble\""), std::string::npos);
+  EXPECT_NE(text.find("\"ev\":\"converge\""), std::string::npos);
+  std::istringstream in(text);
+  const auto back = net::read_trace_jsonl(in);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, log.events);
 }
 
 TEST(Conformance, StabilizationPlanShape) {

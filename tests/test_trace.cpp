@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "net/loopback.hpp"
 #include "net/mux.hpp"
 #include "net/service.hpp"
-#include "net/trace_event.hpp"
 #include "net/trace_sinks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
@@ -44,8 +44,8 @@ namespace stpx {
 namespace {
 
 using namespace std::chrono_literals;
-using net::TraceEvent;
-using net::TraceEventKind;
+using obs::TraceEvent;
+using obs::TraceEventKind;
 using net::MuxCounter;
 
 constexpr int kDomain = 8;
@@ -71,6 +71,28 @@ TraceEvent make_ev(TraceEventKind kind, std::uint64_t ts,
   ev.detail = detail;
   ev.dir = dir;
   return ev;
+}
+
+/// An engine-kind event at `step` (engine kinds carry no session).
+TraceEvent engine_ev(TraceEventKind kind, std::uint64_t step,
+                     std::int64_t msg = 0, std::uint64_t aux = 0,
+                     std::uint8_t detail = 0,
+                     sim::Dir dir = sim::Dir::kSenderToReceiver) {
+  auto ev = make_ev(kind, step, 0, msg, detail, dir);
+  ev.aux = aux;
+  return ev;
+}
+
+/// What the mux records when `session` writes output item `index`.
+TraceEvent item_ev(std::uint32_t session, std::size_t index) {
+  return make_ev(TraceEventKind::kItem, 0, session,
+                 static_cast<std::int64_t>(index));
+}
+
+/// What the mux records when `session` completes.
+TraceEvent completed_ev(std::uint32_t session) {
+  return make_ev(TraceEventKind::kSessionState, 0, session, 0,
+                 static_cast<std::uint8_t>(net::SessionState::kCompleted));
 }
 
 // --------------------------------------------------------------------------
@@ -191,11 +213,103 @@ TEST(TraceEventCodec, RoundTripSweep) {
     evs.push_back(make_ev(TraceEventKind::kSessionState, 1, 2, 0, st));
     evs.push_back(make_ev(TraceEventKind::kRehydrate, 1, 2, 4, st));
   }
+  // The engine kinds, each over every value of the enums it names:
+  // ActionKind, Dir, Proc, RunVerdict and FaultKind.
+  const auto dirs = {sim::Dir::kSenderToReceiver, sim::Dir::kReceiverToSender};
+  evs.push_back(engine_ev(TraceEventKind::kRunBegin, 7, 6));
+  for (std::uint8_t a = 0;
+       a <= static_cast<std::uint8_t>(sim::ActionKind::kDeliverToSender);
+       ++a) {
+    evs.push_back(engine_ev(TraceEventKind::kStep, 7, -1, 0, a));
+  }
+  for (const auto dir : dirs) {
+    evs.push_back(engine_ev(TraceEventKind::kSend, 7, 3, 0, 0, dir));
+    evs.push_back(engine_ev(TraceEventKind::kDeliver, 7, 3, 0, 0, dir));
+  }
+  evs.push_back(engine_ev(TraceEventKind::kWrite, 7, 5, 2));
+  for (std::uint8_t p = 0; p <= static_cast<std::uint8_t>(sim::Proc::kReceiver);
+       ++p) {
+    evs.push_back(engine_ev(TraceEventKind::kCrash, 7, 0, 0, p));
+    for (const std::uint64_t yes : {0u, 1u}) {
+      evs.push_back(engine_ev(TraceEventKind::kRestart, 7, 4, yes, p));
+      evs.push_back(engine_ev(TraceEventKind::kScramble, 7, 0, yes, p));
+    }
+  }
+  evs.push_back(engine_ev(TraceEventKind::kStall, 7));
+  evs.push_back(engine_ev(TraceEventKind::kConverge, 7, 0, 163));
+  for (std::uint8_t v = 0;
+       v <= static_cast<std::uint8_t>(sim::RunVerdict::kCompleted); ++v) {
+    evs.push_back(engine_ev(TraceEventKind::kRunEnd, 7, 0, 0, v));
+  }
+  for (std::uint8_t k = 0;
+       k <= static_cast<std::uint8_t>(fault::FaultKind::kScrambleState); ++k) {
+    for (const auto dir : dirs) {
+      evs.push_back(engine_ev(TraceEventKind::kFault, 7, -1, 6, k, dir));
+      evs.push_back(engine_ev(TraceEventKind::kFault, 7, 4, 0, k, dir));
+    }
+  }
   for (const auto& ev : evs) {
     const std::string line = net::to_jsonl(ev);
     const auto parsed = net::parse_jsonl(line);
     ASSERT_TRUE(parsed.has_value()) << line;
     EXPECT_EQ(*parsed, ev) << line;
+  }
+}
+
+TEST(TraceEventCodec, EngineGoldenLines) {
+  // One pinned line per engine kind, emitted and parsed back.
+  const auto u8 = [](auto e) { return static_cast<std::uint8_t>(e); };
+  const std::vector<GoldenCase> cases = {
+      {engine_ev(TraceEventKind::kRunBegin, 0, 6),
+       R"({"ts":0,"seq":0,"ev":"run_begin","items":6})"},
+      {engine_ev(TraceEventKind::kStep, 4, 2, 0,
+                 u8(sim::ActionKind::kDeliverToSender)),
+       R"({"ts":4,"seq":0,"ev":"step","action":"deliver->S","msg":2})"},
+      {engine_ev(TraceEventKind::kSend, 5, 3),
+       R"({"ts":5,"seq":0,"ev":"send","dir":"S->R","msg":3})"},
+      {engine_ev(TraceEventKind::kDeliver, 6, 3, 0, 0,
+                 sim::Dir::kReceiverToSender),
+       R"({"ts":6,"seq":0,"ev":"deliver","dir":"R->S","msg":3})"},
+      {engine_ev(TraceEventKind::kWrite, 7, 1, 0),
+       R"({"ts":7,"seq":0,"ev":"write","index":0,"item":1})"},
+      {engine_ev(TraceEventKind::kCrash, 9, 0, 0, u8(sim::Proc::kReceiver)),
+       R"({"ts":9,"seq":0,"ev":"crash","proc":"receiver"})"},
+      {engine_ev(TraceEventKind::kRestart, 9, 2, 1, u8(sim::Proc::kReceiver)),
+       R"({"ts":9,"seq":0,"ev":"restart","proc":"receiver","rehydrated":true,"records_replayed":2})"},
+      {engine_ev(TraceEventKind::kStall, 40),
+       R"({"ts":40,"seq":0,"ev":"stall"})"},
+      {engine_ev(TraceEventKind::kScramble, 12, 0, 0, u8(sim::Proc::kSender)),
+       R"({"ts":12,"seq":0,"ev":"scramble","proc":"sender","accepted":false})"},
+      {engine_ev(TraceEventKind::kConverge, 175, 0, 163),
+       R"({"ts":175,"seq":0,"ev":"converge","latency":163})"},
+      {engine_ev(TraceEventKind::kRunEnd, 175, 0, 0,
+                 u8(sim::RunVerdict::kCompleted)),
+       R"({"ts":175,"seq":0,"ev":"run_end","verdict":"completed"})"},
+      {engine_ev(TraceEventKind::kFault, 2, -1, 6,
+                 u8(fault::FaultKind::kBlackout)),
+       R"({"ts":2,"seq":0,"ev":"fault","kind":"blackout","dir":"S->R","n":6,"match":-1})"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(net::to_jsonl(c.ev), c.line);
+    const auto parsed = net::parse_jsonl(c.line);
+    ASSERT_TRUE(parsed.has_value()) << c.line;
+    EXPECT_EQ(*parsed, c.ev) << c.line;
+  }
+}
+
+TEST(TraceEventCodec, RejectsMalformedEngineLines) {
+  const char* bad[] = {
+      "{\"ts\":1,\"seq\":0,\"ev\":\"crash\",\"proc\":\"nobody\"}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"restart\",\"proc\":\"sender\","
+      "\"rehydrated\":maybe,\"records_replayed\":0}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"write\",\"index\":-1,\"item\":0}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"step\",\"action\":\"jump\",\"msg\":0}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"fault\",\"kind\":\"drop\","
+      "\"dir\":\"S->R\",\"match\":-1}",  // no n
+      "{\"ts\":1,\"seq\":0,\"ev\":\"run_end\",\"verdict\":\"won\"}",
+  };
+  for (const char* line : bad) {
+    EXPECT_FALSE(net::parse_jsonl(line).has_value()) << line;
   }
 }
 
@@ -228,8 +342,8 @@ TEST(FlightRecorder, RecordsAndDrainsInOrder) {
   net::FlightRecorderConfig cfg;
   cfg.shards = 2;
   net::FlightRecorder rec(cfg);
-  for (std::size_t i = 0; i < 10; ++i) rec.on_item(1, i);
-  rec.on_session_state(1, net::SessionState::kCompleted);
+  for (std::size_t i = 0; i < 10; ++i) rec.record(item_ev(1, i));
+  rec.record(completed_ev(1));
 
   const auto evs = rec.drain();
   ASSERT_EQ(evs.size(), 11u);
@@ -250,10 +364,10 @@ TEST(FlightRecorder, RecordsAndDrainsInOrder) {
 
 TEST(FlightRecorder, DrainThenRecordAgain) {
   net::FlightRecorder rec;
-  rec.on_item(1, 0);
+  rec.record(item_ev(1, 0));
   EXPECT_EQ(rec.drain().size(), 1u);
-  rec.on_item(1, 1);
-  rec.on_item(1, 2);
+  rec.record(item_ev(1, 1));
+  rec.record(item_ev(1, 2));
   const auto evs = rec.drain();
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].msg, 1);
@@ -267,7 +381,7 @@ TEST(FlightRecorder, FullRingDropsNewestAndAccounts) {
   net::FlightRecorder rec(cfg);
   ASSERT_EQ(rec.ring_capacity(), 8u);
 
-  for (std::size_t i = 0; i < 20; ++i) rec.on_item(1, i);
+  for (std::size_t i = 0; i < 20; ++i) rec.record(item_ev(1, i));
   const auto st = rec.stats();
   EXPECT_EQ(st.recorded, 8u);
   EXPECT_EQ(st.dropped, 12u);
@@ -285,7 +399,7 @@ TEST(FlightRecorder, FullRingDropsNewestAndAccounts) {
   }
 
   // The ring is drained: recording resumes, with the seq hole visible.
-  rec.on_item(1, 99);
+  rec.record(item_ev(1, 99));
   const auto more = rec.drain();
   ASSERT_EQ(more.size(), 1u);
   EXPECT_EQ(more[0].seq, 20u);
@@ -300,9 +414,9 @@ TEST(FlightRecorder, StampsItsBackendIdIntoEveryEvent) {
   net::FlightRecorderConfig cfg;
   cfg.backend_id = 5;
   net::FlightRecorder rec(cfg);
-  rec.on_item(1, 0);
-  rec.on_probe_answered(42);
-  rec.on_session_state(1, net::SessionState::kCompleted);
+  rec.record(item_ev(1, 0));
+  rec.record(make_ev(TraceEventKind::kProbeAnswered, 0, 0, 42));
+  rec.record(completed_ev(1));
   const auto evs = rec.drain();
   ASSERT_EQ(evs.size(), 3u);
   for (const auto& ev : evs) EXPECT_EQ(ev.backend, 5u);
@@ -313,6 +427,29 @@ TEST(FlightRecorder, StampsItsBackendIdIntoEveryEvent) {
   EXPECT_NE(net::to_jsonl(evs[1]).find("\"backend\":5"), std::string::npos);
 }
 
+TEST(FlightRecorder, RecycledAddressDoesNotInheritARingBinding) {
+  // Each thread caches the ring it bound per recorder.  A recorder built
+  // in a dead one's storage, with fewer rings, must bind afresh.
+  alignas(net::FlightRecorder) unsigned char storage[sizeof(
+      net::FlightRecorder)];
+  net::FlightRecorderConfig eight;
+  eight.shards = 8;
+  auto* rec = new (storage) net::FlightRecorder(eight);
+  std::thread([rec] { rec->record(item_ev(1, 0)); }).join();  // ring 0
+  rec->record(item_ev(1, 1));  // this thread binds ring 1
+  rec->~FlightRecorder();
+
+  net::FlightRecorderConfig one;
+  one.shards = 1;
+  rec = new (storage) net::FlightRecorder(one);
+  rec->record(item_ev(2, 0));
+  const auto evs = rec->drain();
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].session, 2u);
+  EXPECT_EQ(rec->stats().recorded, 1u);
+  rec->~FlightRecorder();
+}
+
 TEST(FlightRecorder, EpochOffsetAnchorsRecordersOnAMachineWideClock) {
   // Two recorders born in sequence: the later one's epoch offset is never
   // smaller (CLOCK_MONOTONIC is machine-wide), which is what lets
@@ -320,7 +457,7 @@ TEST(FlightRecorder, EpochOffsetAnchorsRecordersOnAMachineWideClock) {
   net::FlightRecorder first;
   net::FlightRecorder second;
   EXPECT_GE(second.epoch_offset_us(), first.epoch_offset_us());
-  first.on_item(1, 0);
+  first.record(item_ev(1, 0));
   const auto evs = first.drain();
   ASSERT_EQ(evs.size(), 1u);
   // Event timestamps are relative to the recorder's own epoch.
@@ -352,7 +489,7 @@ TEST(FlightRecorder, ConcurrentProducersAndDrainerLoseNothing) {
       for (std::size_t t = 0; t < kThreads; ++t) {
         producers.emplace_back([&rec, t] {
           for (std::size_t i = 0; i < kPerThread; ++i) {
-            rec.on_item(static_cast<std::uint32_t>(t), i);
+            rec.record(item_ev(static_cast<std::uint32_t>(t), i));
           }
         });
       }
