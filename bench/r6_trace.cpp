@@ -34,6 +34,7 @@
 #include "net/loopback.hpp"
 #include "net/service.hpp"
 #include "obs/metrics.hpp"
+#include "util/sanitized.hpp"
 
 namespace {
 
@@ -43,23 +44,11 @@ using namespace stpx::bench;
 constexpr int kDomain = 8;
 constexpr std::size_t kSeqLen = 8;
 constexpr std::uint64_t kPlanHorizon = 500000;
-constexpr double kOverheadLimitPct = 5.0;
-
 // Sanitizer instrumentation shadow-checks every ring write, inflating the
 // recorder's cost relative to the uninstrumented baseline — the overhead
 // ceiling is a production claim, so under ASan/TSan it is reported but not
 // enforced (the attestation and drop-accounting gates still are).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
+constexpr double kOverheadLimitPct = 5.0;
 
 seq::Sequence seq_for(std::uint32_t id, std::size_t len) {
   seq::Sequence x;

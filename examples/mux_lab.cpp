@@ -21,7 +21,6 @@
 #include "net/loopback.hpp"
 #include "net/service.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "proto/suite.hpp"
 
 using namespace stpx;
@@ -97,11 +96,9 @@ int main() {
   const auto sr = pair.stats(sim::Dir::kSenderToReceiver);
   const auto rs_stats = pair.stats(sim::Dir::kReceiverToSender);
   const auto ss = server.mux().stats();
-  std::vector<std::uint64_t> rtt;
-  for (const auto& r : client.mux().reports()) {
-    rtt.insert(rtt.end(), r.ack_rtt_us.begin(), r.ack_rtt_us.end());
-  }
-  const auto pct = obs::percentiles_u64(std::move(rtt));
+  obs::MetricsRegistry reg;
+  client.mux().publish_metrics(reg);
+  const obs::Histogram& rtt = reg.histograms().at("net.ack_rtt_us");
 
   std::cout << "\ndrained      = " << (drained ? "yes" : "NO")
             << "\ncompleted    = " << completed << "/" << kSessions
@@ -109,8 +106,8 @@ int main() {
             << "\nitems done   = " << ss[net::MuxCounter::kItemsDone]
             << "\nwire drops   = " << sr.dropped + rs_stats.dropped
             << " (SR " << sr.dropped << ", RS " << rs_stats.dropped << ")"
-            << "\nack rtt p50  = " << pct.p50 << " us, p99 = " << pct.p99
-            << " us\n";
+            << "\nack rtt p50  = " << rtt.quantile(0.50)
+            << " us, p99 = " << rtt.quantile(0.99) << " us\n";
 
   return drained && completed == kSessions ? 0 : 1;
 }

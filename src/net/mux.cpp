@@ -10,12 +10,6 @@ namespace stpx::net {
 
 namespace {
 
-/// Cap on stored RTT samples per session.
-constexpr std::size_t kMaxRttSamples = 4096;
-/// Cap on durability-gated frames held per session between checkpoint
-/// flushes; overflow drops the oldest (== wire loss, retransmission
-/// heals it).
-constexpr std::size_t kMaxHeldFrames = 8;
 /// Bound on the pump's transport wait after a poll burst that found
 /// nothing: a frame ends the wait at once, so this sets only how fast an
 /// idle pump notices stop() and how fast loopback poll ticks advance
@@ -106,7 +100,9 @@ void SessionMux::start() {
     shards_.back()->idx = i;
   }
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    shards_[i % shard_count]->members.push_back(i);
+    Shard& shard = *shards_[i % shard_count];
+    sessions_[i]->shard = &shard;
+    shard.members.push_back(sessions_[i].get());
   }
   for (std::size_t i = 0; i < shard_count && !slots_.empty(); ++i) {
     shards_[i]->slot = i % slots_.size();
@@ -157,8 +153,7 @@ void SessionMux::stop() {
 
 void SessionMux::kill() {
   // A crash never runs a final pass: skip it entirely so the log stays
-  // exactly as of the last group commit and held frames die with the
-  // process image.
+  // exactly as of the last group commit.
   killed_.store(true, std::memory_order_release);
   stop();
 }
@@ -287,8 +282,7 @@ void SessionMux::route(const Frame& f) {
     n_.add(MuxCounter::kFramesUnknownSession);
     return;
   }
-  const std::size_t idx = it->second;
-  Session& s = *sessions_[idx];
+  Session& s = *sessions_[it->second];
   // Direction sanity: sender sessions consume R->S traffic, receiver
   // sessions S->R.  A frame flowing the wrong way is our own reflection
   // (or a hostile peer) — reject, don't deliver.
@@ -298,21 +292,19 @@ void SessionMux::route(const Frame& f) {
     note_reject(RejectReason::kBadDir);
     return;
   }
-  Shard& shard = *shards_[idx % shards_.size()];
+  Shard& shard = *s.shard;
   bool shed = false;
   bool wake = false;
   {
     std::lock_guard<std::mutex> hold(shard.mu);
-    if (cfg_.inbox_limit > 0 && s.inbox.size() >= cfg_.inbox_limit) {
+    if (cfg_.inbox_limit > 0 && s.inbox_frames >= cfg_.inbox_limit) {
       shed = true;
     } else {
-      if (s.inbox.empty()) {
-        // The session becomes ready; the worker needs waking only when
-        // the whole shard goes from idle to pending.
-        wake = shard.ready.empty();
-        shard.ready.push_back(idx);
-      }
-      s.inbox.push_back(f);
+      // The worker needs waking only when the shard goes from idle to
+      // pending.
+      wake = shard.inbox.empty();
+      shard.inbox.push_back({&s, f});
+      ++s.inbox_frames;
     }
   }
   if (wake) shard.wake.notify_one();
@@ -340,26 +332,24 @@ void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
   Shard& shard = *shards_[shard_idx];
   // Every session is in the first pass: senders send their first frame,
   // receivers announce their position (a restarted one is heard at
-  // once), and rehydrated sessions re-manifest under the new epoch.
+  // once), and rehydrated sessions re-manifest under the new epoch —
+  // terminal ones too, which schedule() would skip, so each member gets
+  // its heap entry here (all at t0: already a heap).
   const time_point t0 = Clock::now();
-  {
-    std::lock_guard<std::mutex> hold(shard.mu);
-    for (const std::size_t idx : shard.members) {
-      Session& s = *sessions_[idx];
-      s.last_heard = t0;
-      s.due = t0;
-      // A session whose inbox the pump already filled is already ready.
-      if (s.inbox.empty()) shard.ready.push_back(idx);
-    }
+  for (Session* s : shard.members) {
+    s->last_heard = t0;
+    s->due = t0;
+    s->queued_at = t0;
+    shard.timers.push_back({t0, s});
   }
-  const auto ready = [&shard] { return !shard.ready.empty(); };
+  const auto pending = [&shard] { return !shard.inbox.empty(); };
   while (!st.stop_requested()) {
     pass(shard, Clock::now());
     std::unique_lock<std::mutex> lock(shard.mu);
     if (shard.timers.empty()) {
-      shard.wake.wait(lock, st, ready);
+      shard.wake.wait(lock, st, pending);
     } else {
-      shard.wake.wait_until(lock, st, shard.timers.front().at, ready);
+      shard.wake.wait_until(lock, st, shard.timers.front().at, pending);
     }
   }
   // Crash-shaped shutdown: no final pass, no flush — see kill().
@@ -376,13 +366,25 @@ void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
 }
 
 void SessionMux::pass(Shard& shard, time_point now) {
-  std::vector<std::size_t>& batch = shard.batch;
-  batch.clear();
+  std::vector<Routed>& arrived = shard.arrived;
+  arrived.clear();
   {
     std::lock_guard<std::mutex> hold(shard.mu);
-    batch.swap(shard.ready);
+    arrived.swap(shard.inbox);
+    for (const Routed& r : arrived) r.session->inbox_frames = 0;
   }
-  for (const std::size_t idx : batch) sessions_[idx]->in_pass = true;
+  // Every frame in arrival order; each session that heard one joins the
+  // pass once.
+  std::vector<Session*>& batch = shard.batch;
+  batch.clear();
+  for (const Routed& r : arrived) {
+    if (!r.session->in_pass) {
+      r.session->in_pass = true;
+      batch.push_back(r.session);
+    }
+    deliver(*r.session, r.frame, now);
+  }
+  const std::size_t heard = batch.size();
   // Due deadlines join the pass.  An entry is live only while it is its
   // session's queued_at; superseded entries are dropped as they surface.
   std::vector<Timer>& heap = shard.timers;
@@ -390,25 +392,24 @@ void SessionMux::pass(Shard& shard, time_point now) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
     const Timer t = heap.back();
     heap.pop_back();
-    Session& s = *sessions_[t.session];
+    Session& s = *t.session;
     if (t.at != s.queued_at) continue;
     s.queued_at = kNever;
     if (!s.in_pass) {
       s.in_pass = true;
-      batch.push_back(t.session);
+      batch.push_back(&s);
     }
   }
-  for (const std::size_t idx : batch) {
-    Session& s = *sessions_[idx];
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Session& s = *batch[i];
     s.in_pass = false;
-    run_session(shard, s, now);
-    schedule(shard, idx);
+    run_session(s, now, /*heard=*/i < heard);
+    schedule(s);
   }
   if (durable()) flush_shard(shard, now, /*force=*/false);
 }
 
-void SessionMux::schedule(Shard& shard, std::size_t idx) {
-  Session& s = *sessions_[idx];
+void SessionMux::schedule(Session& s) {
   time_point at = s.due;
   if (s.state == SessionState::kActive) {
     // Idle verdicts are deadlines too: the session must be looked at
@@ -427,20 +428,12 @@ void SessionMux::schedule(Shard& shard, std::size_t idx) {
   // then re-queues at its real deadline.
   if (at >= s.queued_at) return;
   s.queued_at = at;
-  shard.timers.push_back({at, idx});
-  std::push_heap(shard.timers.begin(), shard.timers.end(), std::greater<>{});
+  std::vector<Timer>& heap = s.shard->timers;
+  heap.push_back({at, &s});
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
 }
 
-void SessionMux::run_session(Shard& shard, Session& s, time_point now) {
-  std::vector<Frame>& arrived = shard.arrived;
-  {
-    std::lock_guard<std::mutex> hold(shard.mu);
-    arrived.assign(s.inbox.begin(), s.inbox.end());
-    s.inbox.clear();  // keeps the deque's first block for the next frames
-  }
-  const bool heard = !arrived.empty();
-  for (const Frame& f : arrived) deliver(s, f, now);
-
+void SessionMux::run_session(Session& s, time_point now, bool heard) {
   if (s.state != SessionState::kActive) {
     s.due = kNever;
     // Completed receivers re-FIN when the peer retransmits (FIN loss
@@ -478,13 +471,21 @@ void SessionMux::run_session(Shard& shard, Session& s, time_point now) {
 
 void SessionMux::run_sender(Session& s, time_point now, bool heard,
                             bool fired) {
+  if (!heard) {
+    // The timer fell due, but a frame for `s` may have landed after this
+    // pass swapped the inbox out: leave the step to the next pass, which
+    // runs at once and hears it, rather than repeat a frame it may ack.
+    std::lock_guard<std::mutex> hold(s.shard->mu);
+    if (s.inbox_frames > 0) return;
+  }
   const auto out = step_session(s, now);
   if (s.state != SessionState::kActive) return;
   bool peer_back = false;
   if (heard) {
     const RttEstimator::Heard h = s.rtt.on_receive(now);
-    if (h.sample && s.ack_rtt_us.size() < kMaxRttSamples) {
-      s.ack_rtt_us.push_back(static_cast<std::uint64_t>(h.sample->count()));
+    if (h.sample) {
+      s.shard->ack_rtt_us.observe(
+          static_cast<std::uint64_t>(h.sample->count()));
     }
     peer_back = h.peer_returned;
   }
@@ -503,10 +504,10 @@ void SessionMux::run_sender(Session& s, time_point now, bool heard,
   if (fired) s.rtt.on_timeout();
   if (out) {
     emit(s, FrameKind::kData, *out, now);
-  } else if (!s.last_data_frame.empty()) {
+  } else if (s.last_msg) {
     // Quiescent: everything is acked, the FIN has not come.  Re-sending
     // the last data frame provokes the re-FIN that heals a lost one.
-    resend_last(s, now);
+    emit(s, FrameKind::kData, *s.last_msg, now);
   }
   s.due = now + s.rtt.rto();
 }
@@ -589,57 +590,37 @@ void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg,
   f.session = s.id;
   f.msg = msg;
   if (kind == FrameKind::kData) s.last_msg = msg;
-  auto bytes = encode(f);
   // Durability gating (the write-ahead rule): a receiver's outbound
   // frames — cumulative acks and FINs — attest to externalized state, so
-  // they are held until flush_shard commits the covering checkpoint.
-  // Sender data frames carry no commitment (retransmission is always
-  // safe) and go straight out.
+  // they wait on the shard's hold list until flush_shard, at the end of
+  // this pass, commits the covering checkpoint.  Sender data frames carry
+  // no commitment (retransmission is always safe) and go straight out.
   if (durable() && !s.is_sender) {
-    if (s.held.size() >= kMaxHeldFrames) {
-      s.held.erase(s.held.begin());  // drop-oldest == wire loss
-    }
-    s.held.emplace_back(f, std::move(bytes));
+    s.shard->held.push_back({&s, f});
     return;
   }
-  send_now(s, f, bytes, now);
+  send_now(s, f, now);
 }
 
-void SessionMux::send_now(Session& s, const Frame& f,
-                          const std::vector<std::uint8_t>& bytes,
-                          time_point now) {
-  transport_->send(bytes);  // shed == lost; the protocol retransmits
+void SessionMux::send_now(Session& s, const Frame& f, time_point now) {
+  transport_->send(encode(f));  // shed == lost; the protocol retransmits
   ++s.frames_out;
   n_.add(MuxCounter::kFramesSent);
-  if (f.kind == FrameKind::kFin) {
-    n_.add(MuxCounter::kFinsSent);
-  } else {
-    s.last_data_frame = bytes;
-  }
+  if (f.kind == FrameKind::kFin) n_.add(MuxCounter::kFinsSent);
   if (s.is_sender) s.rtt.on_send(now);
   if (cfg_.probe != nullptr) {
     cfg_.probe->record(frame_event(obs::TraceEventKind::kFrameSent, s.id, f));
   }
 }
 
-void SessionMux::resend_last(Session& s, time_point now) {
-  send_now(s, *decode(s.last_data_frame), s.last_data_frame, now);
-}
-
-void SessionMux::release_held(Session& s, time_point now) {
-  for (auto& [f, bytes] : s.held) send_now(s, f, bytes, now);
-  s.held.clear();
-}
-
 void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
   StoreSlot& slot = *slots_[shard.slot];
-  // Only the pass's sessions can have moved or hold frames.
-  const std::vector<std::size_t>& sessions =
-      force ? shard.members : shard.batch;
+  // Only the pass's sessions can have moved.
+  const std::vector<Session*>& sessions = force ? shard.members : shard.batch;
   std::vector<std::string> batch;
   std::uint64_t batch_bytes = 0;
-  for (const std::size_t idx : sessions) {
-    Session& s = *sessions_[idx];
+  for (Session* sp : sessions) {
+    Session& s = *sp;
     if (!s.dirty && !force) continue;
     s.dirty = false;
     const std::uint64_t position = s.endpoint->items_done();
@@ -688,9 +669,11 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
            .kind = obs::TraceEventKind::kCheckpointFlush});
     }
   }
-  // Everything held is now covered by a durable record (this batch, or
-  // an earlier one when the signature never moved): release.
-  for (const std::size_t idx : sessions) release_held(*sessions_[idx], now);
+  // Every held frame came from a session of this pass and is now covered
+  // by a durable record (this batch, or an earlier one when the signature
+  // never moved): release.
+  for (const Routed& h : shard.held) send_now(*h.session, h.frame, now);
+  shard.held.clear();
 }
 
 void SessionMux::finalize(Session& s, SessionState state) {
@@ -720,13 +703,14 @@ std::vector<SessionReport> SessionMux::reports() const {
     r.items = s->endpoint->items_done();
     r.frames_in = s->frames_in;
     r.frames_out = s->frames_out;
-    r.ack_rtt_us = s->ack_rtt_us;
     out.push_back(std::move(r));
   }
   return out;
 }
 
 void SessionMux::publish_metrics(obs::MetricsRegistry& reg) const {
+  STPX_EXPECT(!started_ || stopped_,
+              "SessionMux: publish_metrics() while workers are live");
   const auto st = stats();
   st.publish(reg, kMuxCounterNames);
   // Backpressure loss under its own name too, so dashboards can tell "the
@@ -735,10 +719,11 @@ void SessionMux::publish_metrics(obs::MetricsRegistry& reg) const {
   reg.counter("net.sheds").inc(st[MuxCounter::kFramesShed]);
   reg.gauge("net.sessions.active")
       .set(static_cast<std::int64_t>(active_sessions()));
-  auto& rtt = reg.histogram("net.ack_rtt_us", obs::pow2_bounds(24));
+  auto& rtt =
+      reg.histogram("net.ack_rtt_us", obs::log_linear_bounds(kAckRttOctaves));
+  for (const auto& shard : shards_) rtt.merge(shard->ack_rtt_us);
   for (const auto& s : sessions_) {
     reg.counter(std::string("net.verdict.") + to_cstr(s->state)).inc();
-    for (const std::uint64_t sample : s->ack_rtt_us) rtt.observe(sample);
   }
 }
 

@@ -4,21 +4,24 @@
 //
 //   * Sessions are registered before start() and partitioned round-robin
 //     into shards.  A shard is owned by exactly one worker thread, so
-//     session state (the protocol endpoint, counters, RTT samples) needs
-//     no per-session locking — only each shard's inbox, which the pump
-//     thread fills, is mutex-guarded.
+//     session state needs no per-session locking — only the shard's
+//     inbox, which the pump thread fills, is mutex-guarded.  A session
+//     owns no queue: the shard keeps the one inbox, the one hold list and
+//     the one RTT histogram its sessions share.
 //   * The pump (one std::jthread) polls the transport, decodes frames
-//     (rejecting malformed bytes — counted, never thrown), and routes
-//     them to the owning shard's inbox by session id.  When a poll burst
-//     finds nothing it blocks in the transport's wait() until a frame
-//     arrives (bounded by a 50 µs backoff, so stop() is seen promptly),
-//     so a frame waits for the pump only as long as the wakeup takes.
-//   * Workers (std::jthread each) are event-driven: the pump appends a
-//     session to its shard's ready list when the session's inbox goes
-//     non-empty, and each session keeps one deadline (retransmit timeout
-//     or idle verdict) on its shard's timer heap.  A worker sleeps until it
-//     has ready sessions or the earliest deadline arrives, then runs one
-//     pass over exactly those sessions: deliver, step once, encode, send,
+//     (rejecting malformed bytes — counted, never thrown), and appends
+//     each to the owning shard's inbox, tagged with its session.  A
+//     per-session count bounds each session's share of the inbox.  When
+//     a poll burst finds nothing it blocks in the transport's wait()
+//     until a frame arrives (bounded by a 50 µs backoff, so stop() is
+//     seen promptly), so a frame waits for the pump only as long as the
+//     wakeup takes.
+//   * Workers (std::jthread each) are event-driven: each session keeps
+//     one deadline (retransmit timeout or idle verdict) on its shard's
+//     timer heap.  A worker sleeps until its inbox is non-empty or the
+//     earliest deadline arrives, then runs one pass: it swaps the inbox
+//     out, delivers every frame in arrival order, and steps each session
+//     that heard a frame or fell due exactly once — encode, send,
 //     group-commit, release.  An idle session costs nothing.
 //   * Completion is wire-level: when a receiver session's tape equals its
 //     expected sequence it emits a FIN frame; the sender session marks
@@ -37,8 +40,8 @@
 //     as a manifest record at the end of the pass that moved it,
 //     group-committed per shard (one append_batch per pass, so 10k
 //     sessions never mean 10k syncs).  Receiver-side outbound frames
-//     (cumulative acks, FINs) are HELD until the checkpoint covering the
-//     acked state is durable — the write-ahead rule that makes a
+//     (cumulative acks, FINs) wait on the shard's hold list and go out
+//     after the pass's append_batch — the write-ahead rule that makes a
 //     crash-restart rewind invisible to the peer.  rehydrate() on a
 //     fresh mux re-admits every
 //     manifested session through a caller-supplied endpoint factory and
@@ -64,7 +67,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -117,8 +119,9 @@ struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
   std::size_t workers = 2;
-  /// Per-session inbox bound; overflow frames are shed (backpressure —
-  /// indistinguishable from wire loss, which the protocols tolerate).
+  /// Bound on each session's frames in its shard's inbox; overflow
+  /// frames are shed (backpressure — indistinguishable from wire loss,
+  /// which the protocols tolerate).
   std::size_t inbox_limit = 64;
   /// A session that receives nothing for this long is evicted
   /// (0 = never evict).
@@ -212,10 +215,6 @@ struct SessionReport {
   std::size_t items = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  /// Unambiguous send-to-answer round trips, microseconds (sender
-  /// sessions, Karn-sampled by RttEstimator; mirrors the engine metric
-  /// ack_rtt).
-  std::vector<std::uint64_t> ack_rtt_us;
 };
 
 /// What rehydrate() found and did (docs/RECOVERY.md).
@@ -290,10 +289,9 @@ class SessionMux {
 
   /// Crash-shaped shutdown for restart drills: retire the threads WITHOUT
   /// the final pass, checkpoint flush, or log compaction — the session
-  /// log is left exactly as of the last group commit and held
-  /// (durability-gated) frames are dropped, which is what a process kill
-  /// leaves behind.  Rehydrate a fresh mux from the same stores to model
-  /// the restart.
+  /// log is left exactly as of the last group commit, which is what a
+  /// process kill leaves behind.  Rehydrate a fresh mux from the same
+  /// stores to model the restart.
   void kill();
 
   bool all_terminal() const {
@@ -312,14 +310,20 @@ class SessionMux {
   std::vector<SessionReport> reports() const;
 
   /// Publish the counter table (kMuxCounterNames), the active-sessions
-  /// gauge, per-state verdict counters, and the ack-RTT histogram into
-  /// `reg` under the net.* namespace.  Call after stop().
+  /// gauge, per-state verdict counters, and the ack-RTT histogram (every
+  /// shard's, merged) into `reg` under the net.* namespace.  Call after
+  /// stop() (or before start()).
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:
   using Clock = std::chrono::steady_clock;
   using time_point = Clock::time_point;
   static constexpr time_point kNever = time_point::max();
+
+  /// net.ack_rtt_us spans 1 µs to 2^23 µs (8.4 s), 16 buckets per octave.
+  static constexpr std::size_t kAckRttOctaves = 23;
+
+  struct Shard;
 
   struct Session {
     std::uint32_t id = 0;
@@ -328,8 +332,9 @@ class SessionMux {
     std::unique_ptr<proto::ISessionEndpoint> endpoint;
     std::uint64_t proto_tag = 0;  // proto_tag_of(endpoint name), at admission
     SessionState state = SessionState::kActive;
-    // --- inbox: filled by the pump under the shard mutex ----------------
-    std::deque<Frame> inbox;
+    Shard* shard = nullptr;  // the owning shard, fixed at start()
+    // --- under the shard mutex ------------------------------------------
+    std::size_t inbox_frames = 0;  // this session's frames in the shard inbox
     // --- worker-private state (shard owner only) ------------------------
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
@@ -343,41 +348,46 @@ class SessionMux {
     std::uint64_t ckpt_position = 0;
     bool ckpt_completed = false;
     std::string ckpt_state;
-    // Receiver frames gated on durability: held until the covering
-    // checkpoint commits, released by flush_shard (bounded; overflow
-    // drops the oldest — indistinguishable from wire loss).
-    std::vector<std::pair<Frame, std::vector<std::uint8_t>>> held;
-    std::vector<std::uint8_t> last_data_frame;  // keepalive payload
     std::optional<sim::MsgId> last_msg;  // payload of the last data frame
     // --- deadlines ------------------------------------------------------
     time_point due = kNever;        // sender: retransmit timeout
     time_point queued_at = kNever;  // this session's live timer-heap entry
     time_point last_heard{};        // last inbound frame (or start())
-    RttEstimator rtt;               // sender: samples + RTO
-    std::vector<std::uint64_t> ack_rtt_us;
+    RttEstimator rtt;               // sender: Karn samples + RTO
   };
 
-  /// A timer-heap entry: `session` (an index into sessions_) wakes at `at`.
-  /// The heap is a min-heap: std::greater<> on `at`.
+  /// A frame and its session: an inbox or hold-list entry.
+  struct Routed {
+    Session* session;
+    Frame frame;
+  };
+
+  /// A timer-heap entry: `session` wakes at `at`.  The heap is a
+  /// min-heap: std::greater<> on `at`.
   struct Timer {
     time_point at;
-    std::size_t session;
+    Session* session;
     bool operator>(const Timer& o) const { return at > o.at; }
   };
 
   struct Shard {
-    std::mutex mu;  // guards the inboxes of this shard's sessions + ready
-    /// Signalled by the pump when `ready` goes from empty to non-empty.
+    std::mutex mu;  // guards `inbox` and its sessions' `inbox_frames`
+    /// Signalled by the pump when `inbox` goes from empty to non-empty.
     std::condition_variable_any wake;
-    /// Sessions whose inbox went from empty to non-empty (under mu).
-    std::vector<std::size_t> ready;
-    std::vector<std::size_t> members;  // indices into sessions_
+    /// Frames routed to this shard's sessions, in arrival order (under mu).
+    std::vector<Routed> inbox;
+    std::vector<Session*> members;
     // Worker-private, reused across passes so a pass allocates nothing:
-    std::vector<std::size_t> batch;  // this pass's sessions: ready + due
-    std::vector<Frame> arrived;      // one session's drained inbox
-    std::vector<Timer> timers;       // min-heap on `at`
-    std::size_t slot = 0;              // index into slots_
-    std::size_t idx = 0;               // own index (probe attribution)
+    std::vector<Routed> arrived;    // the inbox this pass swapped out
+    std::vector<Session*> batch;    // this pass's sessions: heard, then due
+    std::vector<Timer> timers;      // min-heap on `at`
+    /// Durable receivers' acks and FINs, sent after this pass's
+    /// append_batch (the write-ahead rule): never outlive the pass.
+    std::vector<Routed> held;
+    /// Karn samples of this shard's senders, microseconds.
+    obs::Histogram ack_rtt_us{obs::log_linear_bounds(kAckRttOctaves)};
+    std::size_t slot = 0;  // index into slots_
+    std::size_t idx = 0;   // own index (probe attribution)
   };
 
   /// One session store plus the mutex serializing shard access to it
@@ -389,35 +399,30 @@ class SessionMux {
 
   void pump_loop(std::stop_token st);
   void worker_loop(std::stop_token st, std::size_t shard_idx);
-  /// One pass over a shard at `now`: every ready session and every
-  /// session whose deadline is due steps once, then the shard
-  /// group-commits and releases those sessions.  No sleeping inside.
+  /// One pass over a shard at `now`: deliver the inbox in arrival
+  /// order, step every session that heard a frame or fell due once, then
+  /// group-commit and release.  No sleeping inside.
   void pass(Shard& shard, time_point now);
-  /// Deliver one session's inbox and run its event at `now`.
-  void run_session(Shard& shard, Session& s, time_point now);
+  /// Run one session's event at `now` (its frames are delivered).
+  void run_session(Session& s, time_point now, bool heard);
   /// The sender's and the receiver's deadline rules (docs/NETWORK.md).
   void run_sender(Session& s, time_point now, bool heard, bool fired);
   void run_receiver(Session& s, time_point now);
   /// Queue `s`'s next wake-up (deadline or idle verdict) on the heap.
-  void schedule(Shard& shard, std::size_t idx);
+  void schedule(Session& s);
   void deliver(Session& s, const Frame& f, time_point now);
   /// One protocol step; nullopt when it emitted nothing or went terminal.
   std::optional<sim::MsgId> step_session(Session& s, time_point now);
   void emit(Session& s, FrameKind kind, sim::MsgId msg, time_point now);
-  /// The unconditional tail of emit(): transport send + accounting.
-  void send_now(Session& s, const Frame& f,
-                const std::vector<std::uint8_t>& bytes, time_point now);
-  /// Re-send the last data frame (a quiescent endpoint's keepalive).
-  void resend_last(Session& s, time_point now);
+  /// The unconditional tail of emit(): encode, transport send, accounting.
+  void send_now(Session& s, const Frame& f, time_point now);
   /// Group-commit every dirty session of the pass (`force`: of the whole
-  /// shard) as one manifest batch, then release their held frames at
-  /// `now`.
+  /// shard) as one manifest batch, then send the hold list at `now`.
   void flush_shard(Shard& shard, time_point now, bool force);
-  void release_held(Session& s, time_point now);
   /// Move `s` into the terminal `state` (never kActive) and count it.
   void finalize(Session& s, SessionState state);
   bool durable() const { return !slots_.empty(); }
-  /// Route one decoded frame to its session's inbox.
+  /// Route one decoded frame to its shard's inbox.
   void route(const Frame& f);
   /// Echo a kProbe back as a kProbeAck (pump thread).
   void answer_probe(const Frame& probe);

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "fault/plan.hpp"
@@ -40,9 +41,31 @@ std::uint64_t Histogram::quantile(double q) const {
   return max_seen_;
 }
 
+void Histogram::merge(const Histogram& other) {
+  STPX_EXPECT(bounds_ == other.bounds_, "Histogram: merge needs equal bounds");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  count_ += other.count_;
+  sum_ += other.sum_;
+  max_seen_ = std::max(max_seen_, other.max_seen_);
+}
+
 std::vector<std::uint64_t> pow2_bounds(std::size_t n) {
   std::vector<std::uint64_t> bounds(n);
   for (std::size_t i = 0; i < n; ++i) bounds[i] = std::uint64_t{1} << i;
+  return bounds;
+}
+
+std::vector<std::uint64_t> log_linear_bounds(std::size_t octaves) {
+  const std::uint64_t top = std::uint64_t{1} << octaves;
+  std::vector<std::uint64_t> bounds;
+  // Each step is 1/16 of the octave the bound sits in (at least 1), so the
+  // walk lands on every power of two.
+  for (std::uint64_t b = 1; b <= top;
+       b += std::max<std::uint64_t>(1, std::bit_floor(b) / 16)) {
+    bounds.push_back(b);
+  }
   return bounds;
 }
 

@@ -69,6 +69,10 @@ class Histogram {
   /// Samples past the last bound report max_seen().  q in [0, 1].
   std::uint64_t quantile(double q) const;
 
+  /// Add `other`'s samples, as if each had been observed here.  The
+  /// bounds must be equal.
+  void merge(const Histogram& other);
+
  private:
   std::vector<std::uint64_t> bounds_;  // sorted, strictly increasing
   std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow last)
@@ -80,6 +84,11 @@ class Histogram {
 /// Exponential bucket bounds 1, 2, 4, ... (n bounds) — the default shape
 /// for step-latency style metrics.
 std::vector<std::uint64_t> pow2_bounds(std::size_t n);
+
+/// Log-linear bucket bounds 1, 2, ..., 16, then 16 equal buckets per
+/// octave up to 2^octaves, so a quantile reads at most 1/16 (6.25 %) above
+/// the sample it stands for.
+std::vector<std::uint64_t> log_linear_bounds(std::size_t octaves);
 
 class MetricsRegistry {
  public:

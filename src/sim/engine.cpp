@@ -188,7 +188,7 @@ void Engine::apply(const Action& a) {
           first_violation_step_ = stats_.steps;
         }
       }
-      ev.writes = eff.writes;
+      if (config_.record_trace) ev.writes = eff.writes;
       if (config_.record_histories) {
         LocalEvent le;
         le.kind = LocalEvent::Kind::kStep;

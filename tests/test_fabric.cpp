@@ -32,6 +32,7 @@
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 #include "stp/fabric_soak.hpp"
+#include "util/sanitized.hpp"
 
 namespace stpx {
 namespace {
@@ -40,21 +41,6 @@ using namespace std::chrono_literals;
 using net::MuxCounter;
 
 constexpr int kDomain = 8;
-
-// Sanitizer instrumentation slows the heavily-threaded soak by well over
-// an order of magnitude on a small runner, and can starve any one thread
-// for tens of milliseconds at a stretch.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 // The full-width acceptance gate is an uninstrumented-build claim;
 // instrumented builds run the same crash/re-home shape at reduced width

@@ -19,9 +19,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -38,6 +40,7 @@
 #include "proto/suite.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
+#include "util/sanitized.hpp"
 
 namespace stpx {
 namespace {
@@ -46,20 +49,6 @@ using namespace std::chrono_literals;
 using net::MuxCounter;
 
 constexpr int kDomain = 8;
-
-// Sanitizer instrumentation can starve a mux thread past the retransmit
-// timeout, which the wire-cost bounds below have to allow for.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 seq::Sequence seq_for(std::uint32_t id, std::size_t len) {
   seq::Sequence x;
@@ -576,11 +565,9 @@ TEST(NetMux, PerfectLinkSmallRun) {
   EXPECT_EQ(run.client->mux().active_sessions(), 0u);
 
   // Sender sessions collected ack-RTT samples.
-  bool any_rtt = false;
-  for (const auto& r : run.client->mux().reports()) {
-    any_rtt = any_rtt || !r.ack_rtt_us.empty();
-  }
-  EXPECT_TRUE(any_rtt);
+  obs::MetricsRegistry reg;
+  run.client->mux().publish_metrics(reg);
+  EXPECT_GT(reg.histograms().at("net.ack_rtt_us").count(), 0u);
 }
 
 TEST(NetMux, LossyDupReorderRunCompletes) {
@@ -640,25 +627,68 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   EXPECT_EQ(census(recorder, obs::TraceEventKind::kFrameRejected), 2u);
 }
 
+/// Holds the worker in its first delivery until open(): the pump then
+/// routes the rest of a flood against a full inbox, however the threads
+/// are scheduled.
+class DeliveryGate final : public obs::IProbe {
+ public:
+  void record(const obs::TraceEvent& ev) override {
+    if (ev.kind != obs::TraceEventKind::kFrameReceived) return;  // worker
+    std::unique_lock<std::mutex> lock(mu_);
+    opened_.wait(lock, [this] { return open_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable opened_;
+  bool open_ = false;
+};
+
 TEST(NetMux, InboxBackpressureSheds) {
   auto wire = net::make_loopback();
+  DeliveryGate gate;
   net::MuxConfig cfg;
   cfg.inbox_limit = 2;
+  cfg.workers = 1;  // both sessions share one shard inbox
+  cfg.probe = &gate;
   net::StpServer server(wire.b.get(), cfg);
-  auto pair = proto::make_stenning(kDomain);
-  server.add_session(1, std::move(pair.receiver), seq_for(1, 3));
-  // The flood is queued before start(): the pump routes it in one burst,
-  // faster than the woken worker can drain a two-frame inbox.
+  auto p1 = proto::make_stenning(kDomain);
+  auto p2 = proto::make_stenning(kDomain);
+  server.add_session(1, std::move(p1.receiver), seq_for(1, 3));
+  server.add_session(2, std::move(p2.receiver), seq_for(2, 3));
+  // The flood is queued before start(), and the gate holds the worker in
+  // the first delivery, so the pump routes it against a two-frame share.
+  // Session 2's inbox_limit frames follow it: the flood must not take
+  // their share.
   for (int i = 0; i < 200; ++i) wire.a->send(frame_bytes(1, 0));
+  for (int i = 0; i < 2; ++i) wire.a->send(frame_bytes(2, 0));
   server.mux().start();
 
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (std::chrono::steady_clock::now() < deadline &&
-         server.mux().stats()[MuxCounter::kFramesShed] == 0) {
+  while (std::chrono::steady_clock::now() < deadline) {
+    const auto st = server.mux().stats();
+    if (st[MuxCounter::kFramesReceived] + st[MuxCounter::kFramesShed] >= 202) {
+      break;
+    }
     std::this_thread::sleep_for(1ms);
   }
+  gate.open();
   server.mux().stop();
-  EXPECT_GT(server.mux().stats()[MuxCounter::kFramesShed], 0u);
+  const std::uint64_t shed = server.mux().stats()[MuxCounter::kFramesShed];
+  EXPECT_GT(shed, 0u);
+  const auto reports = server.mux().reports();
+  ASSERT_EQ(reports.size(), 2u);
+  ASSERT_EQ(reports[0].id, 1u);
+  ASSERT_EQ(reports[1].id, 2u);
+  EXPECT_EQ(reports[1].frames_in, 2u);
+  EXPECT_EQ(reports[0].frames_in + shed, 200u);
 }
 
 TEST(NetMux, IdleSessionsAreEvicted) {
@@ -828,6 +858,25 @@ TEST(RttEstimator, BackoffCollapsesWhenASilentPeerSpeaksAgain) {
   EXPECT_TRUE(h.peer_returned);
   EXPECT_EQ(est.backoff(), 0u);
   EXPECT_EQ(est.rto(), base);
+}
+
+TEST(NetMux, PublishMetricsWhileLiveIsAContractError) {
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.b.get(), {});
+  auto pair = proto::make_stenning(kDomain);
+  mux.add_session(5,
+                  std::make_unique<proto::ReceiverSessionEndpoint>(
+                      std::move(pair.receiver), seq_for(5, 2)),
+                  false);
+  obs::MetricsRegistry before;
+  mux.publish_metrics(before);
+  mux.start();
+  obs::MetricsRegistry live;
+  EXPECT_THROW(mux.publish_metrics(live), ContractError);
+  mux.stop();
+  obs::MetricsRegistry after;
+  mux.publish_metrics(after);
+  EXPECT_EQ(after.histograms().count("net.ack_rtt_us"), 1u);
 }
 
 TEST(NetMux, DuplicateSessionIdIsAContractError) {

@@ -16,6 +16,7 @@
 #include "obs/sinks.hpp"
 #include "stp/runner.hpp"
 #include "stp/soak.hpp"
+#include "util/expect.hpp"
 
 namespace stpx::obs {
 namespace {
@@ -80,6 +81,54 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(h.quantile(0.5), 2u);
   EXPECT_EQ(h.quantile(1.0), 20u);
   EXPECT_EQ(h.quantile(0.0), 1u);
+}
+
+TEST(Metrics, LogLinearQuantileReadsAtMostOneSixteenthHigh) {
+  const auto bounds = log_linear_bounds(24);
+  const auto p50_of = [&bounds](std::uint64_t v) {
+    Histogram h(bounds);
+    h.observe(v);
+    return h.quantile(0.5);
+  };
+  for (std::uint64_t v = 1; v <= (std::uint64_t{1} << 16); ++v) {
+    const std::uint64_t q = p50_of(v);
+    ASSERT_GE(q, v);
+    ASSERT_LE(q, v + v / 16) << "v = " << v;
+  }
+  for (const std::uint64_t edge : bounds) {
+    if (edge <= (std::uint64_t{1} << 16)) continue;
+    for (const std::uint64_t v : {edge, edge + 1}) {
+      const std::uint64_t q = p50_of(v);
+      ASSERT_GE(q, v);
+      ASSERT_LE(q, v + v / 16) << "v = " << v;
+    }
+  }
+}
+
+TEST(Metrics, HistogramMergeEqualsObservingTheUnion) {
+  const std::vector<std::uint64_t> a_samples = {0, 1, 17, 250, 1402, 9000};
+  const std::vector<std::uint64_t> b_samples = {3, 17, 2048, 70000, 1u << 30};
+  Histogram a(log_linear_bounds(24));
+  Histogram b(log_linear_bounds(24));
+  Histogram all(log_linear_bounds(24));
+  for (const std::uint64_t v : a_samples) a.observe(v);
+  for (const std::uint64_t v : b_samples) b.observe(v);
+  for (const std::uint64_t v : a_samples) all.observe(v);
+  for (const std::uint64_t v : b_samples) all.observe(v);
+  a.merge(b);
+  EXPECT_EQ(a.bucket_counts(), all.bucket_counts());
+  EXPECT_EQ(a.count(), all.count());
+  EXPECT_EQ(a.sum(), all.sum());
+  EXPECT_EQ(a.max_seen(), all.max_seen());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), all.quantile(q)) << "q = " << q;
+  }
+}
+
+TEST(Metrics, HistogramMergeWithUnequalBoundsIsAContractError) {
+  Histogram a(log_linear_bounds(24));
+  EXPECT_THROW(a.merge(Histogram(pow2_bounds(24))), ContractError);
+  EXPECT_THROW(a.merge(Histogram(log_linear_bounds(23))), ContractError);
 }
 
 TEST(Metrics, RegistryIsStableAndSerializable) {

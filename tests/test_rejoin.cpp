@@ -36,23 +36,12 @@
 #include "obs/metrics.hpp"
 #include "stp/fabric_soak.hpp"
 #include "util/expect.hpp"
+#include "util/sanitized.hpp"
 
 namespace stpx {
 namespace {
 
 using namespace std::chrono_literals;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 // --------------------------------------------------------------------------
 // HandshakeRetry — the injected-time dialer FSM
