@@ -3,13 +3,17 @@
 // Not a paper result; these keep the simulator honest as an artifact: step
 // rate of the kernel, channel op costs, protocol step costs, ranking, the
 // throughput of the two analysis engines (exploration, mirror attack), the
-// cost of building and reading one session checkpoint record, the
-// transport layer (one send+poll, and one round trip through two
-// wait+poll hops, sleeping against waking), and one flight-recorder
-// record.
+// cost of building and reading one session checkpoint record, a
+// restart's scan of a whole session log and one group commit into a
+// FileStore (full records against delta records), the transport layer
+// (one send+poll, and one round trip through two wait+poll hops, sleeping
+// against waking), and one flight-recorder record.
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
 #include <chrono>
+#include <filesystem>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "spec/temporal.hpp"
 #include "stp/attack.hpp"
 #include "store/session_log.hpp"
+#include "store/stable_store.hpp"
 
 namespace {
 
@@ -266,6 +271,138 @@ void BM_ReceiverSaveState(benchmark::State& state) {
                           static_cast<std::int64_t>(ep->save_state().size()));
 }
 BENCHMARK(BM_ReceiverSaveState)->Arg(0)->Arg(128)->Arg(1024);
+
+// A session log as a restart finds it: 64 Stenning receivers killed
+// mid-stream with 128-227 records each (mux_restart's log at the kill),
+// one record per item, appended round robin as group commits interleave
+// them.  delta:0 writes every record full; delta:1 writes what a durable
+// mux writes, full records up to position 1 and deltas after them.
+
+constexpr std::uint32_t kLogSessions = 64;
+constexpr int kLogDomain = 8;
+
+seq::Sequence log_sequence(std::uint32_t id) {
+  seq::Sequence x(256);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<seq::DataItem>((id + i) % kLogDomain);
+  }
+  return x;
+}
+
+/// Records session `id` wrote before the kill.
+std::size_t log_records(std::uint32_t id) { return 128 + (id * 37) % 100; }
+
+std::vector<std::string> session_log(bool delta) {
+  std::vector<std::unique_ptr<proto::ReceiverSessionEndpoint>> eps;
+  std::size_t rounds = 0;
+  for (std::uint32_t id = 0; id < kLogSessions; ++id) {
+    eps.push_back(std::make_unique<proto::ReceiverSessionEndpoint>(
+        proto::make_stenning(kLogDomain).receiver, log_sequence(id)));
+    rounds = std::max(rounds, log_records(id));
+  }
+  std::vector<std::uint64_t> last(kLogSessions, 0);  // previous record's end
+  std::vector<std::string> log;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::uint32_t id = 0; id < kLogSessions; ++id) {
+      if (r >= log_records(id)) continue;
+      proto::ReceiverSessionEndpoint& ep = *eps[id];
+      if (r > 0) {
+        ep.on_deliver(static_cast<sim::MsgId>(r - 1) * kLogDomain +
+                      ep.expected()[r - 1]);
+        (void)ep.step();
+      }
+      store::SessionManifest m;
+      m.session = id;
+      m.epoch = 1;
+      m.seq = log.size() + 1;
+      m.proto_tag = store::proto_tag_of(ep.name());
+      m.position = ep.items_done();
+      m.base = delta ? last[id] : 0;
+      m.endpoint_state = ep.save_state(m.base);
+      last[id] = m.position;
+      log.push_back(m.to_payload());
+    }
+  }
+  return log;
+}
+
+double bytes_per_record(const std::vector<std::string>& payloads) {
+  double bytes = 0;
+  for (const std::string& p : payloads) bytes += static_cast<double>(p.size());
+  return bytes / static_cast<double>(payloads.size());
+}
+
+/// Rehydrate's storage half: scan the log, then restore every session.
+void BM_SessionLogScan(benchmark::State& state) {
+  const std::vector<std::string> log = session_log(state.range(0) == 1);
+  store::MemStore st;
+  st.reset();
+  st.append_batch(log);
+  const auto restore_all = [&st] {
+    std::size_t items = 0;
+    for (const auto& [id, m] : store::scan_session_logs({&st}).newest) {
+      proto::ReceiverSessionEndpoint ep(
+          proto::make_stenning(kLogDomain).receiver, log_sequence(id));
+      if (ep.restore_state(m.endpoint_state)) items += ep.items_done();
+    }
+    return items;
+  };
+  std::size_t want = 0;
+  for (std::uint32_t id = 0; id < kLogSessions; ++id) {
+    want += log_records(id) - 1;
+  }
+  if (restore_all() != want) {
+    state.SkipWithError("the log did not restore every tape");
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) benchmark::DoNotOptimize(restore_all());
+  const double ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  state.counters["ns_per_record"] =
+      ns / static_cast<double>(state.iterations() * log.size());
+  state.counters["bytes_per_record"] = bytes_per_record(log);
+}
+BENCHMARK(BM_SessionLogScan)
+    ->ArgName("delta")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// One shard's group commit: 12 records (mux_restart averages 11.6 per
+/// batch), taken from the middle of the log above, into a FileStore in a
+/// fresh temp directory.  The log is reset every 4096 batches.
+void BM_FileStoreAppendBatch(benchmark::State& state) {
+  const std::vector<std::string> log = session_log(state.range(0) == 1);
+  const std::vector<std::string> batch(log.begin() + log.size() / 2,
+                                       log.begin() + log.size() / 2 + 12);
+  char tmpl[] = "/tmp/m1_filestore_XXXXXX";
+  if (::mkdtemp(tmpl) == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  {
+    store::FileStore fs(tmpl);
+    fs.reset();
+    std::size_t batches = 0;
+    for (auto _ : state) {
+      fs.append_batch(batch);
+      if (++batches % 4096 == 0) {
+        state.PauseTiming();
+        fs.reset();
+        state.ResumeTiming();
+      }
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(tmpl, ec);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch.size()));
+  state.counters["bytes_per_record"] = bytes_per_record(batch);
+}
+BENCHMARK(BM_FileStoreAppendBatch)->ArgName("delta")->Arg(0)->Arg(1);
 
 // Transports.  The wake round trips ping-pong one frame between the
 // timed thread and an echo thread; each side polls and, finding nothing,

@@ -294,6 +294,13 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
   bench.metric(at + "ack_rtt_p99_us",
                static_cast<double>(rtt.quantile(0.99)), "us");
   bench.metric(at + "cpu_s", cpu_s, "s");
+  bench.metric(at + "rehydrate_ms", res.rehydrate_wall_ms, "ms");
+  bench.metric(at + "checkpoint_bytes_per_record",
+               res.ckpt_records > 0
+                   ? static_cast<double>(res.ckpt_bytes) /
+                         static_cast<double>(res.ckpt_records)
+                   : 0.0,
+               "bytes");
 
   if (attach_metrics) bench.metrics_json(reg.to_json());
   return res;

@@ -625,12 +625,17 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
     s.dirty = false;
     const std::uint64_t position = s.endpoint->items_done();
     const bool completed = s.state == SessionState::kCompleted;
-    std::string state = s.endpoint->save_state();
+    // The endpoint's state without the output it holds (a sender holds
+    // none): what the dedupe compares, as small as the protocol's state.
+    std::string state = s.endpoint->save_state(position);
     // Session, role, epoch, proto_tag and owner are fixed for the
     // generation, so an unchanged (position, completed, state) means
     // nothing moved: no record (a retransmission costs no log growth).
+    // A drain still replaces a newest delta with a full record, so that
+    // compaction leaves one record per session.
     if (s.checkpointed && position == s.ckpt_position &&
-        completed == s.ckpt_completed && state == s.ckpt_state) {
+        completed == s.ckpt_completed && state == s.ckpt_state &&
+        !(force && s.ckpt_delta)) {
       continue;
     }
     store::SessionManifest m;
@@ -642,12 +647,22 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
     m.position = position;
     m.completed = completed;
     m.owner = cfg_.backend_id;
-    m.endpoint_state = std::move(state);
+    // A receiver's later records are deltas, carrying the items since its
+    // previous record.  Its first record of the generation is full: the
+    // previous generation's chain may sit in another store (sessions
+    // re-shard on rehydrate, and a fabric handoff source is another
+    // backend's log).  So are the drain's records, and any whose previous
+    // record was at position 0 (base 0 means full).
+    m.base = s.checkpointed && !s.is_sender && !force ? s.ckpt_position : 0;
+    m.endpoint_state = s.is_sender || m.base == position
+                           ? state
+                           : s.endpoint->save_state(m.base);
     std::string payload = m.to_payload();
     s.checkpointed = true;
+    s.ckpt_delta = m.base != 0;
     s.ckpt_position = position;
     s.ckpt_completed = completed;
-    s.ckpt_state = std::move(m.endpoint_state);
+    s.ckpt_state = std::move(state);
     batch_bytes += payload.size();
     batch.push_back(std::move(payload));
   }

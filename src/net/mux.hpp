@@ -344,7 +344,10 @@ class SessionMux {
     bool in_pass = false;            // already queued for the current pass
     // What the last manifest record said — the only fields that move
     // within a generation — so an unchanged session writes no record.
+    // ckpt_state is save_state(ckpt_position): the protocol state without
+    // the tape, so it stays as small as the protocol's own state.
     bool checkpointed = false;
+    bool ckpt_delta = false;  // the last record was a delta (base > 0)
     std::uint64_t ckpt_position = 0;
     bool ckpt_completed = false;
     std::string ckpt_state;

@@ -1,8 +1,8 @@
 #include "proto/session_adapter.hpp"
 
 #include <utility>
+#include <vector>
 
-#include "proto/durable.hpp"
 #include "util/blob.hpp"
 #include "util/expect.hpp"
 
@@ -14,9 +14,7 @@ namespace {
 // versa).  The protocol blob nests inside as one length-prefixed vec.
 constexpr std::int64_t kSenderAdapterTag = 201;
 constexpr std::int64_t kReceiverAdapterTag = 202;
-/// Room for the receiver blob's own tokens (tag, flag, tape length, inner
-/// length) around the tape and inner texts, so save_state() allocates once.
-constexpr std::size_t kReceiverHeaderBytes = 64;
+constexpr std::int64_t kReceiverDeltaTag = 203;
 }  // namespace
 
 SenderSessionEndpoint::SenderSessionEndpoint(
@@ -38,7 +36,7 @@ std::optional<sim::MsgId> SenderSessionEndpoint::step() {
   return sender_->on_step().send;
 }
 
-std::string SenderSessionEndpoint::save_state() const {
+std::string SenderSessionEndpoint::save_state(std::size_t /*from*/) const {
   util::BlobWriter w;
   w.i64(kSenderAdapterTag);
   w.boolean(finished_);
@@ -92,42 +90,47 @@ std::optional<sim::MsgId> ReceiverSessionEndpoint::step() {
       return std::nullopt;
     }
     y_.push_back(item);
-    tape_text_.i64(item);
   }
   return eff.send;
 }
 
-std::string ReceiverSessionEndpoint::save_state() const {
-  const std::string inner = receiver_->save_state();
-  const std::string& tape = tape_text_.str();
+std::string ReceiverSessionEndpoint::save_state(std::size_t from) const {
+  STPX_EXPECT(from <= y_.size(),
+              "ReceiverSessionEndpoint: delta starts past the tape");
   util::BlobWriter w;
-  w.reserve(kReceiverHeaderBytes + tape.size() + inner.size());
-  w.i64(kReceiverAdapterTag);
+  w.i64(from == 0 ? kReceiverAdapterTag : kReceiverDeltaTag);
   w.boolean(safety_ok_);
-  // The tape as write_items() would render it: its length, then its text.
-  w.u64(y_.size());
-  w.canonical(tape);
-  w.nested(inner);
+  if (from > 0) w.u64(from);
+  // The items from `from` on, as write_items() would render them.
+  w.u64(y_.size() - from);
+  for (std::size_t i = from; i < y_.size(); ++i) w.i64(y_[i]);
+  w.nested(receiver_->save_state());
   return std::move(w).take();
 }
 
-void ReceiverSessionEndpoint::rewrite_tape_text() {
-  tape_text_ = util::BlobWriter{};
-  for (const seq::DataItem item : y_) tape_text_.i64(item);
-}
-
 bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
+  // One full blob, then the deltas after it, each starting where the tape
+  // so far ends; one tokenization for the whole chain.
   util::BlobReader r(blob);
   std::int64_t tag = 0;
   bool saved_ok = true;
-  std::vector<seq::DataItem> tape;
+  std::vector<std::int64_t> items;
   std::vector<std::int64_t> inner_toks;
   if (!r.i64(tag) || tag != kReceiverAdapterTag || !r.boolean(saved_ok) ||
-      !read_items(r, tape) || !r.vec(inner_toks) || !r.done()) {
+      !r.vec(items) || !r.vec(inner_toks)) {
     return false;
   }
-  y_.assign(tape.begin(), tape.end());
-  rewrite_tape_text();
+  seq::Sequence tape(items.begin(), items.end());
+  while (!r.done()) {
+    std::uint64_t from = 0;
+    if (!r.i64(tag) || tag != kReceiverDeltaTag || !r.boolean(saved_ok) ||
+        !r.u64(from) || from != tape.size() || !r.vec(items) ||
+        !r.vec(inner_toks)) {
+      return false;
+    }
+    tape.insert(tape.end(), items.begin(), items.end());
+  }
+  y_ = std::move(tape);
   safety_ok_ = saved_ok;
   // The tape is externalized state.  A restored tape that is not a prefix
   // of the expected sequence means the durable log attests to a delivery
@@ -141,7 +144,6 @@ bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
   // cannot be kept — a cold receiver re-delivers from the front, and
   // appending that onto a non-empty y_ would double-deliver.
   y_.clear();
-  rewrite_tape_text();
   receiver_->start();
   return false;
 }

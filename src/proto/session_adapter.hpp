@@ -22,6 +22,21 @@
 // stpx protocol uses is dropped before the protocol sees it (protocols
 // assert on malformed ids — a contract violation in the simulator, but
 // over a wire it is just a hostile or buggy peer).
+//
+// Durable state (docs/RECOVERY.md).  The protocols are finite-state; only
+// the receiver's output tape grows, and it is append-only.  So a
+// receiver's blob can be a delta: save_state(from) renders the tape items
+// from position `from` on, and the session log writes each item once.
+//
+//   full  (from == 0): [202] [safety_ok] [vec: tape] [vec: protocol]
+//   delta (from  > 0): [203] [safety_ok] [from] [vec: tape from `from`]
+//                      [vec: protocol]
+//
+// restore_state() takes a chain: one full blob followed by any number of
+// deltas, each starting where the tape so far ends.  The tape is their
+// items in order; the safety flag and the protocol state are the last
+// blob's, and the protocol is restored once, against the whole tape.  A
+// sender owns no tape: its blob is always full and `from` is ignored.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +45,6 @@
 #include <string>
 
 #include "sim/process.hpp"
-#include "util/blob.hpp"
 
 namespace stpx::proto {
 
@@ -61,15 +75,21 @@ class ISessionEndpoint {
   virtual std::string name() const = 0;
 
   /// Durable-state plumbing for the session manifest (docs/RECOVERY.md).
-  /// save_state() is an opaque blob (empty = nothing durable yet);
-  /// restore_state() rebuilds a freshly-constructed endpoint from one.
+  /// save_state(from) is an opaque blob (empty = nothing durable yet)
+  /// holding the endpoint's state and its output from position `from`
+  /// (<= items_done()) on; from == 0 is a full blob.  restore_state()
+  /// rebuilds a freshly-constructed endpoint from a full blob, or from a
+  /// chain of one full blob and the deltas after it, joined by spaces.
   /// A false return means the blob was unusable and the endpoint is in
   /// its cold-started state — safe to run, durable position lost.  A
   /// true return with safety_ok() == false means the blob itself
   /// witnessed an inconsistency (e.g. a restored tape that is not a
   /// prefix of the expected sequence): the caller must surface that as a
   /// recovery violation, never run the session as if nothing happened.
-  virtual std::string save_state() const { return {}; }
+  virtual std::string save_state(std::size_t from = 0) const {
+    (void)from;
+    return {};
+  }
   virtual bool restore_state(const std::string& blob) {
     (void)blob;
     return false;
@@ -93,7 +113,7 @@ class SenderSessionEndpoint final : public ISessionEndpoint {
     return finished_ ? x_.size() : 0;
   }
   std::string name() const override { return sender_->name(); }
-  std::string save_state() const override;
+  std::string save_state(std::size_t from = 0) const override;
   bool restore_state(const std::string& blob) override;
 
   /// The peer confirmed full receipt (FIN).
@@ -122,22 +142,16 @@ class ReceiverSessionEndpoint final : public ISessionEndpoint {
   bool safety_ok() const override { return safety_ok_; }
   std::size_t items_done() const override { return y_.size(); }
   std::string name() const override { return receiver_->name(); }
-  std::string save_state() const override;
+  std::string save_state(std::size_t from = 0) const override;
   bool restore_state(const std::string& blob) override;
 
   const seq::Sequence& output() const { return y_; }
   const seq::Sequence& expected() const { return expected_; }
 
  private:
-  /// Re-render tape_text_ from y_ after a restore or a cold start.
-  void rewrite_tape_text();
-
   std::unique_ptr<sim::IReceiver> receiver_;
   seq::Sequence expected_;
   seq::Sequence y_;
-  /// y_ as canonical blob text, extended write by write, so save_state()
-  /// copies the tape instead of printing it again on every checkpoint.
-  util::BlobWriter tape_text_;
   bool safety_ok_ = true;
 };
 

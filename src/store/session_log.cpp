@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <string_view>
 #include <utility>
 
@@ -13,24 +14,33 @@ namespace {
 // Distinct from every per-protocol state tag (those are small ints like
 // 101/102), so a protocol blob fed to from_payload is rejected outright.
 constexpr std::int64_t kManifestTag = 7001;
+constexpr std::int64_t kDeltaTag = 7002;
 
 /// The fixed fields of a record, in payload order: tag, session,
-/// is_sender, epoch, seq, proto_tag, position, completed, owner.
-using FixedFields = std::array<std::int64_t, 9>;
+/// is_sender, epoch, seq, proto_tag, position, completed, owner, and (a
+/// delta's only) base.
+using FixedFields = std::array<std::int64_t, 10>;
 /// Room for the fixed fields and the blob length, each at most 20 chars
 /// plus a separator, so to_payload() allocates once.
-constexpr std::size_t kFixedBytes = 10 * 21;
+constexpr std::size_t kFixedBytes = 11 * 21;
+
+/// How many fixed fields a record with this tag has; 0 for no record.
+std::size_t field_count(std::int64_t tag) {
+  return tag == kManifestTag ? 9 : tag == kDeltaTag ? 10 : 0;
+}
 
 /// The manifest the fixed fields describe (endpoint_state left empty), or
 /// nullopt when one is out of its range.
 std::optional<SessionManifest> from_fields(const FixedFields& f) {
   const auto [tag, session, is_sender, epoch, seq, proto_tag, position,
-              completed, owner] = f;
+              completed, owner, base] = f;
   constexpr std::int64_t kMaxU32 = 0xFFFFFFFF;
   const auto flag = [](std::int64_t v) { return v == 0 || v == 1; };
-  if (tag != kManifestTag || session < 0 || session > kMaxU32 ||
+  const bool delta = tag == kDeltaTag;
+  if (field_count(tag) == 0 || session < 0 || session > kMaxU32 ||
       !flag(is_sender) || epoch < 0 || seq < 0 || proto_tag < 0 ||
-      position < 0 || !flag(completed) || owner < 0 || owner > kMaxU32) {
+      position < 0 || !flag(completed) || owner < 0 || owner > kMaxU32 ||
+      (delta && (base < 1 || base > position))) {
     return std::nullopt;
   }
   SessionManifest m;
@@ -42,7 +52,114 @@ std::optional<SessionManifest> from_fields(const FixedFields& f) {
   m.position = static_cast<std::uint64_t>(position);
   m.completed = completed == 1;
   m.owner = static_cast<std::uint32_t>(owner);
+  m.base = delta ? static_cast<std::uint64_t>(base) : 0;
   return m;
+}
+
+/// Reads a canonical payload (everything to_payload() writes) in place:
+/// its fixed fields, and its endpoint state as a view into `payload`.
+/// False for anything else, which may still be a record in a spelling
+/// only the normalising parser reads.
+bool read_canonical(std::string_view payload, FixedFields& f,
+                    std::string_view& state) {
+  util::CanonicalScanner scan(payload);
+  if (!scan.next(f[0]) || field_count(f[0]) == 0) return false;
+  for (std::size_t i = 1; i < field_count(f[0]); ++i) {
+    if (!scan.next(f[i])) return false;
+  }
+  std::int64_t length = 0;
+  return scan.next(length) && length >= 0 &&
+         scan.tokens(static_cast<std::size_t>(length), state) && scan.done();
+}
+
+/// One valid record: its fields (endpoint_state left empty), a view of
+/// its endpoint state, and the payload it was read from.
+struct Record {
+  SessionManifest m;
+  std::string_view state;
+  const std::string* payload;
+};
+
+/// Every valid record of `stores`, and per session the indices of its
+/// records in (epoch, seq) order, repeats of one (epoch, seq) dropped.
+struct Histories {
+  std::vector<ReplayResult> replays;  // owns the payloads records point at
+  std::deque<std::string> normalised;  // states of non-canonical payloads
+  std::vector<Record> records;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> sessions;
+  std::uint64_t records_skipped = 0;
+  std::uint64_t max_epoch = 0;
+};
+
+Histories read_histories(const std::vector<IStableStore*>& stores) {
+  Histories h;
+  h.replays.reserve(stores.size());
+  std::size_t payloads = 0;
+  for (IStableStore* store : stores) {
+    if (store == nullptr) continue;
+    h.replays.push_back(store->replay());
+    payloads += h.replays.back().payloads.size();
+    h.records_skipped += h.replays.back().records_skipped;
+  }
+  h.records.reserve(payloads);
+  for (const ReplayResult& r : h.replays) {
+    for (const std::string& payload : r.payloads) {
+      FixedFields f{};
+      std::string_view state;
+      std::optional<SessionManifest> m;
+      if (read_canonical(payload, f, state)) {
+        m = from_fields(f);
+      } else if ((m = SessionManifest::from_payload(payload))) {
+        state = h.normalised.emplace_back(std::move(m->endpoint_state));
+      }
+      if (!m) {
+        ++h.records_skipped;
+        continue;
+      }
+      h.max_epoch = std::max(h.max_epoch, m->epoch);
+      h.sessions[m->session].push_back(
+          static_cast<std::uint32_t>(h.records.size()));
+      h.records.push_back({std::move(*m), state, &payload});
+    }
+  }
+  const auto older = [&h](std::uint32_t a, std::uint32_t b) {
+    return h.records[b].m.newer_than(h.records[a].m);
+  };
+  const auto same_point = [&h](std::uint32_t a, std::uint32_t b) {
+    const SessionManifest& x = h.records[a].m;
+    const SessionManifest& y = h.records[b].m;
+    return x.epoch == y.epoch && x.seq == y.seq;
+  };
+  for (auto& [id, idx] : h.sessions) {
+    // Stable, so the first copy of a resurrected record is the one kept.
+    if (!std::is_sorted(idx.begin(), idx.end(), older)) {
+      std::stable_sort(idx.begin(), idx.end(), older);
+    }
+    idx.erase(std::unique(idx.begin(), idx.end(), same_point), idx.end());
+  }
+  return h;
+}
+
+/// The live chain among one session's records `idx` (indices into
+/// `records`, in (epoch, seq) order), as the range [first, last) of
+/// `idx`: the newest full record, then each later delta of its epoch
+/// that starts where the chain so far ends, up to the first gap.  Empty
+/// when no full record survived.
+std::pair<std::size_t, std::size_t> live_chain(
+    const std::vector<Record>& records, const std::vector<std::uint32_t>& idx) {
+  const auto at = [&](std::size_t i) -> const SessionManifest& {
+    return records[idx[i]].m;
+  };
+  std::size_t first = idx.size();
+  while (first > 0 && at(first - 1).base != 0) --first;
+  if (first == 0) return {0, 0};
+  --first;  // every record after the newest full one is a delta
+  std::size_t last = first + 1;
+  while (last < idx.size() && at(last).epoch == at(first).epoch &&
+         at(last).base == at(last - 1).position) {
+    ++last;
+  }
+  return {first, last};
 }
 }  // namespace
 
@@ -58,7 +175,7 @@ std::uint64_t proto_tag_of(const std::string& name) {
 std::string SessionManifest::to_payload() const {
   util::BlobWriter w;
   w.reserve(kFixedBytes + endpoint_state.size());
-  w.i64(kManifestTag);
+  w.i64(base == 0 ? kManifestTag : kDeltaTag);
   w.u64(session);
   w.boolean(is_sender);
   w.u64(epoch);
@@ -67,6 +184,7 @@ std::string SessionManifest::to_payload() const {
   w.u64(position);
   w.boolean(completed);
   w.u64(owner);
+  if (base != 0) w.u64(base);
   // save_state() produces canonical blob text by construction, copied
   // as-is; anything else is normalised, and unparseable text becomes an
   // empty (cold-start) state rather than corrupting the record.
@@ -77,24 +195,21 @@ std::string SessionManifest::to_payload() const {
 std::optional<SessionManifest> SessionManifest::from_payload(
     const std::string& payload) {
   FixedFields f{};
-  // Canonical text (everything to_payload() writes) is read in place and
-  // its endpoint state copied verbatim.
-  util::CanonicalScanner scan(payload);
-  bool canonical = true;
-  for (std::int64_t& v : f) canonical = canonical && scan.next(v);
-  std::int64_t length = 0;
+  // Canonical text is read in place and its endpoint state copied
+  // verbatim.
   std::string_view state;
-  if (canonical && scan.next(length) && length >= 0 &&
-      scan.tokens(static_cast<std::size_t>(length), state) && scan.done()) {
+  if (read_canonical(payload, f, state)) {
     auto m = from_fields(f);
     if (m) m->endpoint_state.assign(state);
     return m;
   }
   // Anything else is read by the normalising parser, which rejoins the
   // endpoint state into canonical text.
+  f = {};
   util::BlobReader r(payload);
-  for (std::int64_t& v : f) {
-    if (!r.i64(v)) return std::nullopt;
+  if (!r.i64(f[0]) || field_count(f[0]) == 0) return std::nullopt;
+  for (std::size_t i = 1; i < field_count(f[0]); ++i) {
+    if (!r.i64(f[i])) return std::nullopt;
   }
   std::vector<std::int64_t> inner;
   if (!r.vec(inner) || !r.done()) return std::nullopt;
@@ -104,26 +219,29 @@ std::optional<SessionManifest> SessionManifest::from_payload(
 }
 
 SessionLogScan scan_session_logs(const std::vector<IStableStore*>& stores) {
+  Histories h = read_histories(stores);
   SessionLogScan scan;
-  for (IStableStore* store : stores) {
-    if (store == nullptr) continue;
-    ReplayResult r = store->replay();
-    scan.records_skipped += r.records_skipped;
-    for (const std::string& payload : r.payloads) {
-      auto m = SessionManifest::from_payload(payload);
-      if (!m) {
-        ++scan.records_skipped;
-        continue;
-      }
-      ++scan.records_scanned;
-      scan.max_epoch = std::max(scan.max_epoch, m->epoch);
-      auto it = scan.newest.find(m->session);
-      if (it == scan.newest.end()) {
-        scan.newest.emplace(m->session, std::move(*m));
-      } else if (m->newer_than(it->second)) {
-        it->second = std::move(*m);
-      }
+  scan.records_scanned = h.records.size();
+  scan.records_skipped = h.records_skipped;
+  scan.max_epoch = h.max_epoch;
+  for (const auto& [id, idx] : h.sessions) {
+    const auto [first, last] = live_chain(h.records, idx);
+    if (first == last) continue;
+    std::size_t bytes = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      bytes += h.records[idx[i]].state.size() + 1;
     }
+    std::string chain;
+    chain.reserve(bytes);
+    for (std::size_t i = first; i < last; ++i) {
+      const std::string_view state = h.records[idx[i]].state;
+      if (!chain.empty() && !state.empty()) chain.push_back(' ');
+      chain.append(state);
+    }
+    SessionManifest m = std::move(h.records[idx[last - 1]].m);
+    m.base = 0;
+    m.endpoint_state = std::move(chain);
+    scan.newest.emplace_hint(scan.newest.end(), id, std::move(m));
   }
   return scan;
 }
@@ -140,20 +258,23 @@ std::vector<std::uint32_t> manifested_sessions(
 }
 
 std::uint64_t compact_session_log(IStableStore& store) {
-  const SessionLogScan scan = scan_session_logs({&store});
-  std::vector<const SessionManifest*> kept;
-  kept.reserve(scan.newest.size());
-  for (const auto& [id, m] : scan.newest) kept.push_back(&m);
-  std::sort(kept.begin(), kept.end(),
-            [](const SessionManifest* a, const SessionManifest* b) {
-              return b->newer_than(*a);
-            });
+  const Histories h = read_histories({&store});
+  std::vector<const Record*> kept;
+  for (const auto& [id, idx] : h.sessions) {
+    const auto [first, last] = live_chain(h.records, idx);
+    for (std::size_t i = first; i < last; ++i) {
+      kept.push_back(&h.records[idx[i]]);
+    }
+  }
+  std::sort(kept.begin(), kept.end(), [](const Record* a, const Record* b) {
+    return b->m.newer_than(a->m);
+  });
   std::vector<std::string> payloads;
   payloads.reserve(kept.size());
-  for (const SessionManifest* m : kept) payloads.push_back(m->to_payload());
+  for (const Record* r : kept) payloads.push_back(*r->payload);
   store.reset();
   store.append_batch(payloads);
-  const std::uint64_t total = scan.records_scanned + scan.records_skipped;
+  const std::uint64_t total = h.records.size() + h.records_skipped;
   return total > payloads.size() ? total - payloads.size() : 0;
 }
 

@@ -1,23 +1,25 @@
 // Durable-session conformance suite for the wire layer
 // (ctest -L durable_mux_smoke):
 //
-//   * session manifest records — a golden payload, codec round-trip,
-//     malformed rejection, byte identity of the cached-text paths against
-//     a reference codec (random and non-canonical input, adapters through
-//     writes, restores and cold starts), protocol fingerprints,
-//     newest-per-session folding by (epoch, seq) regardless of byte order,
-//     and drain-path compaction;
+//   * session manifest records — golden full and delta payloads, codec
+//     round-trip, malformed rejection, byte identity of the canonical-text
+//     paths against a reference codec (random and non-canonical input,
+//     adapters through writes, restores and cold starts), protocol
+//     fingerprints, folding by (epoch, seq) regardless of byte order, the
+//     delta-chain fold (gaps, epochs, repeats, lost full records), and
+//     drain-path compaction;
 //   * store replay + FileStore fsync batching — group commit, the
 //     sync_every_n / sync_interval knobs, and torn-write recovery after a
 //     batched tail loss;
-//   * endpoint save/restore — sender and receiver adapters, the
-//     non-prefix-tape canary, unusable-blob cold starts;
+//   * endpoint save/restore — sender and receiver adapters, delta chains,
+//     the non-prefix-tape canary, unusable-blob cold starts;
 //   * SessionMux rehydration — graceful drain (flush + compaction) vs the
 //     crash-shaped kill(), restart racing a FIN, the storage-fault matrix
 //     biting the session log (detected and healed by bounded
 //     retransmission, never silent corruption), kRecoveryViolation kept
 //     distinct end-to-end (poisoned manifest; completion record destroyed
-//     by a tail fault while the peer is gone); and the acceptance run:
+//     by a tail fault while the peer is gone), record bytes flat as the
+//     tape grows; and the acceptance run:
 //     kill + restart a server holding >= 1000 active sessions mid-traffic
 //     under loss + reorder, every manifested session rehydrated with
 //     per-session prefix attestation across both server generations.
@@ -31,6 +33,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -96,6 +99,40 @@ TEST(SessionManifest, PayloadMatchesGolden) {
             "9 202 1 3 0 1 2 4 102 3");
 }
 
+/// A delta of the same session: the two items written since position 5.
+store::SessionManifest sample_delta() {
+  store::SessionManifest m = sample_manifest();
+  m.base = 5;
+  m.endpoint_state = "203 1 5 2 5 6 2 102 7";
+  return m;
+}
+
+TEST(SessionManifest, DeltaPayloadMatchesGolden) {
+  // The delta record's on-disk format: `base` right after `owner`.
+  const store::SessionManifest m = sample_delta();
+  const std::string payload = m.to_payload();
+  EXPECT_EQ(payload,
+            "7002 51966 0 3 41 3698354264939363239 7 1 0 5 "
+            "9 203 1 5 2 5 6 2 102 7");
+  const auto back = store::SessionManifest::from_payload(payload);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->session, m.session);
+  EXPECT_EQ(back->is_sender, m.is_sender);
+  EXPECT_EQ(back->epoch, m.epoch);
+  EXPECT_EQ(back->seq, m.seq);
+  EXPECT_EQ(back->proto_tag, m.proto_tag);
+  EXPECT_EQ(back->position, m.position);
+  EXPECT_EQ(back->completed, m.completed);
+  EXPECT_EQ(back->owner, m.owner);
+  EXPECT_EQ(back->base, m.base);
+  EXPECT_EQ(back->endpoint_state, m.endpoint_state);
+  EXPECT_EQ(back->to_payload(), payload);
+  // A full record reads back as one (base 0).
+  EXPECT_EQ(store::SessionManifest::from_payload(
+                sample_manifest().to_payload())->base,
+            0u);
+}
+
 TEST(SessionManifest, PayloadRoundTrip) {
   const auto m = sample_manifest();
   const auto back = store::SessionManifest::from_payload(m.to_payload());
@@ -156,6 +193,29 @@ TEST(SessionManifest, RejectsMalformedPayloads) {
     ASSERT_TRUE(m.has_value()) << rough;
     EXPECT_EQ(m->to_payload(), good) << rough;
   }
+
+  // Delta records: base 0 is spelled as a full record, and a base past
+  // the position extends nothing — on either reader.  Truncations never
+  // parse.
+  const std::string delta = sample_delta().to_payload();
+  ASSERT_TRUE(store::SessionManifest::from_payload(delta).has_value());
+  const auto rebased = [&](const std::string& base) {
+    std::string p = delta;
+    p.replace(p.find(" 0 5 9 203 "), 11, " 0 " + base + " 9 203 ");
+    return p;
+  };
+  for (const std::string& bad :
+       {rebased("0"), rebased("+0"), rebased("8"), rebased("08"),
+        rebased("-5")}) {
+    EXPECT_FALSE(store::SessionManifest::from_payload(bad).has_value()) << bad;
+  }
+  EXPECT_TRUE(store::SessionManifest::from_payload(rebased("7")).has_value());
+  for (std::size_t cut = 0; cut < delta.size(); cut += 3) {
+    EXPECT_FALSE(
+        store::SessionManifest::from_payload(delta.substr(0, cut)).has_value())
+        << "cut=" << cut;
+  }
+  EXPECT_FALSE(store::SessionManifest::from_payload(delta + " 9").has_value());
 }
 
 // Reference codec: the blob format as plain strtoll / to_string code,
@@ -710,6 +770,230 @@ TEST(EndpointDurability, UnusableBlobColdStartsWithEmptyTape) {
   EXPECT_EQ(back.items_done(), 1u);
 }
 
+TEST(EndpointDurability, ReceiverDeltaChainRestoresTheTape) {
+  const auto x = seq_for(5, 12);
+  auto pair = proto::make_stenning(kDomain);
+  const sim::IReceiver& inner = *pair.receiver;
+  proto::ReceiverSessionEndpoint live(std::move(pair.receiver), x);
+  const auto write_next = [&x](proto::ReceiverSessionEndpoint& ep) {
+    const std::size_t i = ep.items_done();
+    ep.on_deliver(data_id(i, x[i]));
+    (void)ep.step();
+  };
+  for (int i = 0; i < 3; ++i) write_next(live);
+  // A full blob, then one delta per step, the way a durable mux logs them.
+  std::string chain = live.save_state();
+  for (std::size_t at = live.items_done(); at < 9; at = live.items_done()) {
+    write_next(live);
+    const std::string delta = live.save_state(at);
+    EXPECT_EQ(delta, ref_nest({203, 1, static_cast<std::int64_t>(at), 1, x[at]},
+                              inner.save_state()));
+    chain += " " + delta;
+  }
+  auto fresh = proto::make_stenning(kDomain);
+  proto::ReceiverSessionEndpoint back(std::move(fresh.receiver), x);
+  ASSERT_TRUE(back.restore_state(chain));
+  EXPECT_TRUE(back.safety_ok());
+  EXPECT_EQ(back.output(), live.output());
+  EXPECT_EQ(back.items_done(), live.items_done());
+  EXPECT_EQ(back.save_state(), live.save_state());
+  EXPECT_EQ(back.save_state(4), live.save_state(4));
+  // The restored endpoint resumes where the live one stands.
+  write_next(back);
+  write_next(live);
+  EXPECT_EQ(back.save_state(), live.save_state());
+
+  // A delta that does not start where the tape ends does not chain: the
+  // whole blob is unusable and the endpoint cold-starts.
+  auto ep = driven_receiver(x, 2);
+  std::string broken = ep->save_state();
+  write_next(*ep);
+  write_next(*ep);
+  broken += " " + ep->save_state(3);  // starts at 3; the tape ends at 2
+  auto cold = proto::make_stenning(kDomain);
+  proto::ReceiverSessionEndpoint gap(std::move(cold.receiver), x);
+  EXPECT_FALSE(gap.restore_state(broken));
+  EXPECT_EQ(gap.items_done(), 0u);
+  EXPECT_TRUE(gap.safety_ok());
+  // So does a chain that starts with a delta.
+  EXPECT_FALSE(gap.restore_state(live.save_state(2)));
+  EXPECT_EQ(gap.items_done(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Delta chains in the session log: the fold and compaction
+// --------------------------------------------------------------------------
+
+constexpr std::size_t kChainLen = 16;
+
+/// One receiver's records as a durable mux writes them in one epoch: a
+/// full record at position `head`, then a one-item delta per item up to
+/// position `end`, with seq numbers from `seq0` on.
+std::vector<store::SessionManifest> receiver_chain(std::uint32_t id,
+                                                   std::uint64_t epoch,
+                                                   std::uint64_t seq0,
+                                                   std::size_t head,
+                                                   std::size_t end) {
+  const auto x = seq_for(id, kChainLen);
+  auto ep = driven_receiver(x, head);
+  std::vector<store::SessionManifest> out;
+  std::size_t from = 0;
+  while (true) {
+    store::SessionManifest m;
+    m.session = id;
+    m.epoch = epoch;
+    m.seq = seq0 + out.size();
+    m.proto_tag = store::proto_tag_of(ep->name());
+    m.position = ep->items_done();
+    m.base = from;
+    m.endpoint_state = ep->save_state(from);
+    out.push_back(std::move(m));
+    if (ep->items_done() == end) return out;
+    from = ep->items_done();
+    ep->on_deliver(data_id(from, x[from]));
+    (void)ep->step();
+  }
+}
+
+void append_all(store::MemStore& st,
+                const std::vector<store::SessionManifest>& records) {
+  for (const auto& m : records) st.append(m.to_payload());
+}
+
+/// The tape a fresh receiver restores from the scan's manifest of `id`.
+seq::Sequence restored_tape(const store::SessionLogScan& scan,
+                            std::uint32_t id) {
+  auto fresh = proto::make_stenning(kDomain);
+  proto::ReceiverSessionEndpoint ep(std::move(fresh.receiver),
+                                    seq_for(id, kChainLen));
+  EXPECT_TRUE(ep.restore_state(scan.newest.at(id).endpoint_state));
+  EXPECT_TRUE(ep.safety_ok());
+  return ep.output();
+}
+
+seq::Sequence prefix(std::uint32_t id, std::size_t n) {
+  auto x = seq_for(id, kChainLen);
+  x.resize(n);
+  return x;
+}
+
+TEST(SessionLogScan, FoldsAFullRecordAndItsDeltasIntoOneChain) {
+  store::MemStore st;
+  st.reset();
+  const auto recs = receiver_chain(1, 1, 1, 2, 9);
+  append_all(st, recs);
+  const auto scan = store::scan_session_logs({&st});
+  EXPECT_EQ(scan.records_scanned, recs.size());
+  const store::SessionManifest& m = scan.newest.at(1);
+  EXPECT_EQ(m.position, 9u);
+  EXPECT_EQ(m.seq, recs.back().seq);
+  EXPECT_EQ(m.base, 0u);
+  EXPECT_EQ(restored_tape(scan, 1), prefix(1, 9));
+  // The folded manifest is a full record: re-appended, it stands alone.
+  store::MemStore alone;
+  alone.reset();
+  alone.append(m.to_payload());
+  EXPECT_EQ(restored_tape(store::scan_session_logs({&alone}), 1),
+            prefix(1, 9));
+}
+
+TEST(SessionLogScan, AGapTruncatesTheTapeToItsContiguousPrefix) {
+  store::MemStore st;
+  st.reset();
+  auto recs = receiver_chain(1, 1, 1, 2, 9);
+  // recs[3] is the delta from 4 to 5: without it the chain ends at 4,
+  // even though the deltas after it survived.
+  ASSERT_EQ(recs[3].base, 4u);
+  recs.erase(recs.begin() + 3);
+  append_all(st, recs);
+  const auto scan = store::scan_session_logs({&st});
+  EXPECT_EQ(scan.records_scanned, recs.size());
+  EXPECT_EQ(scan.newest.at(1).position, 4u);
+  EXPECT_EQ(restored_tape(scan, 1), prefix(1, 4));
+}
+
+TEST(SessionLogScan, ADeltaNeverExtendsAnotherEpochsChain) {
+  store::MemStore st;
+  st.reset();
+  append_all(st, receiver_chain(1, 2, 1, 3, 5));
+  // Epoch 3 lost its full record; its delta from 5 would fit the epoch-2
+  // chain's end, but a chain never crosses an epoch.
+  auto later = receiver_chain(1, 3, 1, 5, 6);
+  append_all(st, {later.back()});
+  ASSERT_EQ(later.back().base, 5u);
+  const auto scan = store::scan_session_logs({&st});
+  EXPECT_EQ(scan.max_epoch, 3u);
+  EXPECT_EQ(scan.newest.at(1).epoch, 2u);
+  EXPECT_EQ(scan.newest.at(1).position, 5u);
+  EXPECT_EQ(restored_tape(scan, 1), prefix(1, 5));
+}
+
+TEST(SessionLogScan, ADuplicatedRecordCountsOnce) {
+  store::MemStore st;
+  st.reset();
+  const auto recs = receiver_chain(1, 1, 1, 2, 6);
+  append_all(st, recs);
+  // A resurrected copy of the delta from 3 to 4, behind newer records.
+  ASSERT_EQ(recs[2].base, 3u);
+  st.append(recs[2].to_payload());
+  const auto scan = store::scan_session_logs({&st});
+  EXPECT_EQ(scan.records_scanned, recs.size() + 1);
+  EXPECT_EQ(scan.newest.at(1).position, 6u);
+  EXPECT_EQ(restored_tape(scan, 1), prefix(1, 6));
+}
+
+TEST(SessionLogScan, ALostFullHeadFallsBackToTheOlderEpochsChain) {
+  store::MemStore st;
+  st.reset();
+  append_all(st, receiver_chain(1, 1, 1, 2, 7));
+  auto newer = receiver_chain(1, 2, 1, 7, 10);
+  newer.erase(newer.begin());  // epoch 2's full record at position 7
+  append_all(st, newer);
+  const auto scan = store::scan_session_logs({&st});
+  EXPECT_EQ(scan.max_epoch, 2u);  // the new generation still outranks it
+  EXPECT_EQ(scan.newest.at(1).epoch, 1u);
+  EXPECT_EQ(scan.newest.at(1).position, 7u);
+  EXPECT_EQ(restored_tape(scan, 1), prefix(1, 7));
+  // A session with no full record at all is not manifested.
+  store::MemStore deltas_only;
+  deltas_only.reset();
+  append_all(deltas_only, newer);
+  EXPECT_TRUE(store::scan_session_logs({&deltas_only}).newest.empty());
+}
+
+TEST(SessionLogCompact, KeepsEveryRecordALiveChainNeeds) {
+  store::MemStore st;
+  st.reset();
+  // Session 1: an older epoch's chain, then the live one (full head and
+  // deltas), then a delta after a gap.  Session 2: one chain.
+  const auto old1 = receiver_chain(1, 1, 1, 2, 4);
+  const auto live1 = receiver_chain(1, 2, 1, 4, 8);
+  const auto live2 = receiver_chain(2, 2, 20, 1, 5);
+  auto stray = receiver_chain(1, 2, 40, 9, 10).back();
+  append_all(st, old1);
+  append_all(st, live1);
+  append_all(st, live2);
+  append_all(st, {stray});
+  const auto before = store::scan_session_logs({&st});
+
+  const std::uint64_t dropped = store::compact_session_log(st);
+  EXPECT_EQ(dropped, old1.size() + 1);
+  // The live chains survive verbatim, in (epoch, seq) order.
+  std::vector<std::string> want;
+  for (const auto& m : live1) want.push_back(m.to_payload());
+  for (const auto& m : live2) want.push_back(m.to_payload());
+  EXPECT_EQ(st.replay().payloads, want);
+  const auto after = store::scan_session_logs({&st});
+  ASSERT_EQ(after.newest.size(), 2u);
+  for (const std::uint32_t id : {1u, 2u}) {
+    EXPECT_EQ(after.newest.at(id).position, before.newest.at(id).position);
+    EXPECT_EQ(after.newest.at(id).endpoint_state,
+              before.newest.at(id).endpoint_state);
+  }
+  EXPECT_EQ(restored_tape(after, 1), prefix(1, 8));
+  EXPECT_EQ(restored_tape(after, 2), prefix(2, 5));
+}
+
 // --------------------------------------------------------------------------
 // Rehydration harness
 // --------------------------------------------------------------------------
@@ -813,6 +1097,40 @@ store::SessionManifest receiver_manifest(std::uint32_t id,
   return m;
 }
 
+/// Withholds the last item of its sequence while `open` is false: the
+/// frame is not sent, as if lost, and the sender's timer repeats the
+/// frame before it.  Once `open`, the next step sends the item.
+class LastItemGate final : public sim::ISender {
+ public:
+  LastItemGate(std::unique_ptr<sim::ISender> inner, sim::MsgId last,
+               const std::atomic<bool>& open)
+      : inner_(std::move(inner)), last_(last), open_(open) {}
+
+  void start(const seq::Sequence& x) override { inner_->start(x); }
+  sim::SenderEffect on_step() override {
+    sim::SenderEffect eff = inner_->on_step();
+    if (eff.send == last_ && !open_.load(std::memory_order_acquire)) {
+      eff.send.reset();
+    }
+    return eff;
+  }
+  void on_deliver(sim::MsgId msg) override { inner_->on_deliver(msg); }
+  int alphabet_size() const override { return inner_->alphabet_size(); }
+  std::string save_state() const override { return inner_->save_state(); }
+  bool restore_state(const std::string& blob) override {
+    return inner_->restore_state(blob);
+  }
+  std::unique_ptr<sim::ISender> clone() const override {
+    return std::make_unique<LastItemGate>(inner_->clone(), last_, open_);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<sim::ISender> inner_;
+  sim::MsgId last_;
+  const std::atomic<bool>& open_;
+};
+
 /// One client + durable server over a scripted loopback wire, with the
 /// plumbing a kill/restart drill needs.  Client senders arm the dup-ack
 /// go-back so a durably-rewound receiver (storage-fault tail loss) heals
@@ -820,7 +1138,8 @@ store::SessionManifest receiver_manifest(std::uint32_t id,
 /// Items per session in a run killed at the kill window.  A session
 /// finishes an item per round trip, while the window waits for the
 /// unluckiest session's first item, which may take several backed-off
-/// retransmit timeouts; 64 items keep even the luckiest session open.
+/// retransmit timeouts.  The client holds back every session's last item
+/// until the kill (LastItemGate), so no session completes before it.
 constexpr std::size_t kKillWindowLen = 64;
 
 struct RestartRig {
@@ -832,6 +1151,7 @@ struct RestartRig {
   std::unique_ptr<net::StpClient> client;
   std::unique_ptr<net::StpServer> server;   // generation 1
   std::unique_ptr<net::StpServer> server2;  // generation 2
+  std::atomic<bool> last_items{false};      // LastItemGate: open at the kill
 
   net::MuxConfig base_cfg() const {
     net::MuxConfig cfg;
@@ -848,6 +1168,7 @@ struct RestartRig {
     st1.reset();
     probe1 = std::make_unique<DurableProbe>(n);
     probe2 = std::make_unique<DurableProbe>(n);
+    last_items.store(false, std::memory_order_release);
 
     client = std::make_unique<net::StpClient>(wire.a.get(), base_cfg());
     net::MuxConfig scfg = base_cfg();
@@ -857,7 +1178,12 @@ struct RestartRig {
     for (std::uint32_t id = 0; id < n; ++id) {
       auto pair = proto::make_stenning(kDomain, /*sender_ack_rewind=*/true);
       const auto x = seq_for(id, len);
-      client->add_session(id, std::move(pair.sender), x);
+      client->add_session(
+          id,
+          std::make_unique<LastItemGate>(std::move(pair.sender),
+                                         data_id(len - 1, x[len - 1]),
+                                         last_items),
+          x);
       server->add_session(id, std::move(pair.receiver), x);
     }
     client->mux().start();
@@ -865,9 +1191,8 @@ struct RestartRig {
   }
 
   /// Wait for the kill window: every session made progress (>= 1 item, so
-  /// every session is manifested).  The wait polls finely and callers give
-  /// every session kKillWindowLen or more items, so even a session that
-  /// never lost a frame is nowhere near completing when the window opens.
+  /// every session is manifested).  No session can complete before
+  /// kill_server(): its last item is still held back.
   bool wait_kill_window(std::chrono::seconds timeout) const {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
@@ -878,8 +1203,12 @@ struct RestartRig {
   }
 
   /// Crash-shaped kill of generation 1; the client keeps running against
-  /// a dead endpoint (frames pile into the bounded wire queue == loss).
-  void kill_server() { server->mux().kill(); }
+  /// a dead endpoint (frames pile into the bounded wire queue == loss),
+  /// and from now on sends the last items too.
+  void kill_server() {
+    server->mux().kill();
+    last_items.store(true, std::memory_order_release);
+  }
 
   /// Construct generation 2 on the same transport endpoint and stores and
   /// re-admit every manifested session.
@@ -1047,6 +1376,61 @@ TEST(DurableMux, BareStopWithoutDrainLeavesACleanlyRehydratableLog) {
   EXPECT_EQ(rep.completed, kSessions);
   EXPECT_EQ(rep.violations, 0u);
   EXPECT_EQ(rep.records_skipped, 0u);
+}
+
+TEST(DurableMux, RecordBytesStayFlatAsTheTapeGrows) {
+  // After its first record, each receiver record carries only the items
+  // since the one before: its size does not grow with the tape.
+  constexpr std::uint32_t kId = 0;
+  constexpr std::size_t kLen = 1024;
+  store::MemStore st;
+  st.reset();
+  auto wire = net::make_loopback();
+  net::StpClient client(wire.a.get(), net::MuxConfig{});
+  net::MuxConfig scfg;
+  scfg.session_stores = {&st};
+  net::StpServer server(wire.b.get(), scfg);
+  auto pair = proto::make_stenning(kDomain, true);
+  const auto x = seq_for(kId, kLen);
+  client.add_session(kId, std::move(pair.sender), x);
+  server.add_session(kId, std::move(pair.receiver), x);
+  client.mux().start();
+  server.mux().start();
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (!server.mux().all_terminal() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(server.mux().all_terminal());
+  server.mux().kill();  // crash-shaped: no compaction, every record stays
+  client.mux().stop();
+
+  std::map<std::uint64_t, std::size_t> bytes_at;  // position -> first size
+  for (const std::string& p : st.replay().payloads) {
+    const auto m = store::SessionManifest::from_payload(p);
+    ASSERT_TRUE(m.has_value());
+    bytes_at.emplace(m->position, p.size());
+  }
+  const auto record_at = [&bytes_at](std::uint64_t position) {
+    const auto it = bytes_at.lower_bound(position);
+    return it == bytes_at.end() ? std::size_t{0} : it->second;
+  };
+  const std::size_t early = record_at(10);
+  const std::size_t late = record_at(1000);
+  ASSERT_GT(early, 0u);
+  ASSERT_GT(late, 0u);
+  EXPECT_LE(late, early + 16) << early << " B at item 10, " << late
+                              << " B at item 1000";
+  EXPECT_LE(early, late + 16);
+  // And the log still restores the whole tape.
+  const auto scan = store::scan_session_logs({&st});
+  ASSERT_EQ(scan.newest.size(), 1u);
+  EXPECT_EQ(scan.newest.at(kId).position, kLen);
+  EXPECT_TRUE(scan.newest.at(kId).completed);
+  auto fresh = proto::make_stenning(kDomain);
+  proto::ReceiverSessionEndpoint back(std::move(fresh.receiver), x);
+  ASSERT_TRUE(back.restore_state(scan.newest.at(kId).endpoint_state));
+  EXPECT_TRUE(back.done());
 }
 
 // --------------------------------------------------------------------------
