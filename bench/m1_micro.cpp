@@ -22,6 +22,7 @@
 #include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "common.hpp"
+#include "fabric/router.hpp"
 #include "knowledge/explorer.hpp"
 #include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
@@ -499,6 +500,41 @@ void BM_UdpWakeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_UdpWakeRoundTrip)->ArgName("wake")->Arg(0)->Arg(1)
     ->UseRealTime();
+
+// One router forward: a client data frame crossing a FabricRouter's pump
+// onto its owner's backend link (decode, membership lookup, send).  Each
+// iteration sends a batch on the client loopback and polls it off the
+// backend loopback, so the pump runs busy; ns_per_frame is the wall time
+// per frame.  The backend's probes are paused: nothing answers them here,
+// and a death verdict would turn every forward into a drop.
+constexpr std::size_t kForwardBatch = 256;
+
+void BM_RouterForward(benchmark::State& state) {
+  auto client = net::make_loopback();
+  auto backend = net::make_loopback();
+  fabric::MembershipTable membership;
+  membership.add_backend(1);
+  membership.assign(1, 1);
+  fabric::FabricRouter router(client.b.get(), &membership);
+  router.add_backend(1, backend.a.get());
+  router.set_probes_paused(1, true);
+  router.start();
+  const auto frame = wire_frame();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kForwardBatch; ++i) client.a->send(frame);
+    for (std::size_t got = 0; got < kForwardBatch;) {
+      if (backend.b->poll()) ++got;
+    }
+  }
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  router.stop();
+  const auto frames = static_cast<double>(state.iterations() * kForwardBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames));
+  state.counters["ns_per_frame"] = dt.count() * 1e9 / frames;
+}
+BENCHMARK(BM_RouterForward)->UseRealTime();
 
 // One flight-recorder record, the wire's per-event observability cost.
 // Each iteration starts `producers` fresh threads (so each binds a ring

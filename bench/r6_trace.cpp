@@ -265,6 +265,10 @@ int main(int argc, char** argv) {
                                off.items_per_sec * 100.0
                          : 0.0;
     }
+    const std::string at = "n" + std::to_string(n) + ".";
+    bench.metric(at + "items_per_s_off", off.items_per_sec, "1/s");
+    bench.metric(at + "items_per_s_on", on.items_per_sec, "1/s");
+    bench.metric(at + "overhead_pct", overhead_pct, "%");
     shape = shape && off.completed == n && on.completed == n && on.attested;
     if (largest) {
       worst_overhead_pct = overhead_pct;

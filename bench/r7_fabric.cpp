@@ -26,15 +26,17 @@
 //   3. Process harness: the same topology over real processes — this
 //      binary fork/execs itself as 3 backend processes (--backend mode),
 //      each handshaking with the parent's router over a UDP rendezvous
-//      (the loss-hardened retry dialer) and journaling its sessions to a
-//      FileStore and its FlightRecorder trace to JSONL (flushed every
-//      ~25 ms).  The parent SIGKILLs one backend mid-run, waits for the
-//      heartbeat strike ladder to declare it dead, re-execs the survivor
-//      with BOTH log directories (--absorb-logs), swaps the router link,
-//      and re-homes the dead sessions.  Then the cycle closes over real
-//      UDP: the victim re-execs with --join, announces kJoin on the
-//      reserved fabric session under HandshakeRetry pacing, starts
-//      serving only after the router's kJoinAck, and reclaims its share
+//      (the loss-hardened retry dialer), running one fabric::BackendCell
+//      that starts through the same absorb() as the in-process cells,
+//      journaling its sessions to a FileStore and its FlightRecorder
+//      trace to JSONL (flushed every ~25 ms).  The parent SIGKILLs one
+//      backend mid-run, waits for the heartbeat strike ladder to declare
+//      it dead, re-execs the survivor with BOTH log directories
+//      (--absorb-logs), swaps the router link, and re-homes the dead
+//      sessions.  Then the cycle closes over real UDP: the victim
+//      re-execs with --join, announces kJoin on the reserved fabric
+//      session (fabric::announce_join), starts serving only after the
+//      router's kJoinAck, and reclaims its share
 //      from the survivor's flushed logs while the survivor re-execs
 //      restricted to its own share (--restrict) — the release half of
 //      the handoff.  Acceptance is the same: all sessions complete and
@@ -52,10 +54,10 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/table.hpp"
@@ -264,113 +266,69 @@ int run_backend(const ChildArgs& a) {
   if (!dialed) return 4;
 
   if (a.join) {
-    // Rejoin handshake, mirroring fabric::BackendCell::rejoin(): announce
-    // kJoin (msg = generation) and wait for the router's kJoinAck before
-    // serving anything.  The ack is authoritative — it is sent only while
-    // probation is open — and probes arriving during the wait are
-    // deliberately not answered (feeding the strike ladder healthy acks
-    // would stall the condemnation the handshake needs).
-    net::Frame join;
-    join.kind = net::FrameKind::kJoin;
-    join.dir = sim::Dir::kSenderToReceiver;
-    join.session = net::kFabricSession;
-    join.msg = static_cast<std::int64_t>(a.gen);
+    // The cell's rejoin handshake, paced for a cross-process wire: no
+    // serving before the router's kJoinAck opens probation.
     net::RetryConfig jr;
     jr.max_attempts = 40;
     jr.base_delay = 10ms;
     jr.backoff = 1.5;
     jr.max_delay = 200ms;
     jr.jitter_seed = a.id;
-    net::HandshakeRetry fsm(jr);
-    bool acked = false;
-    while (!acked && !fsm.exhausted(std::chrono::steady_clock::now())) {
-      if (fsm.should_send(std::chrono::steady_clock::now())) {
-        (*dialed)->send(net::encode(join));
-      }
-      if (const auto bytes = (*dialed)->poll()) {
-        const auto f = net::decode(*bytes);
-        acked = f && f->session == net::kFabricSession &&
-                f->kind == net::FrameKind::kJoinAck;
-      } else {
-        std::this_thread::sleep_for(500us);
-      }
-    }
-    if (!acked) return 5;
-    meta << "join_acked " << fsm.attempts() << "\n";
-    meta.flush();
+    if (!fabric::announce_join(**dialed, a.gen, jr)) return 5;
   }
-
-  net::MuxConfig cfg;
-  cfg.workers = 2;
-  cfg.probe = &rec;
-  cfg.session_stores = {&own};
-  cfg.backend_id = a.id;
-  net::StpServer server(dialed->get(), cfg);
 
   // Which sessions must live here: this backend's round-robin share,
   // widened by the dead backend's share when absorbing — unless
   // --restrict pins it to exactly the own share (the reclaim handoff:
   // foreign logs are scanned for state, foreign sessions declined).
-  std::set<std::uint32_t> expected;
+  std::vector<std::uint32_t> hosted;
   for (std::uint32_t sid = 1; sid <= a.sessions; ++sid) {
     const auto o = owner_of(sid, a.backends);
     if (o == a.id ||
         (!a.restrict_share && !a.absorb_logs.empty() && o == a.absorb_id)) {
-      expected.insert(sid);
+      hosted.push_back(sid);
     }
   }
-  const auto expected_for = [&a](std::uint32_t sid) {
+  fabric::CellConfig cc;
+  cc.id = a.id;
+  cc.mux = fabric_mux();
+  cc.mux.probe = &rec;
+  cc.stores = {&own};
+  cc.make_receiver = stenning_factory();
+  cc.expected_for = [&a](std::uint32_t sid) {
     return seq_for(sid, a.seq_len);
   };
+  fabric::BackendCell cell(dialed->get(), cc);
 
-  const bool first_gen = a.absorb_logs.empty() && !a.restrict_share;
-  if (first_gen) {
-    own.reset();  // first generation: the log starts empty
-  } else {
-    // Later generations rehydrate from the own log plus any foreign
-    // handoff log, newest manifest per session winning across both.  The
-    // factory declines sessions outside the share — the survivor's
-    // release of what it absorbed, the rejoiner's reclaim of only its
-    // own — so a manifested session outside the share never restarts
-    // here and can never release an ack behind someone else's durable
-    // position.
-    std::optional<store::FileStore> foreign;
-    std::vector<store::IStableStore*> sources;
-    if (!a.absorb_logs.empty()) {
-      foreign.emplace(a.absorb_logs);
-      sources.push_back(&*foreign);
-    }
-    const auto base = stenning_factory();
-    const auto gated = [&](std::uint32_t sid, std::uint64_t tag)
-        -> std::unique_ptr<sim::IReceiver> {
-      if (expected.count(sid) == 0) return nullptr;
-      return base(sid, tag);
-    };
-    const auto rep = server.rehydrate(gated, expected_for, sources);
-    meta << "restore_us";
-    for (const auto us : rep.restore_latency_us) meta << ' ' << us;
-    meta << "\nrehydrated " << rep.sessions << "\n";
-    meta.flush();
+  // Every generation starts through the cell's absorb, as in-process
+  // cells restart: the first over an emptied log (every session cold),
+  // later ones over the own log plus any foreign handoff log, newest
+  // chain per session winning, admitting exactly `hosted` — the
+  // survivor's release of what it absorbed, the rejoiner's reclaim of
+  // only its own.
+  if (a.absorb_logs.empty() && !a.restrict_share) own.reset();
+  std::optional<store::FileStore> foreign;
+  std::vector<store::IStableStore*> handoff;
+  if (!a.absorb_logs.empty()) {
+    foreign.emplace(a.absorb_logs);
+    handoff.push_back(&*foreign);
   }
-  std::set<std::uint32_t> hosted;
-  for (const auto& r : server.mux().reports()) hosted.insert(r.id);
-  for (const std::uint32_t sid : expected) {
-    if (hosted.count(sid) != 0) continue;
-    server.add_session(sid, proto::make_stenning(kDomain).receiver,
-                       seq_for(sid, a.seq_len));
-  }
+  const fabric::AbsorbReport rep = cell.absorb(handoff, hosted).value();
+  meta << "restore_us";
+  for (const auto us : rep.rehydrate.restore_latency_us) meta << ' ' << us;
+  meta << "\nrehydrated " << rep.rehydrate.sessions << "\n";
+  meta.flush();
 
-  server.mux().start();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(a.max_run_ms);
   while (g_term == 0 && std::chrono::steady_clock::now() < deadline) {
     flush_trace(rec, trace);
     std::this_thread::sleep_for(25ms);
   }
-  server.mux().stop();
+  cell.stop();
   flush_trace(rec, trace);
   meta << "completed "
-       << server.mux().stats()[MuxCounter::kSessionsCompleted] << "\n";
+       << cell.server().mux().stats()[MuxCounter::kSessionsCompleted] << "\n";
   meta.flush();
   return 0;
 }
@@ -572,6 +530,39 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
   router.start();
   client.mux().start();
 
+  const auto fail = [&](const std::string& why) {
+    res.why = why;
+    client.mux().stop();
+    router.stop();
+    cleanup();
+    return res;
+  };
+  // Stop backend `id`'s process with `sig` and reap it.
+  const auto retire = [&](std::uint32_t id, int sig) {
+    ::kill(pids[id], sig);
+    int status = 0;
+    ::waitpid(pids[id], &status, 0);
+    pids[id] = -1;
+  };
+  // Exec backend `id` as generation `gen` over a fresh rendezvous and
+  // swap the router's link to it.  The old transport lives until
+  // set_link returns — it blocks past the pump's in-flight pass, after
+  // which the corpse is safe to free.
+  const auto respawn = [&](std::uint32_t id, std::uint32_t gen,
+                           std::uint32_t absorb_id, bool join,
+                           bool restrict_share) {
+    auto rv = net::make_udp_rendezvous();
+    if (!rv) return false;
+    pids[id] = spawn_backend(
+        exe, backend_args(dir, id, sessions, seq_len, (*rv)->port(), gen,
+                          absorb_id, join, restrict_share));
+    auto link = (*rv)->accept_peer(10s);
+    if (!link) return false;
+    const auto old = std::exchange(links[id], std::move(link));
+    router.set_link(id, links[id].get());
+    return true;
+  };
+
   // The crash: SIGKILL backend 1 mid-run — once the client has heard
   // about a quarter of the run's acks, so it lands mid-traffic however
   // fast the run is (bounded: a stalled fleet is killed anyway).  No
@@ -584,78 +575,33 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
     std::this_thread::sleep_for(100us);
   }
   const std::uint32_t victim = 1;
-  ::kill(pids[victim], SIGKILL);
-  {
-    int status = 0;
-    ::waitpid(pids[victim], &status, 0);
-    pids[victim] = -1;
-  }
+  retire(victim, SIGKILL);
   const auto t_kill = std::chrono::steady_clock::now();
 
   // Heartbeat silence climbs the strike ladder to a death verdict.
-  std::optional<std::uint32_t> dead;
-  const auto death_deadline = t_kill + 10s;
-  while (!dead && std::chrono::steady_clock::now() < death_deadline) {
-    dead = router.next_dead();
-    if (!dead) std::this_thread::sleep_for(1ms);
-  }
+  const auto dead = router.next_verdict(t_kill + 10s);
   const auto t_death = std::chrono::steady_clock::now();
-  if (!dead || *dead != victim) {
-    res.why = "death verdict never arrived";
-    client.mux().stop();
-    router.stop();
-    cleanup();
-    return res;
+  if (!dead || dead->kind != fabric::Verdict::Kind::kDead ||
+      dead->backend != victim) {
+    return fail("death verdict never arrived");
   }
   res.detect_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(t_death - t_kill)
           .count());
 
-  // Re-home: gracefully retire the survivor's first generation (its log
-  // flushes), re-exec it with BOTH log directories, swap the link.  The
-  // health FSM is paused for the survivor across the window so the
-  // maintenance restart cannot be mistaken for a second crash.
+  // Re-home: retire the survivor's first generation, re-exec it with BOTH
+  // log directories, swap the link.  The health FSM is paused for the
+  // survivor across the window so the maintenance restart cannot be
+  // mistaken for a second crash.
   const auto survivor_opt = membership.pick_survivor(victim);
-  if (!survivor_opt) {
-    res.why = "no survivor";
-    client.mux().stop();
-    router.stop();
-    cleanup();
-    return res;
-  }
+  if (!survivor_opt) return fail("no survivor");
   const std::uint32_t survivor = *survivor_opt;
   router.set_probes_paused(survivor, true);
-  ::kill(pids[survivor], SIGTERM);
-  {
-    int status = 0;
-    ::waitpid(pids[survivor], &status, 0);
-    pids[survivor] = -1;
+  retire(survivor, SIGTERM);
+  if (!respawn(survivor, 2, victim, /*join=*/false,
+               /*restrict_share=*/false)) {
+    return fail("survivor never dialed back in");
   }
-  auto rv2 = net::make_udp_rendezvous();
-  if (!rv2) {
-    res.why = "re-exec rendezvous failed";
-    client.mux().stop();
-    router.stop();
-    cleanup();
-    return res;
-  }
-  pids[survivor] = spawn_backend(
-      exe, backend_args(dir, survivor, sessions, seq_len, (*rv2)->port(), 2,
-                        victim));
-  auto relinked = (*rv2)->accept_peer(10s);
-  if (!relinked) {
-    res.why = "survivor never dialed back in";
-    client.mux().stop();
-    router.stop();
-    cleanup();
-    return res;
-  }
-  // Keep the old transport alive until set_link returns — it blocks past
-  // the pump's in-flight pass, after which the corpse is safe to free.
-  auto old_link = std::move(links[survivor]);
-  links[survivor] = std::move(relinked);
-  router.set_link(survivor, links[survivor].get());
-  old_link.reset();
   router.set_probes_paused(survivor, false);
   membership.rehome(victim, survivor);
   res.restore_us = static_cast<std::uint64_t>(
@@ -663,71 +609,39 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
           std::chrono::steady_clock::now() - t_death)
           .count());
 
-  const auto fail = [&](const std::string& why) {
-    res.why = why;
-    client.mux().stop();
-    router.stop();
-    cleanup();
-    return res;
-  };
-
   // Let the healed fleet make real progress on the absorbed share before
   // closing the cycle — the reclaim below must hand back state the dead
   // generation never journaled.
   std::this_thread::sleep_for(80ms);
 
-  // Release half of the handoff: gracefully retire the survivor's second
-  // generation (its final flush covers the absorbed sessions' latest
-  // durable positions) and re-exec it RESTRICTED to its own share, so the
-  // sessions it is releasing are declined on rehydrate.  Probes stay
-  // paused across the window so maintenance reads as maintenance.
+  // Release half of the handoff: retire the survivor's second generation
+  // and re-exec it RESTRICTED to its own share, so the sessions it is
+  // releasing are declined on rehydrate.  Probes stay paused across the
+  // window so maintenance reads as maintenance.
   router.set_probes_paused(survivor, true);
-  ::kill(pids[survivor], SIGTERM);
-  {
-    int status = 0;
-    ::waitpid(pids[survivor], &status, 0);
-    pids[survivor] = -1;
+  retire(survivor, SIGTERM);
+  if (!respawn(survivor, 3, 0, /*join=*/false,
+               /*restrict_share=*/true)) {
+    return fail("survivor never dialed back for release");
   }
-  auto rv3 = net::make_udp_rendezvous();
-  if (!rv3) return fail("release rendezvous failed");
-  pids[survivor] = spawn_backend(
-      exe, backend_args(dir, survivor, sessions, seq_len, (*rv3)->port(), 3,
-                        0, /*join=*/false, /*restrict_share=*/true));
-  auto released = (*rv3)->accept_peer(10s);
-  if (!released) return fail("survivor never dialed back for release");
-  auto old_release = std::move(links[survivor]);
-  links[survivor] = std::move(released);
-  router.set_link(survivor, links[survivor].get());
-  old_release.reset();
   router.set_probes_paused(survivor, false);
 
   // Reclaim half: the victim re-execs under a new generation, announces
-  // kJoin over the fresh socket under HandshakeRetry pacing, and serves
-  // only after the router's kJoinAck opens probation.  Its rehydrate
-  // folds the survivor's flushed log over its own stale one — newest
-  // manifest wins — restricted to its original share.
-  auto rv4 = net::make_udp_rendezvous();
-  if (!rv4) return fail("rejoin rendezvous failed");
-  pids[victim] = spawn_backend(
-      exe, backend_args(dir, victim, sessions, seq_len, (*rv4)->port(), 3,
-                        survivor, /*join=*/true, /*restrict_share=*/true));
-  auto rejoined_link = (*rv4)->accept_peer(10s);
-  if (!rejoined_link) return fail("victim never dialed back to rejoin");
-  auto old_victim = std::move(links[victim]);
-  links[victim] = std::move(rejoined_link);
-  router.set_link(victim, links[victim].get());
-  old_victim.reset();
+  // kJoin over the fresh socket, and serves only after the router's
+  // kJoinAck opens probation.  Its absorb folds the survivor's log over
+  // its own stale one — newest chain wins — restricted to its original
+  // share.
+  if (!respawn(victim, 3, survivor, /*join=*/true,
+               /*restrict_share=*/true)) {
+    return fail("victim never dialed back to rejoin");
+  }
   const auto t_rejoin = std::chrono::steady_clock::now();
 
   // kJoin -> probation -> joined verdict (exactly one expected: the
   // survivor's restarts ran under paused probes and were never condemned).
-  std::optional<std::uint32_t> joined;
-  const auto join_deadline = t_rejoin + 30s;
-  while (!joined && std::chrono::steady_clock::now() < join_deadline) {
-    joined = router.next_joined();
-    if (!joined) std::this_thread::sleep_for(1ms);
-  }
-  if (!joined || *joined != victim) {
+  const auto joined = router.next_verdict(t_rejoin + 30s);
+  if (!joined || joined->kind != fabric::Verdict::Kind::kJoined ||
+      joined->backend != victim) {
     return fail("rejoin probation never passed");
   }
   res.rejoin_us = static_cast<std::uint64_t>(
@@ -815,6 +729,9 @@ int main(int argc, char** argv) {
 
   BenchRun bench("r7_fabric", argc, argv);
   bench.param("backends", static_cast<std::int64_t>(kBackends));
+  // Failure artifacts describe this run only: a passing run leaves none.
+  std::filesystem::remove("FABRIC_failure_plan.txt");
+  std::filesystem::remove("FABRIC_failure_trace.jsonl");
   std::cout << analysis::heading(
       "R7 (service fabric): crash re-homing, rejoin/reclaim, restore "
       "latency, process harness");
@@ -916,12 +833,12 @@ int main(int argc, char** argv) {
   const auto pmax = restore.empty()
                         ? 0
                         : *std::max_element(restore.begin(), restore.end());
-  bench.param("crashes", static_cast<std::int64_t>(crashes));
-  bench.param("crashes_mid_traffic",
-              static_cast<std::int64_t>(crashes_mid_traffic));
-  bench.param("restore_p50_us", static_cast<std::int64_t>(p50));
-  bench.param("restore_p90_us", static_cast<std::int64_t>(p90));
-  bench.param("restore_max_us", static_cast<std::int64_t>(pmax));
+  bench.metric("crashes", static_cast<double>(crashes), "count");
+  bench.metric("crashes_mid_traffic",
+               static_cast<double>(crashes_mid_traffic), "count");
+  bench.metric("restore_p50_us", static_cast<double>(p50), "us");
+  bench.metric("restore_p90_us", static_cast<double>(p90), "us");
+  bench.metric("restore_max_us", static_cast<double>(pmax), "us");
   analysis::Table t2({"crash trials", "crashes", "mid-traffic", "rehomes",
                       "p50 us", "p90 us", "max us"});
   t2.add_row({std::to_string(crash_trials), std::to_string(crashes),
@@ -964,9 +881,9 @@ int main(int argc, char** argv) {
   bench.param("resilience_trials", static_cast<std::int64_t>(resil_trials));
   bench.param("resilience_reclaims",
               static_cast<std::int64_t>(resil_reclaims));
-  bench.param("reclaim_p50_us", static_cast<std::int64_t>(rp50));
-  bench.param("reclaim_p90_us", static_cast<std::int64_t>(rp90));
-  bench.param("reclaim_max_us", static_cast<std::int64_t>(rpmax));
+  bench.metric("reclaim_p50_us", static_cast<double>(rp50), "us");
+  bench.metric("reclaim_p90_us", static_cast<double>(rp90), "us");
+  bench.metric("reclaim_max_us", static_cast<double>(rpmax), "us");
   analysis::Table t2b({"resilience trials", "reclaims", "p50 us", "p90 us",
                        "max us"});
   t2b.add_row({std::to_string(resil_trials), std::to_string(resil_reclaims),
@@ -986,19 +903,18 @@ int main(int argc, char** argv) {
   } else {
     shape = shape && proc.ok;
     bench.param("process_harness", proc.ok ? "ok" : proc.why);
-    bench.param("proc_detect_us", static_cast<std::int64_t>(proc.detect_us));
-    bench.param("proc_restore_us",
-                static_cast<std::int64_t>(proc.restore_us));
-    bench.param("proc_rejoin_us",
-                static_cast<std::int64_t>(proc.rejoin_us));
     bench.param("proc_reclaimed_sessions",
                 static_cast<std::int64_t>(proc.reclaimed));
-    bench.param("proc_session_restore_p50_us",
-                static_cast<std::int64_t>(
-                    percentile(proc.session_restore_us, 0.50)));
-    bench.param("proc_session_reclaim_p50_us",
-                static_cast<std::int64_t>(
-                    percentile(proc.session_reclaim_us, 0.50)));
+    bench.metric("proc_detect_us", static_cast<double>(proc.detect_us), "us");
+    bench.metric("proc_restore_us", static_cast<double>(proc.restore_us),
+                 "us");
+    bench.metric("proc_rejoin_us", static_cast<double>(proc.rejoin_us), "us");
+    bench.metric("proc_session_restore_p50_us",
+                 static_cast<double>(percentile(proc.session_restore_us, 0.5)),
+                 "us");
+    bench.metric("proc_session_reclaim_p50_us",
+                 static_cast<double>(percentile(proc.session_reclaim_us, 0.5)),
+                 "us");
     analysis::Table t3({"sessions", "completed", "trace completed",
                         "attested", "detect ms", "restore ms", "rejoin ms",
                         "reclaimed", "verdict"});

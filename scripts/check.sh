@@ -81,7 +81,13 @@ stage_trace() {
 stage_fabric() {
   echo "== fabric smoke: multi-backend failover + rejoin/reclaim suites + crash re-homing bench report =="
   ctest --test-dir build -L "fabric_smoke|rejoin_smoke" --output-on-failure -j "${JOBS}" --timeout "${TEST_TIMEOUT}"
-  ./build/bench/r7_fabric --quiet --json BENCH_r7_fabric.json
+  if ! ./build/bench/r7_fabric --quiet --json BENCH_r7_fabric.json; then
+    # r7 writes the failing seed's 1-minimal plan (it replays through
+    # fault::fabric_plan_from_text) and removes any stale one at start.
+    echo "r7_fabric failed; FABRIC_failure_plan.txt:"
+    cat FABRIC_failure_plan.txt 2>/dev/null || echo "(none written)"
+    return 1
+  fi
   ./build/bench/validate_bench_json BENCH_r7_fabric.json
 }
 

@@ -7,50 +7,43 @@
 // shape docs/RECOVERY.md establishes for a single server, lifted to a
 // fleet member.
 //
-//   kill()           crash: the mux dies mid-flight (no drain, no final
-//                    flush), probes go unanswered, the router's health
-//                    loop declares the cell dead.  Idempotent — fencing
-//                    an already-dead cell is a no-op, which is what makes
-//                    FALSE suspicion safe: fence first, ask later.
-//   rehome_absorb()  survivor side of a re-home: bare-stop the running
-//                    generation, build a fresh one on the same transport
-//                    and OWN stores, rehydrate with the dead backend's
-//                    logs as read-only extra sources, cold-add any
-//                    expected or owned session that never manifested
-//                    (assigned, or moved here, but never checkpointed
-//                    before the stop), restart.
-//   rejoin()         the way back from kill(): announce a fresh
-//                    generation on the reserved fabric session (kJoin,
-//                    msg = generation), wait for the router's epoch-tagged
-//                    kJoinAck, then start a SESSIONLESS generation that
-//                    answers probes through its probation window.  The
-//                    sessions come back later, via the reclaim handoff.
-//   release_absorb() survivor side of a reclaim: hand sessions BACK —
-//                    the same restart-absorb shape as rehome_absorb, but
-//                    the rehydration factory declines the departing
-//                    sessions, so the new generation simply never admits
-//                    them.  Their durable records stay in this cell's
-//                    logs, read-only, for the rejoiner to fold in.
+//   kill()    crash: the mux dies mid-flight (no drain, no final flush),
+//             probes go unanswered, the router's health loop declares the
+//             cell dead.  Idempotent — fencing an already-dead cell is a
+//             no-op, which is what makes FALSE suspicion safe: fence
+//             first, ask later.
+//   absorb()  the one way a generation restarts: bare-stop the running
+//             generation, build a fresh one on the same transport and OWN
+//             stores, rehydrate from the own logs plus any handoff logs
+//             (read-only), admitting exactly the `hosted` sessions, and
+//             cold-add every hosted session no log names.  The supervisor
+//             runs it for each side of a handoff: a re-home's survivor
+//             (hosted = its own sessions plus the dead cell's), a
+//             reclaim's releasing owner (hosted = what it keeps) and the
+//             rejoiner (hosted = what it reclaims).  A dead cell reports
+//             nullopt instead of restarting.
+//   rejoin()  the way back from kill(): announce a fresh generation
+//             (announce_join), then start a SESSIONLESS generation that
+//             answers probes through its probation window.  The sessions
+//             come back later, via the reclaim absorb.
 //
-// Every absorb restricts rehydration to the sessions the membership table
-// says belong here: after a reclaim, a cell's logs manifest sessions it
-// no longer owns (the released ones), and blindly re-admitting whatever a
-// log mentions would be exactly the split-brain the fence exists to
-// prevent.
+// Admission is restricted to `hosted` because after a reclaim a cell's
+// logs manifest sessions it no longer owns (the released ones), and
+// blindly re-admitting whatever a log mentions would be exactly the
+// split-brain the fence exists to prevent.
 //
 // The cell's MuxConfig.backend_id is stamped with the cell id, so every
 // manifest record it writes says who owned the session when — provenance
 // that survives the handoff.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "net/retry.hpp"
 #include "net/service.hpp"
 
 namespace stpx::fabric {
@@ -68,21 +61,25 @@ struct CellConfig {
   net::StpServer::ExpectedProvider expected_for;
 };
 
-/// What one rehome_absorb() did (the survivor's view).
+/// What one absorb() did.
 struct AbsorbReport {
   net::RehydrateReport rehydrate;
-  std::vector<std::uint32_t> cold_added;  // expected but never manifested
+  std::vector<std::uint32_t> cold_added;  // hosted but never manifested
   std::uint64_t latency_us = 0;           // stop -> serving again
 };
 
-/// What one rejoin() handshake did.
-struct RejoinReport {
-  bool acked = false;          ///< kJoinAck received; probation is open
-  std::uint32_t attempts = 0;  ///< kJoin announcements sent
-  std::uint32_t generation = 0;  ///< the generation that announced
-  std::uint64_t epoch = 0;     ///< membership epoch from the kJoinAck
-  std::uint64_t latency_us = 0;
-};
+/// Announce generation `generation` of a dead backend on `link`: kJoin on
+/// the reserved fabric session, resent under `retry`, blocking in
+/// link.wait() between polls until the router's kJoinAck arrives.  The
+/// ack is authoritative — the router sends it only while probation is
+/// open, so a kJoin that races the strike ladder (backend not condemned
+/// yet) goes unanswered and the resends carry the handshake across.
+/// Everything else on the link, kProbe included, is consumed unanswered:
+/// feeding the ladder healthy acks would stall the very condemnation the
+/// handshake needs.  The caller owns `link` for the duration (no mux may
+/// poll it).  Returns whether probation opened.
+bool announce_join(net::ITransport& link, std::uint32_t generation,
+                   const net::RetryConfig& retry);
 
 class BackendCell {
  public:
@@ -109,41 +106,22 @@ class BackendCell {
   bool killed() const { return killed_; }
   std::uint32_t id() const { return cfg_.id; }
 
-  /// Survivor side of a re-home (see file comment).  `handoff` is the
-  /// dead backend's stores (read-only); `expected` the session ids the
-  /// membership table says must now live here.  When `owned` is given it
-  /// names this cell's CURRENT sessions, and the new generation hosts
-  /// exactly owned ∪ expected — any other session a log manifests (e.g.
-  /// one this cell released in an earlier reclaim) is declined, and an
-  /// owned one no log names (it had heard nothing yet) is cold-added.
-  /// Without `owned` every manifested session is admitted (the
-  /// pre-reclaim behaviour, safe only while logs cannot mention foreign
-  /// sessions).
-  AbsorbReport rehome_absorb(
+  /// Restart into the next generation hosting exactly `hosted` (see file
+  /// comment).  `handoff` is other cells' stores, scanned read-only; the
+  /// newest chain per session wins across them and the own logs.  When
+  /// it returns, the own logs hold a record of the new epoch for every
+  /// rehydrated session (SessionMux::start commits them), so a later
+  /// handoff needs only this cell's logs.  nullopt: the cell was dead.
+  std::optional<AbsorbReport> absorb(
       const std::vector<store::IStableStore*>& handoff,
-      const std::vector<std::uint32_t>& expected,
-      const std::optional<std::vector<std::uint32_t>>& owned = std::nullopt);
+      const std::vector<std::uint32_t>& hosted);
 
-  /// Survivor side of a reclaim: restart WITHOUT `victims`, keeping
-  /// exactly `remaining` (cold-adding any of them no log manifests).  The
-  /// victims' durable records stay in this cell's logs for the rejoiner.
-  AbsorbReport release_absorb(const std::vector<std::uint32_t>& victims,
-                              const std::vector<std::uint32_t>& remaining);
-
-  /// The way back from kill(): announce a fresh generation with kJoin on
-  /// the reserved fabric session and wait (bounded retries, `ack_wait`
-  /// per attempt) for the router's kJoinAck.  The ack is authoritative —
-  /// the router sends it only while probation is open, so a kJoin that
-  /// races the strike ladder (backend not condemned yet) goes unanswered
-  /// and the retries carry the handshake across.  Probes arriving during
-  /// the wait are deliberately NOT answered: feeding the ladder healthy
-  /// acks would stall the very condemnation the handshake needs.  On
-  /// success the cell starts a SESSIONLESS generation that rides out
-  /// probation; on failure the cell stays dead and a later rejoin() may
-  /// try again.
-  RejoinReport rejoin(std::uint32_t max_attempts = 5,
-                      std::chrono::microseconds ack_wait =
-                          std::chrono::microseconds(50'000));
+  /// The way back from kill(): announce_join() a fresh generation under
+  /// the cell's fixed budget (5 kJoin frames 50 ms apart).  On success
+  /// the cell starts a SESSIONLESS generation that rides out probation;
+  /// on failure it stays dead and a later rejoin() may try again.
+  /// Returns whether probation opened.
+  bool rejoin();
 
   /// The current generation (valid between construction and kill()).
   net::StpServer& server() { return *server_; }
@@ -152,21 +130,13 @@ class BackendCell {
 
  private:
   std::unique_ptr<net::StpServer> make_generation();
-  /// Shared restart-absorb core: bare-stop, next generation, rehydrate
-  /// (declining sessions `allowed` rejects, when given), cold-add
-  /// `expected` stragglers, restart.  Caller holds mu_.
-  AbsorbReport absorb_locked(
-      const std::vector<store::IStableStore*>& handoff,
-      const std::vector<std::uint32_t>& expected,
-      const std::function<bool(std::uint32_t)>& allowed);
 
   net::ITransport* transport_;
   CellConfig cfg_;
   std::unique_ptr<net::StpServer> server_;
   std::uint32_t generation_ = 1;
-  bool started_ = false;
   bool killed_ = false;
-  std::mutex mu_;  // serializes kill / absorb / stop
+  std::mutex mu_;  // serializes kill / absorb / stop / rejoin
 };
 
 }  // namespace stpx::fabric

@@ -95,7 +95,7 @@ void Fabric::set_partition(std::uint32_t id, PartitionMode mode) {
 bool Fabric::rejoin_backend(std::uint32_t id) {
   BackendCell& c = cell(id);
   if (!c.killed()) return false;
-  return c.rejoin().acked;
+  return c.rejoin();
 }
 
 BackendCell& Fabric::cell(std::uint32_t id) {
@@ -118,18 +118,24 @@ void Fabric::publish_metrics(obs::MetricsRegistry& reg) const {
 }
 
 void Fabric::supervise(std::stop_token st) {
-  while (!st.stop_requested()) {
-    bool busy = false;
-    if (const auto dead = router_->next_dead()) {
-      handle_death(*dead);
-      busy = true;
+  while (const auto v = router_->next_verdict(
+             std::chrono::steady_clock::time_point::max(), st)) {
+    if (v->kind == Verdict::Kind::kDead) {
+      handle_death(v->backend);
+    } else {
+      handle_join(v->backend);
     }
-    if (const auto joined = router_->next_joined()) {
-      handle_join(*joined);
-      busy = true;
-    }
-    if (!busy) std::this_thread::sleep_for(cfg_.supervise_poll);
   }
+}
+
+std::optional<AbsorbReport> Fabric::absorb_paused(
+    std::uint32_t id, const std::vector<store::IStableStore*>& handoff,
+    const std::vector<std::uint32_t>& hosted) {
+  router_->set_probes_paused(id, true);
+  auto rep = cells_[id - 1]->absorb(handoff, hosted);
+  router_->set_probes_paused(id, false);
+  if (!rep) membership_.set_health(id, BackendHealth::kDead);
+  return rep;
 }
 
 void Fabric::handle_death(std::uint32_t dead) {
@@ -140,29 +146,28 @@ void Fabric::handle_death(std::uint32_t dead) {
   // the same session could both write.  kill() is idempotent, so fencing
   // an already-crashed cell costs nothing.
   cells_[dead - 1]->kill();
-  const auto survivor = membership_.pick_survivor(dead);
-  if (!survivor) {
-    std::lock_guard<std::mutex> hold(rehome_mu_);
-    rehomes_.push_back(std::move(rec));
-    return;
+  // A cell killed but not yet condemned still reads alive here; its
+  // absorb reports it dead, which marks it so, and the next is tried.
+  while (const auto survivor = membership_.pick_survivor(dead)) {
+    // The survivor hosts exactly its own sessions plus the incoming ones:
+    // after a reclaim its logs can manifest sessions it released, and the
+    // handed-off logs can manifest sessions the dead cell released — none
+    // of which may be resurrected here.
+    auto hosted = membership_.sessions_of(*survivor);
+    for (const std::uint32_t sid : membership_.sessions_of(dead)) {
+      hosted.push_back(sid);
+    }
+    auto absorbed = absorb_paused(*survivor, stores_[dead - 1], hosted);
+    if (!absorbed) continue;
+    rec.survivor = *survivor;
+    rec.absorb = std::move(*absorbed);
+    // Only now flip the routing truth: frames for the moved sessions were
+    // dropped (counted dead_owner) during the absorb, which retransmission
+    // heals; after this line they flow to the survivor.
+    rec.moved = membership_.rehome(dead, *survivor);
+    rec.ok = true;
+    break;
   }
-  rec.survivor = *survivor;
-  // The survivor goes dark while its mux restarts; pause its heartbeat
-  // so the maintenance window cannot read as a second crash.  Rehydration
-  // is restricted to the survivor's own sessions plus the incoming ones:
-  // after a reclaim its logs can manifest sessions it released, and the
-  // handed-off logs can manifest sessions the dead cell released — none
-  // of which may be resurrected here.
-  router_->set_probes_paused(*survivor, true);
-  rec.absorb = cells_[*survivor - 1]->rehome_absorb(
-      stores_[dead - 1], membership_.sessions_of(dead),
-      membership_.sessions_of(*survivor));
-  router_->set_probes_paused(*survivor, false);
-  // Only now flip the routing truth: frames for the moved sessions were
-  // dropped (counted dead_owner) during the absorb, which retransmission
-  // heals; after this line they flow to the survivor.
-  rec.moved = membership_.rehome(dead, *survivor);
-  rec.ok = true;
   std::lock_guard<std::mutex> hold(rehome_mu_);
   rehomes_.push_back(std::move(rec));
 }
@@ -190,11 +195,11 @@ void Fabric::handle_join(std::uint32_t id) {
       continue;  // that backend's own death flow owns these; don't race it
     }
     by_owner[entry->backend].push_back(sid);
-    rec.reclaimed.push_back(sid);
   }
-  // Each current owner hands its victims back with a release absorb; the
-  // victims' durable records stay in its logs, read-only, as the handoff
-  // source for the rejoiner.
+  // Each current owner hands its victims back by restarting without them;
+  // their durable records stay in its logs, read-only, as the handoff
+  // source for the rejoiner.  An owner that died first keeps its victims:
+  // its own death flow re-homes them.
   std::vector<store::IStableStore*> handoff;
   for (const auto& [owner, victims] : by_owner) {
     std::vector<std::uint32_t> remaining;
@@ -203,22 +208,28 @@ void Fabric::handle_join(std::uint32_t id) {
         remaining.push_back(sid);
       }
     }
-    router_->set_probes_paused(owner, true);
-    cells_[owner - 1]->release_absorb(victims, remaining);
-    router_->set_probes_paused(owner, false);
-    for (store::IStableStore* s : stores_[owner - 1]) handoff.push_back(s);
+    if (!absorb_paused(owner, {}, remaining)) continue;
+    handoff.insert(handoff.end(), stores_[owner - 1].begin(),
+                   stores_[owner - 1].end());
     rec.released_from.push_back(owner);
+    rec.reclaimed.insert(rec.reclaimed.end(), victims.begin(), victims.end());
   }
   // The rejoiner folds its own logs plus the released owners' (read-only)
   // and admits EXACTLY the reclaim set: the (epoch, seq) newest-fold
   // resumes each session at the releasing owner's durable position, so
-  // the ack-gating write-ahead rule holds across the handback.  An empty
-  // `owned` vector (vs nullopt) is what restricts admission to the
-  // reclaim set alone.
-  router_->set_probes_paused(id, true);
-  rec.absorb = cells_[id - 1]->rehome_absorb(handoff, rec.reclaimed,
-                                             std::vector<std::uint32_t>{});
-  router_->set_probes_paused(id, false);
+  // the ack-gating write-ahead rule holds across the handback.
+  auto absorbed = absorb_paused(id, handoff, rec.reclaimed);
+  if (!absorbed) {
+    // The rejoiner died before it took them back: each owner that
+    // released its victims hosts them again (membership never moved).
+    for (const std::uint32_t owner : rec.released_from) {
+      absorb_paused(owner, {}, membership_.sessions_of(owner));
+    }
+    std::lock_guard<std::mutex> hold(rehome_mu_);
+    reclaims_.push_back(std::move(rec));
+    return;
+  }
+  rec.absorb = std::move(*absorbed);
   // Only now flip the routing truth: revive bumps the incarnation (owner
   // entries still stamped with the old one turn stale) and the epoch;
   // each reclaimed session is then restamped fresh.  Clients holding

@@ -7,21 +7,23 @@
 //   client mux ══ client link ══ FabricRouter ══ link k ══ BackendCell k
 //                                     │
 //                                HealthMonitor (kProbe/kProbeAck)
-//                                     │ death verdict
-//                                supervisor thread:
+//                                     │ death verdict (next_verdict)
+//                                supervisor thread, blocked until then:
 //                                  fence (kill the suspect — idempotent,
 //                                    so FALSE suspicion is safe)
 //                                  pick survivor (least loaded, alive)
 //                                  absorb (survivor rehydrates its own
-//                                    logs + the dead cell's as handoff)
+//                                    logs + the dead cell's as handoff;
+//                                    a survivor found dead is marked so
+//                                    and the next one is tried)
 //                                  re-home (membership rewrite; the
 //                                    router forwards there from now on)
 //
-// The rejoin loop (PR 9) runs the same machinery in reverse: a killed
-// cell announces a fresh generation (kJoin), rides out the router's
-// probation window, and the supervisor then RECLAIMS the sessions its
-// durable logs still manifest — each current owner hands them back with
-// a release absorb, the rejoiner folds the released logs in, and only
+// The rejoin loop runs the same machinery in reverse: a killed cell
+// announces a fresh generation (kJoin), rides out the router's probation
+// window, and the supervisor then RECLAIMS the sessions its durable logs
+// still manifest — each current owner hands them back with an absorb
+// that keeps the rest, the rejoiner absorbs the released logs, and only
 // then does revive() + reassignment flip the routing truth (epoch bump;
 // stale leases get redirected).  docs/FABRIC.md has the state machine.
 //
@@ -43,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -70,8 +73,6 @@ struct FabricConfig {
   std::function<obs::IProbe*(std::uint32_t)> probe_for;
   /// Link template for the client link and every backend link.
   net::LoopbackConfig link;
-  /// Supervisor poll cadence for death events.
-  std::chrono::microseconds supervise_poll{200};
 };
 
 /// One fence-and-re-home, as the supervisor saw it.
@@ -158,6 +159,14 @@ class Fabric {
   void supervise(std::stop_token st);
   void handle_death(std::uint32_t dead);
   void handle_join(std::uint32_t id);
+  /// Restart cell `id` hosting exactly `hosted` (handoff logs read-only)
+  /// with its probes paused, so the maintenance window cannot read as a
+  /// crash.  nullopt when the cell was already dead: it is then marked
+  /// dead in the membership table, and its own death verdict re-homes
+  /// what it owns.
+  std::optional<AbsorbReport> absorb_paused(
+      std::uint32_t id, const std::vector<store::IStableStore*>& handoff,
+      const std::vector<std::uint32_t>& hosted);
 
   FabricConfig cfg_;
   MembershipTable membership_;

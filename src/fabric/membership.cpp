@@ -1,5 +1,7 @@
 #include "fabric/membership.hpp"
 
+#include <utility>
+
 #include "util/expect.hpp"
 
 namespace stpx::fabric {
@@ -124,9 +126,9 @@ std::optional<std::uint32_t> MembershipTable::pick_survivor(
     std::uint32_t not_this) const {
   std::lock_guard<std::mutex> hold(mu_);
   std::optional<std::uint32_t> best;
-  std::size_t best_load = 0;
+  std::pair<BackendHealth, std::size_t> best_rank;
   for (const auto& [id, b] : backends_) {
-    if (id == not_this || b.health != BackendHealth::kAlive) continue;
+    if (id == not_this || b.health == BackendHealth::kDead) continue;
     std::size_t load = 0;
     for (const auto& [session, entry] : session_owner_) {
       (void)session;
@@ -134,9 +136,11 @@ std::optional<std::uint32_t> MembershipTable::pick_survivor(
       // rejoin must not resurrect (see file comment).
       if (entry.backend == id && entry.generation == b.incarnation) ++load;
     }
-    if (!best || load < best_load) {
+    // Every alive backend ranks before every suspect one.
+    const std::pair rank{b.health, load};
+    if (!best || rank < best_rank) {
       best = id;
-      best_load = load;
+      best_rank = rank;
     }
   }
   return best;

@@ -101,11 +101,15 @@ class MembershipTable {
 
   std::vector<std::uint32_t> sessions_of(std::uint32_t backend) const;
   std::vector<std::uint32_t> backends() const;
-  /// Alive backend with the fewest NON-STALE sessions, excluding
-  /// `not_this` (ties broken by lowest id).  nullopt when none is alive.
-  /// Stale entries are ignored — they predate the owner's last fence and
-  /// represent sessions that are about to be reclaimed or re-assigned,
-  /// not real load.
+  /// The backend with the fewest NON-STALE sessions among the alive
+  /// ones — or, when none is alive, among the suspect ones — excluding
+  /// `not_this` (ties broken by lowest id).  nullopt when every other
+  /// backend is dead.  A suspect is not dead: one missed probe under load
+  /// makes one, and no re-home is retried, so passing it over would
+  /// strand the dead backend's sessions for good.  Stale entries are
+  /// ignored — they predate the owner's last fence and represent
+  /// sessions that are about to be reclaimed or re-assigned, not real
+  /// load.
   std::optional<std::uint32_t> pick_survivor(std::uint32_t not_this) const;
 
   std::size_t session_count() const;

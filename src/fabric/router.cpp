@@ -102,20 +102,18 @@ void FabricRouter::set_partition(std::uint32_t id, PartitionMode mode) {
   }
 }
 
-std::optional<std::uint32_t> FabricRouter::next_dead() {
-  std::lock_guard<std::mutex> hold(dead_mu_);
-  if (dead_.empty()) return std::nullopt;
-  const std::uint32_t id = dead_.front();
-  dead_.pop_front();
-  return id;
-}
-
-std::optional<std::uint32_t> FabricRouter::next_joined() {
-  std::lock_guard<std::mutex> hold(dead_mu_);
-  if (joined_.empty()) return std::nullopt;
-  const std::uint32_t id = joined_.front();
-  joined_.pop_front();
-  return id;
+std::optional<Verdict> FabricRouter::next_verdict(
+    std::chrono::steady_clock::time_point deadline, std::stop_token st) {
+  std::unique_lock<std::mutex> hold(verdict_mu_);
+  verdict_cv_.wait_until(hold, st, deadline,
+                         [this] { return !dead_.empty() || !joined_.empty(); });
+  auto& queue = !dead_.empty() ? dead_ : joined_;
+  if (queue.empty()) return std::nullopt;
+  const Verdict v{&queue == &dead_ ? Verdict::Kind::kDead
+                                   : Verdict::Kind::kJoined,
+                  queue.front()};
+  queue.pop_front();
+  return v;
 }
 
 HealthStats FabricRouter::health_stats() const {
@@ -322,8 +320,9 @@ void FabricRouter::tend_backend(BackendLink& b,
       // a fresh death of the revived incarnation is reportable again.
       b.awaiting_probation = false;
       b.reported_dead = false;
-      std::lock_guard<std::mutex> dq(dead_mu_);
+      std::lock_guard<std::mutex> vq(verdict_mu_);
       joined_.push_back(b.id);
+      verdict_cv_.notify_all();
     } else if (verdict == BackendHealth::kDead) {
       // Struck out mid-probation: still fenced, nothing new to report —
       // the next kJoin may try again.
@@ -333,8 +332,9 @@ void FabricRouter::tend_backend(BackendLink& b,
   }
   if (verdict == BackendHealth::kDead && !b.reported_dead) {
     b.reported_dead = true;
-    std::lock_guard<std::mutex> dq(dead_mu_);
+    std::lock_guard<std::mutex> vq(verdict_mu_);
     dead_.push_back(b.id);
+    verdict_cv_.notify_all();
   }
 }
 

@@ -40,14 +40,17 @@
 //     the restart window cannot be mistaken for a crash.
 //
 // Death verdicts flow: HealthMonitor (pump thread) -> MembershipTable
-// (shared) -> dead-event queue -> supervisor (Fabric), which fences and
+// (shared) -> verdict queue -> supervisor (Fabric), which fences and
 // re-homes.  Rejoin verdicts flow the mirror path: kJoin (backend) ->
-// HealthMonitor probation -> joined-event queue -> supervisor, which
-// runs the reclaim handoff and only then revives the membership entry.
+// HealthMonitor probation -> verdict queue -> supervisor, which runs the
+// reclaim handoff and only then revives the membership entry.  The
+// supervisor blocks in next_verdict(); every push signals it.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -85,6 +88,16 @@ constexpr const char* to_cstr(PartitionMode m) {
 
 struct RouterConfig {
   HealthConfig health;
+};
+
+/// One health-loop verdict handed to the supervisor.
+struct Verdict {
+  enum class Kind : std::uint8_t {
+    kDead,    ///< the strike ladder condemned the backend
+    kJoined,  ///< a rejoined backend passed probation
+  };
+  Kind kind = Kind::kDead;
+  std::uint32_t backend = 0;
 };
 
 /// Every event the router counts (stats() reads them back by this enum).
@@ -158,13 +171,14 @@ class FabricRouter {
   void set_probes_paused(std::uint32_t id, bool on); // maintenance window
   void set_partition(std::uint32_t id, PartitionMode mode);  // host split
 
-  /// Pop the next backend the health loop declared dead (FIFO), if any.
-  /// Each death is reported exactly once per incarnation.
-  std::optional<std::uint32_t> next_dead();
-
-  /// Pop the next backend that completed its rejoin probation (FIFO), if
-  /// any.  The supervisor runs the reclaim handoff on it.
-  std::optional<std::uint32_t> next_joined();
+  /// Pop the next verdict, blocking until one is queued, `deadline`
+  /// passes or `st` is stopped (then nullopt).  Deaths are served before
+  /// joins, each kind FIFO.  Each death is reported exactly once per
+  /// incarnation; a join means the backend passed its rejoin probation
+  /// and the supervisor runs the reclaim handoff on it.
+  std::optional<Verdict> next_verdict(
+      std::chrono::steady_clock::time_point deadline,
+      std::stop_token st = {});
 
   obs::CounterTable<RouterCounter>::Snapshot stats() const {
     return n_.snapshot();
@@ -219,7 +233,8 @@ class FabricRouter {
   Nameserver nameserver_;
   bool started_ = false;
 
-  std::mutex dead_mu_;
+  std::mutex verdict_mu_;
+  std::condition_variable_any verdict_cv_;  // signalled on every push
   std::deque<std::uint32_t> dead_;
   std::deque<std::uint32_t> joined_;
 

@@ -107,6 +107,16 @@ void SessionMux::start() {
   for (std::size_t i = 0; i < shard_count && !slots_.empty(); ++i) {
     shards_[i]->slot = i % slots_.size();
   }
+  // Rehydrated sessions (only a durable mux has any) re-manifest under
+  // the new epoch before any thread runs, so a crash right after start()
+  // cannot leave them named only by the logs they were rehydrated from.
+  for (auto& shard : shards_) {
+    for (Session* s : shard->members) {
+      if (s->rehydrated) shard->batch.push_back(s);
+    }
+    if (shard->batch.empty()) continue;
+    flush_shard(*shard, Clock::now(), /*force=*/false);
+  }
   workers_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     workers_.emplace_back(
@@ -168,7 +178,7 @@ RehydrateReport SessionMux::rehydrate(
   stores.reserve(slots_.size() + extra_sources.size());
   for (const auto& slot : slots_) stores.push_back(slot->store);
   // Handoff sources are scanned but never written: their sessions
-  // re-manifest into this mux's own stores at the first flush.
+  // re-manifest into this mux's own stores at start().
   for (store::IStableStore* st : extra_sources) stores.push_back(st);
   const store::SessionLogScan scan = store::scan_session_logs(stores);
   // Every record this generation writes must supersede the crashed
@@ -197,7 +207,7 @@ RehydrateReport SessionMux::rehydrate(
     add_session(id, std::move(endpoint), m.is_sender);
     Session& s = *sessions_.back();
     s.rehydrated = true;
-    s.dirty = true;  // re-manifest under the new epoch at the first flush
+    s.dirty = true;  // re-manifest under the new epoch at start()
     s.items_reported = s.endpoint->items_done();
     ++rep.sessions;
     n_.add(MuxCounter::kRehydratedSessions);
@@ -330,11 +340,10 @@ void SessionMux::note_reject(RejectReason why) {
 
 void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
   Shard& shard = *shards_[shard_idx];
-  // Every session is in the first pass: senders send their first frame,
-  // receivers announce their position (a restarted one is heard at
-  // once), and rehydrated sessions re-manifest under the new epoch —
-  // terminal ones too, which schedule() would skip, so each member gets
-  // its heap entry here (all at t0: already a heap).
+  // Every session is in the first pass: senders send their first frame
+  // and receivers announce their position (a restarted one is heard at
+  // once) — terminal ones too, which schedule() would skip, so each
+  // member gets its heap entry here (all at t0: already a heap).
   const time_point t0 = Clock::now();
   for (Session* s : shard.members) {
     s->last_heard = t0;

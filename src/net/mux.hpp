@@ -266,14 +266,18 @@ class SessionMux {
   /// never written — the cross-process handoff surface: a survivor
   /// absorbing a dead backend passes the dead generation's logs here, so
   /// the absorbed sessions re-manifest into the survivor's OWN stores
-  /// under the bumped epoch and the handoff logs can be retired.  A
-  /// manifested id the mux already hosts is skipped and counted
-  /// (`collisions`) instead of tripping the duplicate-id contract.
+  /// under the bumped epoch (at start()) and the handoff logs can be
+  /// retired.  A manifested id the mux already hosts is skipped and
+  /// counted (`collisions`) instead of tripping the duplicate-id contract.
   RehydrateReport rehydrate(
       const SessionFactory& factory,
       const std::vector<store::IStableStore*>& extra_sources = {});
 
-  /// Spawn the pump and worker threads.
+  /// Group-commit every rehydrated session's first record of the new
+  /// epoch into this mux's own stores (one batch per shard, on the
+  /// caller's thread), then spawn the pump and worker threads.  Once it
+  /// returns, a crash at any instant leaves the own stores naming every
+  /// rehydrated session, so no later restart needs the handoff sources.
   void start();
 
   /// Wait (polling) until every session is terminal or `timeout` elapses.

@@ -10,6 +10,7 @@
 #include "proto/suite.hpp"
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
+#include "stp/last_item_gate.hpp"
 #include "util/rng.hpp"
 
 namespace stpx::stp {
@@ -109,7 +110,10 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
 
   // The client dials through the resolver, so every soak run doubles as a
   // nameserver drill: a lease per session up front, epoch-fenced
-  // redirects whenever a re-home or reclaim moves ownership.
+  // redirects whenever a re-home or reclaim moves ownership.  Each sender
+  // withholds its last item until every crash has fired or been dropped,
+  // so an anchored crash always lands on live sessions.
+  LastItemGate gate;
   fabric::ResolverTransport resolver(fab.client_endpoint());
   net::MuxConfig client_cfg = cfg.mux;
   client_cfg.probe = nullptr;
@@ -118,10 +122,14 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   net::StpClient client(&resolver, client_cfg);
   for (std::size_t i = 0; i < cfg.sessions; ++i) {
     const std::uint32_t sid = static_cast<std::uint32_t>(i + 1);
+    const seq::Sequence x = seq_for(sid, cfg.seq_len, domain);
+    // Stenning's data frame for the last item: seqno * |D| + item.
+    const sim::MsgId last =
+        x.empty() ? -1
+                  : static_cast<sim::MsgId>(x.size() - 1) * domain + x.back();
     fab.add_session(sid);
-    client.add_session(sid,
-                       proto::make_stenning(domain, true).sender,
-                       seq_for(sid, cfg.seq_len, domain));
+    client.add_session(
+        sid, gate.wrap(proto::make_stenning(domain, true).sender, last), x);
     resolver.resolve_now(sid);
   }
 
@@ -190,13 +198,25 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
         break;
     }
   };
+  const auto open_gate_once_crashes_done = [&] {
+    const bool crash_pending =
+        std::any_of(edges.begin(), edges.end(), [&](const Edge& e) {
+          return actions[e.action].kind == FabricFaultKind::kBackendCrash;
+        });
+    if (!crash_pending) gate.open();
+  };
+  open_gate_once_crashes_done();
   // Poll the anchors and fire every due edge in due order.  An anchor that
-  // can no longer be reached (the client is done, or the drain budget is
-  // spent) drops its action's edges unfired.
+  // can no longer be reached (the client is done or every live session is
+  // parked at the closed gate, or the drain budget is spent) drops its
+  // action's edges unfired.
   const auto plan_deadline = t0 + cfg.drain_timeout;
   while (!edges.empty()) {
     const auto now = Clock::now();
-    const bool over = client.mux().all_terminal() || now >= plan_deadline;
+    const bool stalled =
+        !gate.is_open() && gate.parked() >= client.mux().active_sessions();
+    const bool over =
+        client.mux().all_terminal() || stalled || now >= plan_deadline;
     bool pending = false;  // an anchor still being watched
     for (std::size_t i = 0; i < actions.size(); ++i) {
       if (anchor[i]) continue;
@@ -221,6 +241,7 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
                        return due(a) < due(b);
                      });
     for (const Edge& e : ready) fire(e);
+    open_gate_once_crashes_done();
     // Sleep to the next due edge, or one poll while an anchor is watched.
     auto wake = pending ? now + std::chrono::microseconds(50)
                         : Clock::time_point::max();

@@ -16,6 +16,12 @@
 //     paper's acceptance criterion from the trace alone), and
 //   * no session anywhere ends kSafetyViolation / kRecoveryViolation.
 //
+// Each client sender withholds its last item (stp::LastItemGate) until
+// every crash of the plan has fired or been dropped, so an anchored crash
+// always lands on live sessions; a plan without a crash opens the gate at
+// start.  An anchor no session can reach any more (every live one is
+// parked at the gate) is dropped at once rather than at the drain budget.
+//
 // A plan that defeats those is a real finding regardless of scheduling
 // jitter.  minimize_fabric_plan() shrinks a failing plan to 1-minimal by
 // action removal (the fabric analogue of stp::minimize_plan), re-running

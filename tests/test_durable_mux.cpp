@@ -50,6 +50,7 @@
 #include "proto/suite.hpp"
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
+#include "stp/last_item_gate.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -1097,40 +1098,6 @@ store::SessionManifest receiver_manifest(std::uint32_t id,
   return m;
 }
 
-/// Withholds the last item of its sequence while `open` is false: the
-/// frame is not sent, as if lost, and the sender's timer repeats the
-/// frame before it.  Once `open`, the next step sends the item.
-class LastItemGate final : public sim::ISender {
- public:
-  LastItemGate(std::unique_ptr<sim::ISender> inner, sim::MsgId last,
-               const std::atomic<bool>& open)
-      : inner_(std::move(inner)), last_(last), open_(open) {}
-
-  void start(const seq::Sequence& x) override { inner_->start(x); }
-  sim::SenderEffect on_step() override {
-    sim::SenderEffect eff = inner_->on_step();
-    if (eff.send == last_ && !open_.load(std::memory_order_acquire)) {
-      eff.send.reset();
-    }
-    return eff;
-  }
-  void on_deliver(sim::MsgId msg) override { inner_->on_deliver(msg); }
-  int alphabet_size() const override { return inner_->alphabet_size(); }
-  std::string save_state() const override { return inner_->save_state(); }
-  bool restore_state(const std::string& blob) override {
-    return inner_->restore_state(blob);
-  }
-  std::unique_ptr<sim::ISender> clone() const override {
-    return std::make_unique<LastItemGate>(inner_->clone(), last_, open_);
-  }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  std::unique_ptr<sim::ISender> inner_;
-  sim::MsgId last_;
-  const std::atomic<bool>& open_;
-};
-
 /// One client + durable server over a scripted loopback wire, with the
 /// plumbing a kill/restart drill needs.  Client senders arm the dup-ack
 /// go-back so a durably-rewound receiver (storage-fault tail loss) heals
@@ -1148,10 +1115,10 @@ struct RestartRig {
   net::LoopbackPair wire;
   store::MemStore st0, st1;
   std::unique_ptr<DurableProbe> probe1, probe2;
+  std::unique_ptr<stp::LastItemGate> last_items;  // opens at the kill
   std::unique_ptr<net::StpClient> client;
   std::unique_ptr<net::StpServer> server;   // generation 1
   std::unique_ptr<net::StpServer> server2;  // generation 2
-  std::atomic<bool> last_items{false};      // LastItemGate: open at the kill
 
   net::MuxConfig base_cfg() const {
     net::MuxConfig cfg;
@@ -1168,7 +1135,7 @@ struct RestartRig {
     st1.reset();
     probe1 = std::make_unique<DurableProbe>(n);
     probe2 = std::make_unique<DurableProbe>(n);
-    last_items.store(false, std::memory_order_release);
+    last_items = std::make_unique<stp::LastItemGate>();
 
     client = std::make_unique<net::StpClient>(wire.a.get(), base_cfg());
     net::MuxConfig scfg = base_cfg();
@@ -1180,9 +1147,8 @@ struct RestartRig {
       const auto x = seq_for(id, len);
       client->add_session(
           id,
-          std::make_unique<LastItemGate>(std::move(pair.sender),
-                                         data_id(len - 1, x[len - 1]),
-                                         last_items),
+          last_items->wrap(std::move(pair.sender),
+                           data_id(len - 1, x[len - 1])),
           x);
       server->add_session(id, std::move(pair.receiver), x);
     }
@@ -1207,7 +1173,7 @@ struct RestartRig {
   /// and from now on sends the last items too.
   void kill_server() {
     server->mux().kill();
-    last_items.store(true, std::memory_order_release);
+    last_items->open();
   }
 
   /// Construct generation 2 on the same transport endpoint and stores and
@@ -1894,7 +1860,7 @@ TEST(DurableMuxRehydrate, ExtraSourcesAreReadOnlyAndReManifestIntoOwnStores) {
   EXPECT_EQ(rep.completed, 1u);
 
   // The absorbed session re-manifests into the survivor's OWN store at
-  // the first checkpoint flush, stamped with the survivor's id.  Watch
+  // start()'s checkpoint flush, stamped with the survivor's id.  Watch
   // the (atomic) flush counter while running; only inspect the store
   // after stop() — it is worker-owned while the mux is live.
   server.mux().start();

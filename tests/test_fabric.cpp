@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 #include "stp/fabric_soak.hpp"
+#include "stp/last_item_gate.hpp"
 #include "util/sanitized.hpp"
 
 namespace stpx {
@@ -107,14 +110,23 @@ struct FabricRig {
   std::vector<std::unique_ptr<store::MemStore>> stores;
   std::vector<std::unique_ptr<net::FlightRecorder>> recorders;
   std::unique_ptr<fabric::Fabric> fab;
+  std::unique_ptr<stp::LastItemGate> gate;
   std::unique_ptr<net::StpClient> client;
   std::size_t sessions = 0;
   std::size_t len = 0;
+  /// Nonzero: the next receiver the fabric builds first crashes this
+  /// backend — a death timed into the middle of a supervisor absorb.
+  std::atomic<std::uint32_t> kill_in_next_absorb{0};
 
+  /// `hold_until_kill`: every client session withholds its last item
+  /// until kill_backend(), so the kill lands on live sessions however
+  /// fast they run.
   void build(std::size_t backends, std::size_t nsessions, std::size_t slen,
-             fabric::HealthConfig health, net::MuxConfig mux) {
+             fabric::HealthConfig health, net::MuxConfig mux,
+             bool hold_until_kill = false) {
     sessions = nsessions;
     len = slen;
+    gate = std::make_unique<stp::LastItemGate>(!hold_until_kill);
     for (std::size_t i = 0; i < backends; ++i) {
       stores.push_back(std::make_unique<store::MemStore>());
       stores.back()->reset();
@@ -126,7 +138,12 @@ struct FabricRig {
     fc.backends = backends;
     fc.router.health = health;
     fc.mux = mux;
-    fc.make_receiver = stenning_factory();
+    fc.make_receiver = [this](std::uint32_t sid, std::uint64_t tag) {
+      if (const std::uint32_t id = kill_in_next_absorb.exchange(0)) {
+        fab->kill_backend(id);
+      }
+      return stenning_factory()(sid, tag);
+    };
     fc.expected_for = [slen](std::uint32_t sid) {
       return seq_for(sid, slen);
     };
@@ -143,10 +160,21 @@ struct FabricRig {
     client = std::make_unique<net::StpClient>(fab->client_endpoint(), cc);
     for (std::size_t i = 0; i < nsessions; ++i) {
       const std::uint32_t sid = static_cast<std::uint32_t>(i + 1);
+      const auto x = seq_for(sid, slen);
       fab->add_session(sid);
-      client->add_session(sid, proto::make_stenning(kDomain, true).sender,
-                          seq_for(sid, slen));
+      client->add_session(
+          sid,
+          gate->wrap(proto::make_stenning(kDomain, true).sender,
+                     static_cast<sim::MsgId>(slen - 1) * kDomain + x.back()),
+          x);
     }
+  }
+
+  /// Crash backend `id` and release the held last items.
+  std::size_t kill_backend(std::uint32_t id) {
+    const std::size_t active = fab->kill_backend(id);
+    gate->open();
+    return active;
   }
 
   void start() {
@@ -168,6 +196,7 @@ struct FabricRig {
   }
 
   bool finish(std::chrono::milliseconds timeout) {
+    gate->open();
     const bool ok =
         client->mux().drain(timeout) && fab->drain(timeout);
     client->mux().stop();
@@ -258,6 +287,22 @@ TEST(Membership, PickSurvivorPrefersLeastLoadedAliveBackend) {
   u.add_backend(4);
   u.add_backend(5);
   EXPECT_EQ(u.pick_survivor(99), 4u);
+}
+
+TEST(Membership, PickSurvivorFallsBackToTheLeastLoadedSuspect) {
+  // A suspect has missed a probe, not the strike budget: with no alive
+  // backend left it still takes the re-home, rather than no one.
+  fabric::MembershipTable t;
+  for (std::uint32_t b = 1; b <= 4; ++b) t.add_backend(b);
+  t.assign(10, 2);
+  t.set_health(2, fabric::BackendHealth::kSuspect);
+  t.set_health(3, fabric::BackendHealth::kSuspect);
+  EXPECT_EQ(t.pick_survivor(1), 4u);  // alive beats a less loaded suspect
+  t.set_health(4, fabric::BackendHealth::kDead);
+  EXPECT_EQ(t.pick_survivor(1), 3u);  // the less loaded suspect
+  t.set_health(3, fabric::BackendHealth::kDead);
+  t.set_health(2, fabric::BackendHealth::kDead);
+  EXPECT_FALSE(t.pick_survivor(1).has_value());
 }
 
 // --------------------------------------------------------------------------
@@ -447,12 +492,13 @@ TEST(Fabric, CleanRunShardsSessionsAndAnswersProbes) {
 
 TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
   FabricRig rig;
-  rig.build(3, 24, 16, aggressive_health(), fabric_mux());
+  rig.build(3, 24, 16, aggressive_health(), fabric_mux(),
+            /*hold_until_kill=*/true);
   rig.start();
   // Kill once backend 2 is a quarter through its share (8 sessions x 16
   // items), so its sessions are still open and must be re-homed.
   ASSERT_TRUE(rig.wait_items(2, 8 * 4, 10s));
-  EXPECT_GT(rig.fab->kill_backend(2), 0u);  // the kill hit live traffic
+  EXPECT_GT(rig.kill_backend(2), 0u);  // the kill hit live traffic
   ASSERT_TRUE(rig.finish(60s));
   rig.expect_client_all_completed();
 
@@ -505,6 +551,130 @@ TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
 // Fabric: probe blackout (false suspicion)
 // --------------------------------------------------------------------------
 
+TEST(Fabric, SurvivorKilledBeforeItsAbsorbIsPassedOver) {
+  // Backend 2 dies unseen (its probes are paused, so the membership table
+  // still reads it alive) just before backend 1 dies.  Backend 1's
+  // re-home first picks backend 2 (least loaded, lowest id), finds it
+  // dead, marks it so and absorbs into backend 3; backend 2's own death
+  // verdict then re-homes its sessions too.
+  FabricRig rig;
+  rig.build(3, 12, 16, aggressive_health(), fabric_mux(),
+            /*hold_until_kill=*/true);
+  rig.start();
+  ASSERT_TRUE(rig.wait_items(1, 4, 10s));
+  ASSERT_TRUE(rig.wait_items(2, 4, 10s));
+  rig.fab->router().set_probes_paused(2, true);
+  rig.kill_backend(2);
+  rig.kill_backend(1);
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (rig.fab->rehomes().empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  auto rehomes = rig.fab->rehomes();
+  ASSERT_EQ(rehomes.size(), 1u);
+  EXPECT_TRUE(rehomes[0].ok);
+  EXPECT_EQ(rehomes[0].dead, 1u);
+  EXPECT_EQ(rehomes[0].survivor, 3u);
+  for (const std::uint32_t sid : rehomes[0].moved) {
+    EXPECT_EQ(rig.fab->membership().owner(sid), 3u);
+  }
+  EXPECT_EQ(rig.fab->membership().health(2), fabric::BackendHealth::kDead);
+
+  rig.fab->router().set_probes_paused(2, false);
+  while (rig.fab->rehomes().size() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(rig.finish(60s));
+  rig.expect_client_all_completed();
+  rehomes = rig.fab->rehomes();
+  ASSERT_EQ(rehomes.size(), 2u);
+  EXPECT_TRUE(rehomes[1].ok);
+  EXPECT_EQ(rehomes[1].dead, 2u);
+  EXPECT_EQ(rehomes[1].survivor, 3u);
+  const auto rep = rig.attest();
+  EXPECT_TRUE(rep.ok) << rep.to_json();
+  EXPECT_EQ(rep.value("prefix.completed"), 12);
+}
+
+/// Block until `done()` holds or 20 s pass.
+template <typename Pred>
+bool wait_for(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(Fabric, ReclaimPassesOverAReleasingOwnerThatDied) {
+  // Backend 1's sessions are re-homed onto backend 2, which then dies
+  // unseen (probes paused).  When backend 1 rejoins, its reclaim finds
+  // the releasing owner dead: it reclaims nothing, and backend 2's own
+  // death verdict re-homes everything backend 2 held.
+  FabricRig rig;
+  rig.build(3, 12, 16, aggressive_health(), fabric_mux(),
+            /*hold_until_kill=*/true);
+  rig.start();
+  ASSERT_TRUE(rig.wait_items(1, 4, 10s));
+  rig.kill_backend(1);
+  ASSERT_TRUE(wait_for([&] { return !rig.fab->rehomes().empty(); }));
+  ASSERT_EQ(rig.fab->rehomes()[0].survivor, 2u);
+  rig.fab->router().set_probes_paused(2, true);
+  rig.kill_backend(2);
+  ASSERT_TRUE(rig.fab->rejoin_backend(1));
+  ASSERT_TRUE(wait_for([&] { return !rig.fab->reclaims().empty(); }));
+  ASSERT_TRUE(wait_for([&] { return rig.fab->rehomes().size() >= 2; }));
+  ASSERT_TRUE(rig.finish(60s));
+  rig.expect_client_all_completed();
+
+  const auto reclaim = rig.fab->reclaims()[0];
+  EXPECT_TRUE(reclaim.ok);
+  EXPECT_TRUE(reclaim.released_from.empty());
+  EXPECT_TRUE(reclaim.reclaimed.empty());
+  const auto rehome = rig.fab->rehomes()[1];
+  EXPECT_TRUE(rehome.ok);
+  EXPECT_EQ(rehome.dead, 2u);
+  EXPECT_EQ(rehome.moved.size(), 8u);  // its own 4 + backend 1's 4
+  const auto rep = rig.attest();
+  EXPECT_TRUE(rep.ok) << rep.to_json();
+  EXPECT_EQ(rep.value("prefix.completed"), 12);
+}
+
+TEST(Fabric, RejoinerThatDiesMidReclaimLeavesItsSessionsHosted) {
+  // Backend 1 rejoins and passes probation, then dies while backend 2 is
+  // releasing its sessions back.  The reclaim fails, and backend 2 hosts
+  // the released sessions again, so every client session still
+  // completes.
+  FabricRig rig;
+  rig.build(3, 12, 16, aggressive_health(), fabric_mux(),
+            /*hold_until_kill=*/true);
+  rig.start();
+  ASSERT_TRUE(rig.wait_items(1, 4, 10s));
+  rig.kill_backend(1);
+  ASSERT_TRUE(wait_for([&] { return !rig.fab->rehomes().empty(); }));
+  ASSERT_EQ(rig.fab->rehomes()[0].survivor, 2u);
+  const auto moved = rig.fab->rehomes()[0].moved;
+  rig.kill_in_next_absorb = 1;
+  ASSERT_TRUE(rig.fab->rejoin_backend(1));
+  ASSERT_TRUE(wait_for([&] { return !rig.fab->reclaims().empty(); }));
+  ASSERT_TRUE(rig.finish(60s));
+  rig.expect_client_all_completed();
+
+  const auto reclaim = rig.fab->reclaims()[0];
+  EXPECT_FALSE(reclaim.ok);
+  EXPECT_EQ(reclaim.released_from, (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(rig.fab->cell(1).killed());
+  for (const std::uint32_t sid : moved) {
+    EXPECT_EQ(rig.fab->membership().owner(sid), 2u) << "session " << sid;
+  }
+  const auto rep = rig.attest();
+  EXPECT_TRUE(rep.ok) << rep.to_json();
+  EXPECT_EQ(rep.value("prefix.completed"), 12);
+}
+
 TEST(BackendCell, AbsorbKeepsOwnedSessionsThatNeverCheckpointed) {
   // A session the cell owns but that has heard nothing has no manifest
   // record, so the absorb's bare stop leaves nothing durable naming it.
@@ -523,14 +693,104 @@ TEST(BackendCell, AbsorbKeepsOwnedSessionsThatNeverCheckpointed) {
   fabric::BackendCell cell(link.b.get(), cc);
   cell.add_session(7);
   cell.start();
-  const auto rep =
-      cell.rehome_absorb({}, {}, std::vector<std::uint32_t>{7});
+  const auto rep = cell.absorb({}, {7});
   cell.stop();
-  EXPECT_EQ(rep.cold_added, (std::vector<std::uint32_t>{7}));
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_EQ(rep->cold_added, (std::vector<std::uint32_t>{7}));
   const auto reports = cell.server().mux().reports();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].id, 7u);
   EXPECT_EQ(reports[0].state, net::SessionState::kActive);
+}
+
+/// A session log that keeps only the appends made on the thread that
+/// built it: every flush a mux worker makes vanishes, as if the
+/// generation were killed before its first pass's flush landed.
+class CallerThreadStore final : public store::IStableStore {
+ public:
+  void reset() override { inner_.reset(); }
+  void append(const std::string& state) override {
+    if (mine()) inner_.append(state);
+  }
+  void append_batch(const std::vector<std::string>& states) override {
+    if (mine()) inner_.append_batch(states);
+  }
+  void compact() override { inner_.compact(); }
+  store::RecoveredState recover() override { return inner_.recover(); }
+  store::ReplayResult replay() override { return inner_.replay(); }
+  std::uint64_t appends() const override { return inner_.appends(); }
+  void fault_torn_next_append() override { inner_.fault_torn_next_append(); }
+  void fault_lose_tail(std::uint64_t n) override { inner_.fault_lose_tail(n); }
+  void fault_corrupt_record() override { inner_.fault_corrupt_record(); }
+  void fault_stale_snapshot() override { inner_.fault_stale_snapshot(); }
+  std::string name() const override { return "caller-thread"; }
+
+ private:
+  bool mine() const { return std::this_thread::get_id() == owner_; }
+  const std::thread::id owner_ = std::this_thread::get_id();
+  store::MemStore inner_;
+};
+
+TEST(BackendCell, AbsorbReturnsWithEveryRehydratedSessionInItsOwnLog) {
+  // Cells 1 -> 2 -> 3 host one set of sessions in turn.  Cell 2 absorbs
+  // cell 1's log and is killed before any pass of its own lands (its log
+  // keeps only this thread's appends).  Cell 3 is handed cell 2's log
+  // alone, as the re-home after cell 2's death is: every session cell 1
+  // checkpointed must come back at its durable position, none cold.
+  constexpr std::size_t kSessions = 12;
+  constexpr std::size_t kLen = 16;
+  store::MemStore log1, log3;
+  CallerThreadStore log2;
+  log1.reset();
+  log2.reset();
+  log3.reset();
+  const auto cell_config = [](std::uint32_t id, store::IStableStore* log) {
+    fabric::CellConfig cc;
+    cc.id = id;
+    cc.mux = fabric_mux();
+    cc.stores = {log};
+    cc.make_receiver = stenning_factory();
+    cc.expected_for = [](std::uint32_t sid) { return seq_for(sid, kLen); };
+    return cc;
+  };
+  std::vector<std::uint32_t> hosted;
+  for (std::uint32_t sid = 1; sid <= kSessions; ++sid) hosted.push_back(sid);
+
+  auto link1 = net::make_loopback();
+  fabric::BackendCell cell1(link1.b.get(), cell_config(1, &log1));
+  net::StpClient client(link1.a.get(), fabric_mux());
+  for (const std::uint32_t sid : hosted) {
+    cell1.add_session(sid);
+    client.add_session(sid, proto::make_stenning(kDomain, true).sender,
+                       seq_for(sid, kLen));
+  }
+  cell1.start();
+  client.mux().start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (store::manifested_sessions({&log1}).size() < kSessions &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  cell1.kill();
+  client.mux().stop();
+  const auto durable = store::scan_session_logs({&log1}).newest;
+  ASSERT_EQ(durable.size(), kSessions);
+
+  auto link2 = net::make_loopback();
+  fabric::BackendCell cell2(link2.b.get(), cell_config(2, &log2));
+  ASSERT_TRUE(cell2.absorb({&log1}, hosted).has_value());
+  cell2.kill();
+
+  auto link3 = net::make_loopback();
+  fabric::BackendCell cell3(link3.b.get(), cell_config(3, &log3));
+  const auto rep = cell3.absorb({&log2}, hosted);
+  cell3.stop();
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_EQ(rep->rehydrate.sessions, kSessions);
+  EXPECT_TRUE(rep->cold_added.empty());
+  for (const auto& r : cell3.server().mux().reports()) {
+    EXPECT_EQ(r.items, durable.at(r.id).position) << "session " << r.id;
+  }
 }
 
 TEST(Fabric, ShortProbeBlackoutConvergesWithoutDeath) {
