@@ -649,10 +649,9 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
           std::chrono::steady_clock::now() - t_rejoin)
           .count());
 
-  // Reclaim-reassign: revive bumps the victim's incarnation (anything
-  // still stamped with the fenced generation turns stale) and the
-  // reassignment restamps its original share fresh, bumping the epoch so
-  // stale leases fence.
+  // Reclaim-reassign: revive bumps the victim's incarnation (owner
+  // entries still stamped with the fenced generation turn stale) and the
+  // reassignment restamps its original share fresh, bumping the epoch.
   membership.revive(victim);
   for (std::uint32_t sid = 1; sid <= sessions; ++sid) {
     if (owner_of(sid, kBackends) == victim) {

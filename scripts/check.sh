@@ -79,8 +79,9 @@ stage_trace() {
 }
 
 stage_fabric() {
-  echo "== fabric smoke: multi-backend failover + rejoin/reclaim suites + crash re-homing bench report =="
+  echo "== fabric smoke: multi-backend failover + rejoin/reclaim suites + router forward bench + crash re-homing bench report =="
   ctest --test-dir build -L "fabric_smoke|rejoin_smoke" --output-on-failure -j "${JOBS}" --timeout "${TEST_TIMEOUT}"
+  ./build/bench/m1_micro --benchmark_filter=RouterForward
   if ! ./build/bench/r7_fabric --quiet --json BENCH_r7_fabric.json; then
     # r7 writes the failing seed's 1-minimal plan (it replays through
     # fault::fabric_plan_from_text) and removes any stale one at start.

@@ -57,6 +57,16 @@ std::size_t BackendCell::kill() {
   return active;
 }
 
+bool BackendCell::killed() const {
+  std::lock_guard<std::mutex> hold(mu_);
+  return killed_;
+}
+
+bool BackendCell::drained() const {
+  std::lock_guard<std::mutex> hold(mu_);
+  return killed_ || server_->mux().all_terminal();
+}
+
 std::optional<AbsorbReport> BackendCell::absorb(
     const std::vector<store::IStableStore*>& handoff,
     const std::vector<std::uint32_t>& hosted) {

@@ -103,7 +103,13 @@ class BackendCell {
   /// the cell was already dead).
   std::size_t kill();
 
-  bool killed() const { return killed_; }
+  /// Whether the cell is dead (kill() with no successful rejoin() since).
+  bool killed() const;
+  /// Whether the cell is dead or every session of its current generation
+  /// is terminal.  Read under the cell's mutex, so a supervisor's
+  /// absorb() cannot replace the generation while it is asked: this is
+  /// what Fabric::drain polls while re-homes run.
+  bool drained() const;
   std::uint32_t id() const { return cfg_.id; }
 
   /// Restart into the next generation hosting exactly `hosted` (see file
@@ -123,7 +129,9 @@ class BackendCell {
   /// Returns whether probation opened.
   bool rejoin();
 
-  /// The current generation (valid between construction and kill()).
+  /// The current generation.  Valid only while no supervisor can
+  /// absorb() this cell (before Fabric::start(), after Fabric::stop(), or
+  /// for a cell no Fabric drives): an absorb replaces and frees it.
   net::StpServer& server() { return *server_; }
   const net::StpServer& server() const { return *server_; }
   std::uint32_t generation() const { return generation_; }
@@ -136,7 +144,9 @@ class BackendCell {
   std::unique_ptr<net::StpServer> server_;
   std::uint32_t generation_ = 1;
   bool killed_ = false;
-  std::mutex mu_;  // serializes kill / absorb / stop / rejoin
+  // Serializes kill / absorb / stop / rejoin and the killed() /
+  // drained() reads.
+  mutable std::mutex mu_;
 };
 
 }  // namespace stpx::fabric

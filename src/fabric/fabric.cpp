@@ -65,12 +65,10 @@ void Fabric::stop() {
 bool Fabric::drain(std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
-    bool all = true;
-    for (const auto& c : cells_) {
-      if (c->killed()) continue;
-      all = all && c->server().mux().all_terminal();
+    if (std::all_of(cells_.begin(), cells_.end(),
+                    [](const auto& c) { return c->drained(); })) {
+      return true;
     }
-    if (all) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -232,8 +230,8 @@ void Fabric::handle_join(std::uint32_t id) {
   rec.absorb = std::move(*absorbed);
   // Only now flip the routing truth: revive bumps the incarnation (owner
   // entries still stamped with the old one turn stale) and the epoch;
-  // each reclaimed session is then restamped fresh.  Clients holding
-  // pre-revive leases get kNotOwner redirects, re-resolve, and land here.
+  // each reclaimed session is then restamped fresh, and the router
+  // forwards its frames here.
   membership_.revive(id);
   for (const std::uint32_t sid : rec.reclaimed) membership_.assign(sid, id);
   rec.epoch = membership_.epoch();

@@ -25,7 +25,8 @@
 // still manifest — each current owner hands them back with an absorb
 // that keeps the rest, the rejoiner absorbs the released logs, and only
 // then does revive() + reassignment flip the routing truth (epoch bump;
-// stale leases get redirected).  docs/FABRIC.md has the state machine.
+// pre-revive owner entries turn stale).  docs/FABRIC.md has the state
+// machine.
 //
 // Sessions are assigned round-robin at registration; the membership
 // table is the single routing truth before and after a re-home.  The
@@ -151,8 +152,8 @@ class Fabric {
   std::vector<RehomeRecord> rehomes() const;
   std::vector<ReclaimRecord> reclaims() const;
 
-  /// Router + nameserver counters into `reg` under "fabric.*" (call
-  /// after stop(); the registry is not thread-safe).
+  /// Router counters into `reg` under "fabric.*" (call after stop();
+  /// the registry is not thread-safe).
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:

@@ -18,14 +18,14 @@
 //     time; an entry whose stamp predates the owner's current
 //     incarnation is STALE — it was written against a generation that
 //     has since been fenced, and a rejoin must never resurrect it.
-//     Stale entries route nowhere (the router drops the frame and
-//     redirects the client) and pick_survivor() ignores them when
+//     Stale entries route nowhere (the router drops the frame, counted
+//     `fabric.drops.stale_lease`) and pick_survivor() ignores them when
 //     weighing load, so a rejoined backend cannot inherit phantom
 //     sessions from before its own death.
 //   * The table-wide *epoch* bumps on every ownership rewrite (rehome,
-//     reclaim-reassign, revive).  The nameserver stamps leases with it;
-//     a client holding a lease from an older epoch is redirected rather
-//     than silently blackholed (docs/FABRIC.md, lease semantics).
+//     reclaim-reassign, revive).  The router's kJoinAck carries it to a
+//     rejoining backend, and each ReclaimRecord notes the epoch after
+//     its revive.
 #pragma once
 
 #include <cstdint>

@@ -23,7 +23,7 @@ constexpr std::size_t kBurst = 64;
 FabricRouter::FabricRouter(ITransport* client_side,
                            MembershipTable* membership, RouterConfig cfg)
     : client_(client_side), membership_(membership), cfg_(cfg),
-      health_(cfg.health), nameserver_(membership) {
+      health_(cfg.health) {
   STPX_EXPECT(client_ != nullptr, "FabricRouter: null client transport");
   STPX_EXPECT(membership_ != nullptr, "FabricRouter: null membership");
 }
@@ -123,11 +123,6 @@ HealthStats FabricRouter::health_stats() const {
 
 void FabricRouter::publish_metrics(obs::MetricsRegistry& reg) const {
   stats().publish(reg, kRouterCounterNames);
-  nameserver_.stats().publish(reg, kNameserverCounterNames);
-}
-
-void FabricRouter::redirect_client(std::uint32_t session) {
-  client_->send(net::encode(nameserver_.redirect(session)));
 }
 
 void FabricRouter::route_inbound(const Frame& f,
@@ -135,17 +130,15 @@ void FabricRouter::route_inbound(const Frame& f,
   const auto entry = membership_->resolve(f.session);
   if (!entry) {
     n_.add(RouterCounter::kNoOwner);
-    redirect_client(f.session);
     return;
   }
   if (entry->stale) {
     // The owner entry was stamped by a generation that has since been
     // fenced (e.g. the backend died with no survivor to re-home to, then
     // revived).  Routing to the revived incarnation would be an automatic
-    // resurrection of a session nobody handed back — dropped, and the
-    // client is redirected to re-resolve.
+    // resurrection of a session nobody handed back — dropped; only a
+    // reclaim restamps the entry.
     n_.add(RouterCounter::kStaleLease);
-    redirect_client(f.session);
     return;
   }
   BackendLink* target = nullptr;
@@ -157,21 +150,17 @@ void FabricRouter::route_inbound(const Frame& f,
   }
   if (!target) {
     n_.add(RouterCounter::kNoOwner);
-    redirect_client(f.session);
     return;
   }
   if (membership_->health(entry->backend) == BackendHealth::kDead) {
     // Fenced owner, re-home not finished: the frame is dropped like wire
-    // loss and the client's retransmission finds the survivor.  The
-    // redirect carries the epoch the re-home will have bumped past.
+    // loss and the client's retransmission finds the survivor.
     n_.add(RouterCounter::kDeadOwner);
-    redirect_client(f.session);
     return;
   }
   const PartitionMode pm = partition_of(*target);
   if (pm == PartitionMode::kBoth || pm == PartitionMode::kToBackend) {
-    // Host split: a network fault, not a membership fact — no redirect,
-    // the drop looks exactly like wire loss to the client.
+    // Host split: a network fault, not a membership fact.
     n_.add(RouterCounter::kPartitionSuppressed);
     return;
   }
@@ -348,10 +337,6 @@ void FabricRouter::pump_loop(std::stop_token st) {
       const auto f = net::decode(*bytes);
       if (!f) {
         n_.add(RouterCounter::kRejects);
-        continue;
-      }
-      if (f->kind == FrameKind::kResolve) {
-        client_->send(net::encode(nameserver_.answer(*f)));
         continue;
       }
       route_inbound(*f, *bytes);

@@ -8,17 +8,17 @@
 //   client ──frames──▶ router ──(owner lookup)──▶ backend k
 //   backend k ──acks/FINs──▶ router ──▶ client
 //   router ──kProbe(nonce)──▶ backend k ──kProbeAck(nonce)──▶ router
-//   client ──kResolve──▶ router(nameserver) ──kResolveAck──▶ client
 //   backend k ──kJoin──▶ router ──kJoinAck──▶ backend k (probation opens)
 //
 // The router is content-light: it decodes only to read (session, kind),
 // then forwards the original bytes — a forwarded frame is byte-identical
 // to the sent one, so the codec's corruption guarantees pass through
-// untouched.  Frames with no owner, a fenced owner, a STALE owner entry
-// (stamped by a generation that has since been fenced — see
-// MembershipTable), or a fault-dropped link are counted per cause and
-// dropped; each such drop also bounces an epoch-tagged kNotOwner to the
-// client so a stale lease is redirected, never silently blackholed.
+// untouched.  The membership table is the only ownership truth: the
+// client never learns who owns a session.  Frames with no owner, a
+// fenced owner, a STALE owner entry (stamped by a generation that has
+// since been fenced — see MembershipTable), or a fault-dropped link are
+// counted per cause and dropped silently, exactly like wire loss; the
+// client's retransmission finds the owner once the table names one.
 //
 // Fault injection for the fabric-level soak lives here as runtime
 // switches per backend link (set from any thread):
@@ -28,13 +28,13 @@
 //   * drop_data — split-router: session traffic to/from the backend is
 //     severed while heartbeats still answer, so the backend looks alive
 //     but owns unreachable sessions.
-//   * partition — host-level split between the router/nameserver side
-//     and the backend's host: EVERYTHING (data, probes, acks, control)
-//     is severed in the partitioned direction(s).  kBoth is the
-//     symmetric split; kToBackend / kFromBackend are the asymmetric
-//     one-way variants.  A long enough partition reads exactly like a
-//     crash — which is the point: fencing makes that safe too, and a
-//     healed partition re-converges through strike forgiveness.
+//   * partition — host-level split between the router side and the
+//     backend's host: EVERYTHING (data, probes, acks, control) is
+//     severed in the partitioned direction(s).  kBoth is the symmetric
+//     split; kToBackend / kFromBackend are the asymmetric one-way
+//     variants.  A long enough partition reads exactly like a crash —
+//     which is the point: fencing makes that safe too, and a healed
+//     partition re-converges through strike forgiveness.
 //   * probes_paused — maintenance: the supervisor pauses the health FSM
 //     for a backend it is deliberately restarting (re-homing absorb), so
 //     the restart window cannot be mistaken for a crash.
@@ -61,7 +61,6 @@
 
 #include "fabric/health.hpp"
 #include "fabric/membership.hpp"
-#include "fabric/nameserver.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -101,12 +100,11 @@ struct Verdict {
 };
 
 /// Every event the router counts (stats() reads them back by this enum).
-/// Resolves and redirects are the nameserver's own counters.  The drop
-/// family is split by cause: an unknown session (kNoOwner) is a client
-/// bug or a pre-assignment race; a fenced owner (kDeadOwner) is a re-home
-/// in flight; a stale entry (kStaleLease) is a blocked resurrection.
-/// Lumping them would hide exactly the distinction the fence exists to
-/// draw.
+/// The drop family is split by cause: an unknown session (kNoOwner) is a
+/// client bug or a pre-assignment race; a fenced owner (kDeadOwner) is a
+/// re-home in flight; a stale entry (kStaleLease) is a blocked
+/// resurrection.  Lumping them would hide exactly the distinction the
+/// fence exists to draw.
 enum class RouterCounter : std::uint8_t {
   kClientToBackend,      // frames forwarded inbound
   kBackendToClient,      // frames forwarded outbound
@@ -187,8 +185,8 @@ class FabricRouter {
   /// after stop() for an exact final value.
   HealthStats health_stats() const;
 
-  /// The router's and its nameserver's counter tables into `reg`, under
-  /// the keys of kRouterCounterNames and kNameserverCounterNames.
+  /// The router's counter table into `reg`, under the keys of
+  /// kRouterCounterNames.
   void publish_metrics(obs::MetricsRegistry& reg) const;
 
  private:
@@ -216,8 +214,6 @@ class FabricRouter {
   void tend_backend(BackendLink& b, HealthMonitor::time_point now);
   /// Handle one kJoin announcement from `b` (pump thread).
   void on_join(BackendLink& b, HealthMonitor::time_point now);
-  /// Bounce an epoch-tagged kNotOwner for a dropped client frame.
-  void redirect_client(std::uint32_t session);
 
   static PartitionMode partition_of(const BackendLink& b) {
     return static_cast<PartitionMode>(
@@ -230,7 +226,6 @@ class FabricRouter {
   std::vector<std::unique_ptr<BackendLink>> backends_;
   HealthMonitor health_;  // pump-thread-only after start()
   mutable std::mutex health_mu_;  // guards health_ around stats snapshots
-  Nameserver nameserver_;
   bool started_ = false;
 
   std::mutex verdict_mu_;

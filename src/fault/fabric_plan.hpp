@@ -10,8 +10,8 @@
 // a minimized counterexample can be written to a CI artifact and replayed
 // verbatim.
 //
-// Scope vocabulary: backends are 1..N; host 0 is the router/nameserver
-// (and client) side.  A partition names two host groups and severs
+// Scope vocabulary: backends are 1..N; host 0 is the router (and
+// client) side.  A partition names two host groups and severs
 // everything between them for the window — the group containing host 0
 // keeps the router, so in practice the backends in the OTHER group drop
 // off the fabric (both directions for `partition`, one direction for

@@ -9,8 +9,7 @@
 //   0       2     magic  0x53 0x54 ("ST")
 //   2       1     version (kWireVersion)
 //   3       1     kind    (0 = data, 1 = fin, 2 = probe, 3 = probe-ack,
-//                          4 = join, 5 = join-ack, 6 = resolve,
-//                          7 = resolve-ack, 8 = not-owner)
+//                          4 = join, 5 = join-ack)
 //   4       1     dir     (0 = S->R, 1 = R->S)
 //   5       4     session id, u32 LE
 //   9       8     msg id, i64 LE (two's complement)
@@ -46,20 +45,13 @@ inline constexpr std::uint8_t kMagic1 = 0x54;  // 'T'
 /// mux answers with a kProbeAck echoing the nonce.  Probe frames never
 /// reach a session.
 ///
-/// The remaining kinds are fabric control traffic (docs/FABRIC.md):
+/// The remaining kinds are the fabric's rejoin handshake (docs/FABRIC.md):
 ///   kJoin       — a fenced backend announcing itself for rejoin on the
 ///                 reserved kFabricSession; `msg` carries its new cell
 ///                 generation.
 ///   kJoinAck    — the router's answer; `msg` carries the current
 ///                 membership epoch, confirming probation has begun.
-///   kResolve    — a client asking the nameserver who owns `session`.
-///   kResolveAck — the answer: `msg` packs the owner backend id in the
-///                 low 32 bits and the membership epoch in the high 32.
-///   kNotOwner   — the router bouncing a frame it had to drop (no owner,
-///                 fenced owner, stale entry); `msg` carries the current
-///                 membership epoch so the holder of a stale lease knows
-///                 to re-resolve instead of retrying into a black hole.
-/// A mux is not a party to any of these: control kinds other than kProbe
+/// A mux is not a party to either: control kinds other than kProbe
 /// reaching a mux pump are counted and dropped, never delivered.
 enum class FrameKind : std::uint8_t {
   kData = 0,
@@ -68,13 +60,10 @@ enum class FrameKind : std::uint8_t {
   kProbeAck = 3,
   kJoin = 4,
   kJoinAck = 5,
-  kResolve = 6,
-  kResolveAck = 7,
-  kNotOwner = 8,
 };
 
 /// Highest valid FrameKind value (decode()'s validity bound).
-inline constexpr std::uint8_t kMaxFrameKind = 8;
+inline constexpr std::uint8_t kMaxFrameKind = 5;
 
 constexpr const char* to_cstr(FrameKind k) {
   switch (k) {
@@ -84,9 +73,6 @@ constexpr const char* to_cstr(FrameKind k) {
     case FrameKind::kProbeAck: return "probe-ack";
     case FrameKind::kJoin: return "join";
     case FrameKind::kJoinAck: return "join-ack";
-    case FrameKind::kResolve: return "resolve";
-    case FrameKind::kResolveAck: return "resolve-ack";
-    case FrameKind::kNotOwner: return "not-owner";
   }
   return "?";
 }

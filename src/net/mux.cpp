@@ -254,10 +254,10 @@ void SessionMux::pump_loop(std::stop_token st) {
         continue;
       }
       if (frame->kind != FrameKind::kData && frame->kind != FrameKind::kFin) {
-        // This mux is not a prober, a router, or a nameserver; stray
-        // control traffic (a probe ack reflection, a join/resolve frame
-        // from a hostile or confused peer) is dropped, never delivered to
-        // a session — a kNotOwner reaching deliver() would read as an ack.
+        // This mux is not a prober or a router; stray control traffic (a
+        // probe ack reflection, a join frame from a hostile or confused
+        // peer) is dropped, never delivered to a session — a control
+        // frame reaching deliver() would read as a protocol message.
         n_.add(MuxCounter::kFramesUnknownSession);
         continue;
       }

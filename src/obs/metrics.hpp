@@ -194,8 +194,8 @@ class CounterTable {
 /// The wire layer publishes a parallel net.* family from
 /// net::SessionMux::publish_metrics and fabric.* from
 /// fabric::FabricRouter::publish_metrics; their counter keys are the name
-/// tables kMuxCounterNames (net/mux.hpp), kRouterCounterNames
-/// (fabric/router.hpp) and kNameserverCounterNames (fabric/nameserver.hpp).
+/// tables kMuxCounterNames (net/mux.hpp) and kRouterCounterNames
+/// (fabric/router.hpp).
 class MetricsProbe final : public IProbe {
  public:
   /// `registry` is non-owning and must outlive the probe's use.

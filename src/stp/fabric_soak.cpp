@@ -108,18 +108,14 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   };
   fabric::Fabric fab(fc);
 
-  // The client dials through the resolver, so every soak run doubles as a
-  // nameserver drill: a lease per session up front, epoch-fenced
-  // redirects whenever a re-home or reclaim moves ownership.  Each sender
-  // withholds its last item until every crash has fired or been dropped,
-  // so an anchored crash always lands on live sessions.
+  // Each sender withholds its last item until every crash has fired or
+  // been dropped, so an anchored crash always lands on live sessions.
   LastItemGate gate;
-  fabric::ResolverTransport resolver(fab.client_endpoint());
   net::MuxConfig client_cfg = cfg.mux;
   client_cfg.probe = nullptr;
   client_cfg.session_stores.clear();
   client_cfg.backend_id = 0;
-  net::StpClient client(&resolver, client_cfg);
+  net::StpClient client(fab.client_endpoint(), client_cfg);
   for (std::size_t i = 0; i < cfg.sessions; ++i) {
     const std::uint32_t sid = static_cast<std::uint32_t>(i + 1);
     const seq::Sequence x = seq_for(sid, cfg.seq_len, domain);
@@ -130,7 +126,6 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
     fab.add_session(sid);
     client.add_session(
         sid, gate.wrap(proto::make_stenning(domain, true).sender, last), x);
-    resolver.resolve_now(sid);
   }
 
   // Script the plan as a switch list (window faults get an on and an off
@@ -331,7 +326,6 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
     res.reclaim_latency_us.push_back(r.absorb.latency_us);
   }
   res.router = fab.router().stats();
-  res.resolver = resolver.stats();
 
   // --- offline attestation over the merged per-backend trace ------------
   std::vector<fabric::TracePart> parts;
@@ -434,8 +428,8 @@ FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
   // dead until it rejoins, and a blackout over its probation strikes the
   // rejoin out (a second sticky death), so the acked rejoin would never
   // reclaim.  First a partition window pinning the survivor off the
-  // router side (the nameserver keeps granting its lease; the partition
-  // is a network fact, not a membership fact) ...
+  // router side (the membership table keeps naming it the owner; the
+  // partition is a network fact, not a membership fact) ...
   auto other = static_cast<std::uint32_t>(1 + rng.below(backends));
   if (other == victim) other = victim % backends + 1;
   if (rng.below(2) == 0) {

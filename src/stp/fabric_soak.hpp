@@ -30,9 +30,8 @@
 // The plan vocabulary itself (kinds, scopes, text round-trip) lives in
 // fault/fabric_plan.hpp so a minimized counterexample can be written to a
 // CI artifact and replayed verbatim; this header re-exports the names the
-// existing harnesses use.  The client here runs over a ResolverTransport,
-// so every soak also exercises the nameserver protocol: leases on
-// connect, epoch-fenced redirects on ownership changes.
+// existing harnesses use.  The client talks to the router directly, which
+// forwards by its membership table alone.
 #pragma once
 
 #include <chrono>
@@ -42,7 +41,6 @@
 
 #include "analysis/trace_pipeline.hpp"
 #include "fabric/fabric.hpp"
-#include "fabric/resolver.hpp"
 #include "fault/fabric_plan.hpp"
 
 namespace stpx::stp {
@@ -91,8 +89,6 @@ struct FabricSoakResult {
   std::vector<std::uint64_t> reclaim_latency_us;  ///< per reclaim absorb
   /// Router drop/forward accounting.
   obs::CounterTable<fabric::RouterCounter>::Snapshot router;
-  /// Client-side lease accounting.
-  obs::CounterTable<fabric::ResolverCounter>::Snapshot resolver;
   analysis::TraceReport trace;  ///< merged-trace attestation report
   /// The merged per-backend trace the attestation ran over, in merge
   /// order — what a failing run writes to a CI artifact so the verdict

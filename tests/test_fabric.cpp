@@ -547,6 +547,29 @@ TEST(Fabric, CrashIsFencedAndRehomedOntoSurvivor) {
   EXPECT_EQ(owners, (std::set<std::uint32_t>{2}));
 }
 
+TEST(Fabric, DrainPollsCellsWhileTheSupervisorRehomes) {
+  // Fabric::drain asks every cell whether it is done while the supervisor
+  // may be replacing that cell's generation in a re-home absorb.  No
+  // client runs, so nothing completes and each drain(1ms) polls all three
+  // cells until backend 2's re-home is recorded: under TSan, a poll that
+  // read a generation the absorb was building or had freed is a report.
+  FabricRig rig;
+  rig.build(3, 6, 4, aggressive_health(), fabric_mux());
+  rig.fab->start();
+  rig.fab->kill_backend(2);
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (rig.fab->rehomes().empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    EXPECT_FALSE(rig.fab->drain(1ms));
+  }
+  rig.fab->stop();
+  const auto rehomes = rig.fab->rehomes();
+  ASSERT_EQ(rehomes.size(), 1u);
+  EXPECT_TRUE(rehomes[0].ok);
+  EXPECT_EQ(rehomes[0].dead, 2u);
+  EXPECT_EQ(rehomes[0].moved.size(), 2u);
+}
+
 // --------------------------------------------------------------------------
 // Fabric: probe blackout (false suspicion)
 // --------------------------------------------------------------------------

@@ -136,14 +136,10 @@ TEST(MetricKeys, FabricRouter) {
       "counter fabric.forwarded.backend_to_client",
       "counter fabric.forwarded.client_to_backend",
       "counter fabric.joins",
-      "counter fabric.nameserver.grants",
-      "counter fabric.nameserver.unknowns",
       "counter fabric.probes.acks",
       "counter fabric.probes.sent",
       "counter fabric.probes.suppressed",
-      "counter fabric.redirects",
       "counter fabric.rejects",
-      "counter fabric.resolves",
   };
   EXPECT_EQ(key_set(reg), want);
 }

@@ -11,8 +11,6 @@
 //     pre-fence owner entries stale; pick_survivor ignores stale load;
 //   * the fabric fault-plan grammar — text round-trip, span windows,
 //     partitions, malformed input;
-//   * Nameserver / ResolverTransport — lease grants, dead/stale fencing,
-//     epoch-fenced redirects invalidating cached leases;
 //   * the rejoin/reclaim loop end to end — crash, re-home, kJoin under a
 //     fresh generation, probation, release/reclaim absorbs, epoch bump —
 //     including a seeded trial with a survivor partitioned mid-run, and
@@ -22,15 +20,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "fabric/fabric.hpp"
 #include "fabric/health.hpp"
-#include "fabric/nameserver.hpp"
-#include "fabric/resolver.hpp"
 #include "fault/fabric_plan.hpp"
 #include "net/retry.hpp"
 #include "obs/metrics.hpp"
@@ -363,179 +358,6 @@ TEST(FabricPlanText, SoakToStringDelegatesUnchanged) {
 }
 
 // --------------------------------------------------------------------------
-// Nameserver + ResolverTransport
-// --------------------------------------------------------------------------
-
-net::Frame resolve_query(std::uint32_t session) {
-  net::Frame f;
-  f.kind = net::FrameKind::kResolve;
-  f.dir = sim::Dir::kSenderToReceiver;
-  f.session = session;
-  f.msg = 0;
-  return f;
-}
-
-TEST(Nameserver, GrantsFreshOwnersAndFencesDeadOrStale) {
-  fabric::MembershipTable m;
-  m.add_backend(1);
-  m.assign(7, 1);
-  fabric::Nameserver ns(&m);
-
-  auto ack = ns.answer(resolve_query(7));
-  EXPECT_EQ(ack.kind, net::FrameKind::kResolveAck);
-  EXPECT_EQ(ack.session, 7u);
-  EXPECT_EQ(fabric::lease_owner(ack.msg), 1u);
-  EXPECT_EQ(fabric::lease_epoch(ack.msg), m.epoch());
-
-  // Unknown session: owner 0.
-  EXPECT_EQ(fabric::lease_owner(ns.answer(resolve_query(99)).msg), 0u);
-  // Fenced owner: owner 0.
-  m.set_health(1, fabric::BackendHealth::kDead);
-  EXPECT_EQ(fabric::lease_owner(ns.answer(resolve_query(7)).msg), 0u);
-  // Revived but the entry is stale (stamped pre-fence): still 0 — a
-  // rejoin must never silently resurrect old routing truth.
-  m.revive(1);
-  EXPECT_EQ(fabric::lease_owner(ns.answer(resolve_query(7)).msg), 0u);
-  // Reassigned under the new incarnation: granted again.
-  m.assign(7, 1);
-  EXPECT_EQ(fabric::lease_owner(ns.answer(resolve_query(7)).msg), 1u);
-
-  const auto rd = ns.redirect(7);
-  EXPECT_EQ(rd.kind, net::FrameKind::kNotOwner);
-  EXPECT_EQ(fabric::lease_epoch(rd.msg), m.epoch());
-  const auto st = ns.stats();
-  EXPECT_EQ(st[fabric::NameserverCounter::kResolves], 5u);
-  EXPECT_EQ(st[fabric::NameserverCounter::kGrants], 2u);
-  EXPECT_EQ(st[fabric::NameserverCounter::kUnknowns], 3u);
-  EXPECT_EQ(st[fabric::NameserverCounter::kRedirects], 1u);
-}
-
-/// Scripted ITransport: records every send and wait bound, serves a
-/// queue of inbound frames to poll().
-class ScriptedTransport final : public net::ITransport {
- public:
-  bool send(const std::vector<std::uint8_t>& bytes) override {
-    sent.push_back(bytes);
-    return true;
-  }
-  std::optional<std::vector<std::uint8_t>> poll() override {
-    if (inbound.empty()) return std::nullopt;
-    auto out = inbound.front();
-    inbound.pop_front();
-    return out;
-  }
-  void wait(std::chrono::microseconds max) override { waits.push_back(max); }
-  std::string name() const override { return "scripted"; }
-
-  std::vector<std::vector<std::uint8_t>> sent;
-  std::deque<std::vector<std::uint8_t>> inbound;
-  std::vector<std::chrono::microseconds> waits;
-};
-
-net::Frame data_frame(std::uint32_t session) {
-  net::Frame f;
-  f.kind = net::FrameKind::kData;
-  f.dir = sim::Dir::kSenderToReceiver;
-  f.session = session;
-  f.msg = 1;
-  return f;
-}
-
-std::vector<net::Frame> decode_all(
-    const std::vector<std::vector<std::uint8_t>>& wires) {
-  std::vector<net::Frame> out;
-  for (const auto& w : wires) {
-    const auto f = net::decode(w);
-    if (f) out.push_back(*f);
-  }
-  return out;
-}
-
-TEST(Resolver, ResolvesOnConnectCachesLeaseAndFencesOnNewerEpoch) {
-  ScriptedTransport wire;
-  fabric::ResolverTransport rt(&wire);
-
-  // Connect-time resolve goes straight out.
-  rt.resolve_now(7);
-  auto sent = decode_all(wire.sent);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].kind, net::FrameKind::kResolve);
-  EXPECT_EQ(sent[0].session, 7u);
-
-  // The grant is consumed (not surfaced to the mux) and cached.
-  net::Frame grant;
-  grant.kind = net::FrameKind::kResolveAck;
-  grant.dir = sim::Dir::kReceiverToSender;
-  grant.session = 7;
-  grant.msg = fabric::pack_lease(2, 5);
-  wire.inbound.push_back(net::encode(grant));
-  EXPECT_FALSE(rt.poll());
-  const auto lease = rt.lease(7);
-  ASSERT_TRUE(lease);
-  EXPECT_EQ(lease->owner, 2u);
-  EXPECT_EQ(lease->epoch, 5u);
-
-  // Data for a leased session passes through without another resolve.
-  wire.sent.clear();
-  EXPECT_TRUE(rt.send(net::encode(data_frame(7))));
-  EXPECT_EQ(decode_all(wire.sent).size(), 1u);
-  EXPECT_EQ(decode_all(wire.sent)[0].kind, net::FrameKind::kData);
-
-  // A kNotOwner carrying an OLDER epoch is ignored; the lease holds.
-  net::Frame stale_rd;
-  stale_rd.kind = net::FrameKind::kNotOwner;
-  stale_rd.dir = sim::Dir::kReceiverToSender;
-  stale_rd.session = 7;
-  stale_rd.msg = fabric::pack_lease(0, 4);
-  wire.inbound.push_back(net::encode(stale_rd));
-  EXPECT_FALSE(rt.poll());
-  EXPECT_TRUE(rt.lease(7));
-
-  // A NEWER epoch is the fence: lease invalidated, re-resolve issued.
-  wire.sent.clear();
-  net::Frame fence = stale_rd;
-  fence.msg = fabric::pack_lease(0, 9);
-  wire.inbound.push_back(net::encode(fence));
-  EXPECT_FALSE(rt.poll());
-  EXPECT_FALSE(rt.lease(7));
-  sent = decode_all(wire.sent);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].kind, net::FrameKind::kResolve);
-
-  const auto st = rt.stats();
-  EXPECT_EQ(st[fabric::ResolverCounter::kResolvesSent], 2u);
-  EXPECT_EQ(st[fabric::ResolverCounter::kLeasesGranted], 1u);
-  EXPECT_EQ(st[fabric::ResolverCounter::kRedirectsSeen], 2u);
-  EXPECT_EQ(st[fabric::ResolverCounter::kLeaseInvalidations], 1u);
-}
-
-TEST(Resolver, UnleasedDataTriggersRateLimitedResolveButStillPasses) {
-  ScriptedTransport wire;
-  fabric::ResolverTransport rt(&wire);
-  EXPECT_TRUE(rt.send(net::encode(data_frame(3))));
-  EXPECT_TRUE(rt.send(net::encode(data_frame(3))));
-  const auto sent = decode_all(wire.sent);
-  // Two data frames passed through; ONE resolve (the second is inside
-  // the retry window).
-  std::size_t data = 0, resolves = 0;
-  for (const auto& f : sent) {
-    data += f.kind == net::FrameKind::kData;
-    resolves += f.kind == net::FrameKind::kResolve;
-  }
-  EXPECT_EQ(data, 2u);
-  EXPECT_EQ(resolves, 1u);
-}
-
-TEST(Resolver, WaitForwardsToTheInnerTransport) {
-  ScriptedTransport wire;
-  fabric::ResolverTransport rt(&wire);
-  rt.wait(50us);
-  rt.wait(7ms);
-  EXPECT_EQ(wire.waits, (std::vector<std::chrono::microseconds>{50us, 7ms}));
-  EXPECT_TRUE(wire.sent.empty());  // a wait puts nothing on the wire
-}
-
-// --------------------------------------------------------------------------
 // The rejoin/reclaim loop, end to end
 // --------------------------------------------------------------------------
 
@@ -596,15 +418,13 @@ TEST(RejoinReclaim, CrashRejoinReclaimRoundTrip) {
   // The attestation is derived from the merged trace alone and must
   // agree with the live verdicts across all three generations.
   EXPECT_TRUE(res.trace.ok) << res.trace.to_json();
-  // The nameserver answered the client's connect-time resolves.
-  EXPECT_GE(res.resolver[fabric::ResolverCounter::kLeasesGranted], 1u);
   EXPECT_EQ(res.router[fabric::RouterCounter::kRejects], 0u);
 }
 
 TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
-  // The ISSUE's acceptance trial: crash one backend, partition a SURVIVOR
-  // from the nameserver/router side mid-recovery, heal, rejoin the dead
-  // backend, reclaim — then attest the whole story from the merged trace.
+  // The acceptance trial: crash one backend, partition a SURVIVOR from
+  // the router side mid-recovery, heal, rejoin the dead backend, reclaim
+  // — then attest the whole story from the merged trace.
   auto cfg = rejoin_base(12, 8);
   // Every action counts from backend 1 being a quarter through its share
   // (4 sessions x 8 items), which is when it dies.
@@ -720,8 +540,7 @@ TEST(RejoinReclaim, PublishMetricsEmitsDistinctDropCounters) {
   for (const char* key :
        {"fabric.drops.no_owner", "fabric.drops.dead_owner",
         "fabric.drops.stale_lease", "fabric.drops.partition",
-        "fabric.resolves", "fabric.redirects", "fabric.joins",
-        "fabric.nameserver.grants", "fabric.nameserver.unknowns"}) {
+        "fabric.joins"}) {
     EXPECT_TRUE(reg.counters().count(key)) << key;
   }
 }
