@@ -128,9 +128,6 @@ fabric::HealthConfig aggressive_health() {
   // means no re-home).
   h.probe_interval = kSanitized ? 5ms : 1ms;
   h.probe_timeout = kSanitized ? 100ms : 5ms;
-  h.max_strikes = 3;
-  h.backoff = 2.0;
-  h.max_timeout = kSanitized ? 1s : 50ms;
   return h;
 }
 
@@ -506,16 +503,14 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
   // Router + membership + client, all in this process.
   fabric::MembershipTable membership;
   auto client_link = net::make_loopback({});
-  fabric::RouterConfig rcfg;
+  fabric::HealthConfig health;
   // Cross-process ack RTT is real scheduling latency (worse still under
   // sanitizers), so the heartbeat gets a far laxer ladder than the
   // in-process cells: ~1.4s of silence to a death verdict, never a false
   // strike on a merely slow peer.
-  rcfg.health.probe_interval = std::chrono::milliseconds(20);
-  rcfg.health.probe_timeout = std::chrono::milliseconds(200);
-  rcfg.health.max_strikes = 3;
-  rcfg.health.max_timeout = std::chrono::milliseconds(1000);
-  fabric::FabricRouter router(client_link.b.get(), &membership, rcfg);
+  health.probe_interval = std::chrono::milliseconds(20);
+  health.probe_timeout = std::chrono::milliseconds(200);
+  fabric::FabricRouter router(client_link.b.get(), &membership, health);
   for (std::uint32_t id = 1; id <= kBackends; ++id) {
     membership.add_backend(id);
     router.add_backend(id, links[id].get());
@@ -566,8 +561,8 @@ ProcResult run_process_harness(const std::string& exe, std::size_t sessions,
   // The crash: SIGKILL backend 1 mid-run — once the client has heard
   // about a quarter of the run's acks, so it lands mid-traffic however
   // fast the run is (bounded: a stalled fleet is killed anyway).  No
-  // flush, no goodbye — its trace tail and any unsynced log batch die
-  // with it.
+  // flush, no goodbye — its trace tail and any checkpoint batch not yet
+  // written die with it.
   const auto kill_deadline = std::chrono::steady_clock::now() + 10s;
   while (client.mux().stats()[MuxCounter::kFramesReceived] <
              sessions * seq_len / 4 &&

@@ -73,10 +73,8 @@ int main() {
   fabric::FabricConfig fc;
   fc.backends = kBackends;
   // Aggressive heartbeat so the demo heals in milliseconds, not seconds.
-  fc.router.health.probe_interval = 1ms;
-  fc.router.health.probe_timeout = 5ms;
-  fc.router.health.max_strikes = 3;
-  fc.router.health.max_timeout = 50ms;
+  fc.health.probe_interval = 1ms;
+  fc.health.probe_timeout = 5ms;
   fc.mux.workers = 2;
   fc.make_receiver = [](std::uint32_t, std::uint64_t tag)
       -> std::unique_ptr<sim::IReceiver> {

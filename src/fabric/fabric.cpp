@@ -12,14 +12,14 @@ Fabric::Fabric(FabricConfig cfg) : cfg_(std::move(cfg)) {
   STPX_EXPECT(cfg_.backends >= 1, "Fabric: needs at least one backend");
   STPX_EXPECT(static_cast<bool>(cfg_.stores_for),
               "Fabric: stores_for is required");
-  client_link_ = net::make_loopback(cfg_.link);
+  client_link_ = net::make_loopback();
   router_ = std::make_unique<FabricRouter>(client_link_.b.get(),
-                                           &membership_, cfg_.router);
+                                           &membership_, cfg_.health);
   backend_links_.reserve(cfg_.backends);
   cells_.reserve(cfg_.backends);
   for (std::size_t i = 0; i < cfg_.backends; ++i) {
     const std::uint32_t id = static_cast<std::uint32_t>(i + 1);
-    backend_links_.push_back(net::make_loopback(cfg_.link));
+    backend_links_.push_back(net::make_loopback());
     membership_.add_backend(id);
     router_->add_backend(id, backend_links_[i].a.get());
     stores_.push_back(cfg_.stores_for(id));

@@ -1,8 +1,9 @@
 // Fabric — the in-process service fabric: N backend cells behind one
 // router, one supervisor closing the crash → fence → re-home loop.
 //
-// Wiring (every link is a loopback pair; the process harness in
-// bench/r7_fabric.cpp builds the same topology over UDP + fork/exec):
+// Wiring (every link is a perfect loopback pair from net::make_loopback();
+// the process harness in bench/r7_fabric.cpp builds the same topology
+// over UDP + fork/exec):
 //
 //   client mux ══ client link ══ FabricRouter ══ link k ══ BackendCell k
 //                                     │
@@ -59,7 +60,8 @@ namespace stpx::fabric {
 
 struct FabricConfig {
   std::size_t backends = 3;
-  RouterConfig router;
+  /// Probe pacing of the router's health loop.
+  HealthConfig health;
   /// Mux template for every cell (backend_id/session_stores overwritten
   /// per cell; `probe` overridden by probe_for when given).
   net::MuxConfig mux;
@@ -72,8 +74,6 @@ struct FabricConfig {
   /// Optional per-backend observer (e.g. one FlightRecorder per cell,
   /// configured with backend_id = cell id).
   std::function<obs::IProbe*(std::uint32_t)> probe_for;
-  /// Link template for the client link and every backend link.
-  net::LoopbackConfig link;
 };
 
 /// One fence-and-re-home, as the supervisor saw it.

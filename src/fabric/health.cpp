@@ -1,7 +1,5 @@
 #include "fabric/health.hpp"
 
-#include <algorithm>
-
 namespace stpx::fabric {
 
 void HealthMonitor::add_backend(std::uint32_t id, time_point now) {
@@ -11,22 +9,19 @@ void HealthMonitor::add_backend(std::uint32_t id, time_point now) {
   backends_.emplace(id, b);
 }
 
-void HealthMonitor::advance(std::uint32_t id, Backend& b, time_point now) {
-  (void)id;
+void HealthMonitor::advance(Backend& b, time_point now) {
   if (b.health == BackendHealth::kDead || b.paused || !b.outstanding) return;
   if (now < b.sent_at + b.timeout) return;
-  // The outstanding probe expired: charge a strike, grow the timeout,
+  // The outstanding probe expired: charge a strike, double the timeout,
   // and make the retry due immediately (the backoff lives in the grown
   // timeout, not in extra idle time — a recovering backend is re-probed
   // promptly but given longer to answer).
   b.outstanding = false;
   ++b.strikes;
   ++stats_.timeouts;
-  const auto grown = std::chrono::microseconds(static_cast<std::int64_t>(
-      static_cast<double>(b.timeout.count()) * cfg_.backoff));
-  b.timeout = std::min(grown, cfg_.max_timeout);
+  b.timeout *= 2;
   b.next_due = now;
-  if (b.strikes >= cfg_.max_strikes) {
+  if (b.strikes >= kMaxStrikes) {
     b.health = BackendHealth::kDead;
     ++stats_.deaths;
     if (b.probation_owed > 0) {
@@ -46,7 +41,7 @@ std::optional<std::int64_t> HealthMonitor::next_probe(std::uint32_t id,
   const auto it = backends_.find(id);
   if (it == backends_.end()) return std::nullopt;
   Backend& b = it->second;
-  advance(id, b, now);
+  advance(b, now);
   if (b.health == BackendHealth::kDead || b.paused) return std::nullopt;
   if (b.outstanding || now < b.next_due) return std::nullopt;
   b.outstanding = true;
@@ -70,7 +65,7 @@ void HealthMonitor::on_ack(std::uint32_t id, std::int64_t nonce,
   // without prejudice — counting it as late_or_stray would make every
   // planned restart look like probe trouble.
   if (b.paused) return;
-  advance(id, b, now);
+  advance(b, now);
   // Death is sticky; an ack for a stale nonce proves nothing about the
   // probe we are actually waiting on (it may have been queued for ages).
   if (b.health == BackendHealth::kDead || !b.outstanding ||
@@ -124,7 +119,7 @@ bool HealthMonitor::rejoin(std::uint32_t id, time_point now) {
   if (b.health != BackendHealth::kDead) return false;
   b.health = BackendHealth::kSuspect;
   b.paused = false;
-  b.probation_owed = cfg_.probation_acks > 0 ? cfg_.probation_acks : 1;
+  b.probation_owed = kProbationAcks;
   b.strikes = 0;
   b.timeout = cfg_.probe_timeout;
   b.outstanding = false;
@@ -142,7 +137,7 @@ bool HealthMonitor::on_probation(std::uint32_t id) const {
 BackendHealth HealthMonitor::health(std::uint32_t id, time_point now) {
   const auto it = backends_.find(id);
   if (it == backends_.end()) return BackendHealth::kDead;
-  advance(id, it->second, now);
+  advance(it->second, now);
   return it->second.health;
 }
 

@@ -7,20 +7,20 @@
 //   idle ── interval elapsed ──▶ probe outstanding (nonce, deadline)
 //     ▲                               │
 //     │ ack(nonce) ── strikes := 0,   │ deadline passed ── strike++,
-//     │   timeout := base ────────────┤   timeout *= backoff (capped),
+//     │   timeout := base ────────────┤   timeout *= 2,
 //     │                               │   re-probe immediately
-//     └───────────────────────────────┴── strikes == max_strikes ──▶ DEAD
+//     └───────────────────────────────┴── strikes == kMaxStrikes ──▶ DEAD
 //
 // Death is sticky — once declared, the backend is fenced by the fabric
 // and not revived by traffic (a late ack is counted but changes
-// nothing).  The strike budget with exponential backoff means a single
+// nothing).  The strike budget with a doubling timeout means a single
 // dropped probe datagram costs one quick retry, while a truly dead
-// backend is declared after max_strikes timeouts spanning roughly
-// timeout * (backoff^max_strikes - 1) / (backoff - 1).
+// backend is declared after kMaxStrikes = 3 timeouts spanning
+// probe_timeout * (1 + 2 + 4) = 7 * probe_timeout.
 //
-// The one deliberate door back is rejoin() (PR 9): a dead backend that
+// The one deliberate door back is rejoin(): a dead backend that
 // announced itself with a kJoin handshake enters PROBATION — probing
-// resumes with a fresh ladder, and only `probation_acks` consecutive
+// resumes with a fresh ladder, and only kProbationAcks = 2 consecutive
 // answered probes earn kAlive back.  Probation reports kSuspect
 // throughout (the membership table keeps the backend fenced until the
 // supervisor's reclaim completes), and striking out during probation is
@@ -41,15 +41,6 @@ struct HealthConfig {
   std::chrono::microseconds probe_interval{2'000};
   /// How long an outstanding probe may go unanswered before a strike.
   std::chrono::microseconds probe_timeout{10'000};
-  /// Strikes (consecutive timeouts) before the backend is declared dead.
-  std::uint32_t max_strikes = 3;
-  /// Timeout multiplier applied per strike (exponential backoff).
-  double backoff = 2.0;
-  /// Backoff ceiling.
-  std::chrono::microseconds max_timeout{200'000};
-  /// Consecutive answered probes a rejoining backend must produce before
-  /// probation lifts (see file comment).
-  std::uint32_t probation_acks = 2;
 };
 
 /// Per-backend probe accounting snapshot.
@@ -67,6 +58,12 @@ struct HealthStats {
 class HealthMonitor {
  public:
   using time_point = std::chrono::steady_clock::time_point;
+
+  /// Strikes (consecutive timeouts) before the backend is declared dead.
+  static constexpr std::uint32_t kMaxStrikes = 3;
+  /// Consecutive answered probes a rejoining backend must produce before
+  /// probation lifts (see file comment).
+  static constexpr std::uint32_t kProbationAcks = 2;
 
   explicit HealthMonitor(HealthConfig cfg = {}) : cfg_(cfg) {}
 
@@ -94,7 +91,7 @@ class HealthMonitor {
   /// Open a probation window for a dead backend (the router calls this
   /// on a kJoin announcement): health becomes kSuspect, the strike
   /// ladder and timeout reset, and the next probe is due immediately.
-  /// Only after cfg.probation_acks CONSECUTIVE answered probes does the
+  /// Only after kProbationAcks CONSECUTIVE answered probes does the
   /// verdict return to kAlive.  No-op unless the backend is dead.
   /// Returns true when a probation window was opened.
   bool rejoin(std::uint32_t id, time_point now);
@@ -110,7 +107,6 @@ class HealthMonitor {
   std::uint32_t strikes(std::uint32_t id) const;
 
   HealthStats stats() const { return stats_; }
-  const HealthConfig& config() const { return cfg_; }
 
  private:
   struct Backend {
@@ -120,7 +116,7 @@ class HealthMonitor {
     /// probation).
     std::uint32_t probation_owed = 0;
     std::uint32_t strikes = 0;
-    std::chrono::microseconds timeout{0};  // current, backoff-grown
+    std::chrono::microseconds timeout{0};  // current, doubled per strike
     bool outstanding = false;
     std::int64_t nonce = 0;
     time_point sent_at{};
@@ -128,7 +124,7 @@ class HealthMonitor {
   };
 
   /// Charge a timeout strike if the outstanding probe expired.
-  void advance(std::uint32_t id, Backend& b, time_point now);
+  void advance(Backend& b, time_point now);
 
   HealthConfig cfg_;
   std::map<std::uint32_t, Backend> backends_;

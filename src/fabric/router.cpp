@@ -21,9 +21,8 @@ constexpr std::size_t kBurst = 64;
 }  // namespace
 
 FabricRouter::FabricRouter(ITransport* client_side,
-                           MembershipTable* membership, RouterConfig cfg)
-    : client_(client_side), membership_(membership), cfg_(cfg),
-      health_(cfg.health) {
+                           MembershipTable* membership, HealthConfig health)
+    : client_(client_side), membership_(membership), health_(health) {
   STPX_EXPECT(client_ != nullptr, "FabricRouter: null client transport");
   STPX_EXPECT(membership_ != nullptr, "FabricRouter: null membership");
 }

@@ -85,10 +85,6 @@ constexpr const char* to_cstr(PartitionMode m) {
   return "?";
 }
 
-struct RouterConfig {
-  HealthConfig health;
-};
-
 /// One health-loop verdict handed to the supervisor.
 struct Verdict {
   enum class Kind : std::uint8_t {
@@ -140,9 +136,10 @@ inline constexpr auto kRouterCounterNames = std::to_array<const char*>({
 class FabricRouter {
  public:
   /// `client_side` is the router's end of the client link (non-owning).
-  /// `membership` is shared with the supervisor (non-owning).
+  /// `membership` is shared with the supervisor (non-owning).  `health`
+  /// paces the probe loop (see HealthMonitor).
   FabricRouter(net::ITransport* client_side, MembershipTable* membership,
-               RouterConfig cfg = {});
+               HealthConfig health = {});
   FabricRouter(const FabricRouter&) = delete;
   FabricRouter& operator=(const FabricRouter&) = delete;
   ~FabricRouter();
@@ -222,7 +219,6 @@ class FabricRouter {
 
   net::ITransport* client_;
   MembershipTable* membership_;
-  RouterConfig cfg_;
   std::vector<std::unique_ptr<BackendLink>> backends_;
   HealthMonitor health_;  // pump-thread-only after start()
   mutable std::mutex health_mu_;  // guards health_ around stats snapshots

@@ -307,7 +307,7 @@ void SessionMux::route(const Frame& f) {
   bool wake = false;
   {
     std::lock_guard<std::mutex> hold(shard.mu);
-    if (cfg_.inbox_limit > 0 && s.inbox_frames >= cfg_.inbox_limit) {
+    if (s.inbox_frames >= kInboxLimit) {
       shed = true;
     } else {
       // The worker needs waking only when the shard goes from idle to

@@ -11,10 +11,11 @@
 //   * The pump (one std::jthread) polls the transport, decodes frames
 //     (rejecting malformed bytes — counted, never thrown), and appends
 //     each to the owning shard's inbox, tagged with its session.  A
-//     per-session count bounds each session's share of the inbox.  When
-//     a poll burst finds nothing it blocks in the transport's wait()
-//     until a frame arrives (bounded by a 50 µs backoff, so stop() is
-//     seen promptly), so a frame waits for the pump only as long as the
+//     per-session count bounds each session's share of the inbox at
+//     kInboxLimit frames; the pump sheds the overflow.  When a poll
+//     burst finds nothing it blocks in the transport's wait() until a
+//     frame arrives (bounded by a 50 µs backoff, so stop() is seen
+//     promptly), so a frame waits for the pump only as long as the
 //     wakeup takes.
 //   * Workers (std::jthread each) are event-driven: each session keeps
 //     one deadline (retransmit timeout or idle verdict) on its shard's
@@ -119,10 +120,6 @@ struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
   std::size_t workers = 2;
-  /// Bound on each session's frames in its shard's inbox; overflow
-  /// frames are shed (backpressure — indistinguishable from wire loss,
-  /// which the protocols tolerate).
-  std::size_t inbox_limit = 64;
   /// A session that receives nothing for this long is evicted
   /// (0 = never evict).
   std::chrono::milliseconds idle_eviction{0};
@@ -232,6 +229,11 @@ struct RehydrateReport {
 
 class SessionMux {
  public:
+  /// Bound on each session's frames in its shard's inbox; overflow
+  /// frames are shed (backpressure — indistinguishable from wire loss,
+  /// which the protocols tolerate).  No inbox is unbounded.
+  static constexpr std::size_t kInboxLimit = 64;
+
   /// `transport` is non-owning and must outlive the mux.
   SessionMux(ITransport* transport, MuxConfig cfg);
   SessionMux(const SessionMux&) = delete;

@@ -51,12 +51,6 @@ void Histogram::merge(const Histogram& other) {
   max_seen_ = std::max(max_seen_, other.max_seen_);
 }
 
-std::vector<std::uint64_t> pow2_bounds(std::size_t n) {
-  std::vector<std::uint64_t> bounds(n);
-  for (std::size_t i = 0; i < n; ++i) bounds[i] = std::uint64_t{1} << i;
-  return bounds;
-}
-
 std::vector<std::uint64_t> log_linear_bounds(std::size_t octaves) {
   const std::uint64_t top = std::uint64_t{1} << octaves;
   std::vector<std::uint64_t> bounds;
@@ -77,11 +71,11 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
+Histogram& MetricsRegistry::histogram(
+    const std::string& name, const std::vector<std::uint64_t>& bounds) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(name, Histogram(std::move(bounds))).first;
+    it = histograms_.emplace(name, Histogram(bounds)).first;
   }
   return it->second;
 }
@@ -134,6 +128,10 @@ MetricsProbe::MetricsProbe(MetricsRegistry* registry) : reg_(registry) {
 }
 
 void MetricsProbe::record(const TraceEvent& ev) {
+  // Histogram bounds, built once (the registry copies them only when it
+  // creates a histogram): occupancy up to 2^15 messages, steps up to 2^19.
+  static const std::vector<std::uint64_t> kOccupancy = log_linear_bounds(15);
+  static const std::vector<std::uint64_t> kSteps = log_linear_bounds(19);
   const std::uint64_t step = ev.ts_us;
   switch (ev.kind) {
     case TraceEventKind::kRunBegin:
@@ -151,10 +149,10 @@ void MetricsProbe::record(const TraceEvent& ev) {
     case TraceEventKind::kStep:
       reg_->counter("steps").inc();
       // Occupancy over time: sample the in-flight level once per step.
-      reg_->histogram("occupancy.sr", pow2_bounds(16))
+      reg_->histogram("occupancy.sr", kOccupancy)
           .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
               inflight_[0], 0)));
-      reg_->histogram("occupancy.rs", pow2_bounds(16))
+      reg_->histogram("occupancy.rs", kOccupancy)
           .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
               inflight_[1], 0)));
       break;
@@ -180,20 +178,20 @@ void MetricsProbe::record(const TraceEvent& ev) {
         // Ack round trip: oldest unacknowledged data send -> this delivery
         // to the sender.  An approximation (ids are protocol-private), but
         // a faithful one for the stop-and-wait style protocols under study.
-        reg_->histogram("ack_rtt", pow2_bounds(20))
+        reg_->histogram("ack_rtt", kSteps)
             .observe(step - pending_sends_.front());
         pending_sends_.erase(pending_sends_.begin());
       }
       break;
     case TraceEventKind::kWrite:
       reg_->counter("writes").inc();
-      reg_->histogram("write_latency", pow2_bounds(20))
+      reg_->histogram("write_latency", kSteps)
           .observe(step - last_write_step_);
       last_write_step_ = step;
       if (restart_pending_) {
         // Recovery latency: the most recent restart -> this first write
         // after it, i.e. how long recovery took to resume visible progress.
-        reg_->histogram("recovery.latency", pow2_bounds(20))
+        reg_->histogram("recovery.latency", kSteps)
             .observe(step - last_restart_step_);
         restart_pending_ = false;
       }
@@ -221,7 +219,7 @@ void MetricsProbe::record(const TraceEvent& ev) {
       break;
     case TraceEventKind::kConverge:
       reg_->counter("stabilization.converged").inc();
-      reg_->histogram("stabilization.latency", pow2_bounds(20))
+      reg_->histogram("stabilization.latency", kSteps)
           .observe(ev.aux);
       break;
     case TraceEventKind::kRunEnd:

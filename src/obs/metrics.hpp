@@ -81,10 +81,6 @@ class Histogram {
   std::uint64_t max_seen_ = 0;
 };
 
-/// Exponential bucket bounds 1, 2, 4, ... (n bounds) — the default shape
-/// for step-latency style metrics.
-std::vector<std::uint64_t> pow2_bounds(std::size_t n);
-
 /// Log-linear bucket bounds 1, 2, ..., 16, then 16 equal buckets per
 /// octave up to 2^octaves, so a quantile reads at most 1/16 (6.25 %) above
 /// the sample it stands for.
@@ -97,7 +93,7 @@ class MetricsRegistry {
   /// `bounds` is used on first creation only; later lookups reuse the
   /// existing instrument.
   Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds);
+                       const std::vector<std::uint64_t>& bounds);
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }

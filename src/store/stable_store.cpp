@@ -54,6 +54,20 @@ std::size_t next_magic(const std::string& buf, std::size_t from) {
   return buf.size();
 }
 
+/// Append `payload` to `out` as one framed record.  A pending torn-write
+/// fault (`torn`) keeps only the record's first half and is consumed.
+void put_record(std::string& out, const std::string& payload, bool& torn) {
+  const std::size_t start = out.size();
+  out.append(kMagic, 4);
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u64(out, fnv1a(payload));
+  out += payload;
+  if (torn) {
+    out.resize(start + (out.size() - start) / 2);  // truncated mid-write
+    torn = false;
+  }
+}
+
 }  // namespace
 
 void IStableStore::append_batch(const std::vector<std::string>& states) {
@@ -61,13 +75,21 @@ void IStableStore::append_batch(const std::vector<std::string>& states) {
   sync();
 }
 
+RecoveredState IStableStore::recover() {
+  ReplayResult r = replay();
+  RecoveredState out;
+  out.found = !r.payloads.empty();
+  if (out.found) out.state = std::move(r.payloads.back());
+  out.records_replayed = r.payloads.size();
+  out.records_skipped = r.records_skipped;
+  return out;
+}
+
 std::string encode_record(const std::string& payload) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, 4);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, fnv1a(payload));
-  out += payload;
+  bool torn = false;
+  put_record(out, payload, torn);
   return out;
 }
 
@@ -107,44 +129,16 @@ void StoreImage::clear() {
 }
 
 void StoreImage::append(const std::string& state) {
-  std::string rec = encode_record(state);
-  if (torn_next) {
-    rec.resize(rec.size() / 2);  // truncated mid-write
-    torn_next = false;
-  }
-  log += rec;
+  put_record(log, state, torn_next);
 }
 
 void StoreImage::compact() {
-  const RecoveredState best = recover();
+  const ReplayResult all = replay();
   snapshot_old = snapshot;
   log_old = log;
-  snapshot = best.found ? encode_record(best.state) : std::string{};
+  snapshot = all.payloads.empty() ? std::string{}
+                                   : encode_record(all.payloads.back());
   log.clear();
-}
-
-RecoveredState StoreImage::recover() const {
-  RecoveredState out;
-  const auto snap = parse_records(snapshot);
-  for (const auto& u : snap) {
-    if (u.valid) {
-      ++out.records_replayed;
-      out.found = true;
-      out.state = u.payload;
-    } else {
-      ++out.records_skipped;
-    }
-  }
-  for (const auto& u : parse_records(log)) {
-    if (u.valid) {
-      ++out.records_replayed;
-      out.found = true;
-      out.state = u.payload;  // newest valid record wins
-    } else {
-      ++out.records_skipped;
-    }
-  }
-  return out;
 }
 
 ReplayResult StoreImage::replay() const {
@@ -212,11 +206,6 @@ void MemStore::compact() {
   img_.compact();
 }
 
-RecoveredState MemStore::recover() {
-  std::lock_guard<std::mutex> hold(mu_);
-  return img_.recover();
-}
-
 ReplayResult MemStore::replay() {
   std::lock_guard<std::mutex> hold(mu_);
   return img_.replay();
@@ -270,10 +259,7 @@ void append_file(const std::filesystem::path& p, const std::string& bytes) {
 
 }  // namespace
 
-FileStore::FileStore(std::string dir, FileStoreConfig cfg)
-    : dir_(std::move(dir)),
-      cfg_(cfg),
-      last_sync_(std::chrono::steady_clock::now()) {
+FileStore::FileStore(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
 }
 
@@ -295,94 +281,56 @@ void FileStore::flush(const StoreImage& img) const {
   write_file(d / "log.old", img.log_old);
 }
 
-std::string FileStore::encode_next(const std::string& state) {
-  std::string rec = encode_record(state);
-  if (torn_next_) {
-    rec.resize(rec.size() / 2);  // truncated mid-write
-    torn_next_ = false;
-  }
-  return rec;
-}
-
 void FileStore::reset() {
   StoreImage img;
   flush(img);
   torn_next_ = false;
   appends_ = 0;
-  syncs_ = 0;
-  pending_.clear();
-  pending_records_ = 0;
-  last_sync_ = std::chrono::steady_clock::now();
 }
 
 void FileStore::append(const std::string& state) {
-  pending_ += encode_next(state);
-  ++pending_records_;
+  std::string rec;
+  rec.reserve(kHeaderSize + state.size());
+  put_record(rec, state, torn_next_);
+  append_file(std::filesystem::path(dir_) / "log", rec);
   ++appends_;
-  const bool by_count =
-      cfg_.sync_every_n > 0 && pending_records_ >= cfg_.sync_every_n;
-  const bool by_time =
-      cfg_.sync_interval.count() > 0 &&
-      std::chrono::steady_clock::now() - last_sync_ >= cfg_.sync_interval;
-  if (by_count || by_time) sync();
 }
 
 void FileStore::append_batch(const std::vector<std::string>& states) {
-  // Group commit: frame everything, then one disk write for the batch.
-  for (const std::string& s : states) {
-    pending_ += encode_next(s);
-    ++pending_records_;
-    ++appends_;
-  }
-  sync();
-}
-
-void FileStore::sync() {
-  last_sync_ = std::chrono::steady_clock::now();
-  if (pending_records_ == 0 && pending_.empty()) return;
-  append_file(std::filesystem::path(dir_) / "log", pending_);
-  pending_.clear();
-  pending_records_ = 0;
-  ++syncs_;
+  // Group commit: frame everything, then one write for the batch.
+  if (states.empty()) return;
+  std::size_t bytes = 0;
+  for (const std::string& s : states) bytes += kHeaderSize + s.size();
+  std::string batch;
+  batch.reserve(bytes);
+  for (const std::string& s : states) put_record(batch, s, torn_next_);
+  append_file(std::filesystem::path(dir_) / "log", batch);
+  appends_ += states.size();
 }
 
 void FileStore::compact() {
-  sync();
   StoreImage img = load();
   img.compact();
   flush(img);
 }
 
-RecoveredState FileStore::recover() {
-  // Self-recovery sees buffered appends too; only abandoning the object
-  // (a real process death) loses the unsynced tail.
-  sync();
-  return load().recover();
-}
-
-ReplayResult FileStore::replay() {
-  sync();
-  return load().replay();
-}
+ReplayResult FileStore::replay() { return load().replay(); }
 
 void FileStore::fault_torn_next_append() { torn_next_ = true; }
 
 void FileStore::fault_lose_tail(std::uint64_t n) {
-  sync();
   StoreImage img = load();
   img.lose_tail(n);
   flush(img);
 }
 
 void FileStore::fault_corrupt_record() {
-  sync();
   StoreImage img = load();
   img.corrupt_record();
   flush(img);
 }
 
 void FileStore::fault_stale_snapshot() {
-  sync();
   StoreImage img = load();
   img.stale_snapshot();
   flush(img);

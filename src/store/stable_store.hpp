@@ -4,7 +4,7 @@
 // An IStableStore is an append-only log of checksummed full-state
 // checkpoint records plus a snapshot area.  The engine appends one record
 // per durable state transition (commit point) and calls recover() when a
-// crashed process restarts; recovery scans the log newest-first and the
+// crashed process restarts; recovery replays snapshot and log and the
 // newest record that passes its checksum wins, falling back to the
 // snapshot and finally to "nothing found" (cold start).
 //
@@ -26,7 +26,6 @@
 // never occur inside a payload and a damaged region is re-synced by
 // scanning for the next magic.
 
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -60,19 +59,20 @@ class IStableStore {
   virtual void reset() = 0;
   /// Append one full-state checkpoint record.
   virtual void append(const std::string& state) = 0;
-  /// Group commit: append every record, then make the batch durable with
-  /// a single sync — the unit the session mux uses so that 10k sessions
-  /// cost one flush per shard sweep, not 10k.  The default is
-  /// append-per-record + one sync(); stores with real write batching
-  /// (FileStore) override it.
+  /// Group commit: append every record as one unit — the unit the
+  /// session mux uses so that 10k sessions cost one write per shard
+  /// sweep, not 10k.  The default is append-per-record + sync();
+  /// FileStore overrides it with one file write for the whole batch.
   virtual void append_batch(const std::vector<std::string>& states);
-  /// Make buffered appends durable now.  No-op for stores that write
-  /// through (MemStore; FileStore with sync_every_n == 1).
+  /// Make buffered appends durable now.  Both stores write through, so
+  /// for them this is a no-op; it stays a hook for decorators.
   virtual void sync() {}
   /// Fold the log into the snapshot area and truncate the log.
   virtual void compact() = 0;
   /// Scan for the newest valid state (see file header for the rules).
-  virtual RecoveredState recover() = 0;
+  /// The default folds replay(): the last payload wins, every payload
+  /// counts as replayed and the damaged records as skipped.
+  virtual RecoveredState recover();
   /// Every valid payload oldest-first (see ReplayResult).
   virtual ReplayResult replay() = 0;
   /// Total records appended since reset() (drives periodic compaction).
@@ -115,7 +115,6 @@ struct StoreImage {
   void clear();
   void append(const std::string& state);
   void compact();
-  RecoveredState recover() const;
   ReplayResult replay() const;
   void lose_tail(std::uint64_t n);
   void corrupt_record();
@@ -133,7 +132,6 @@ class MemStore final : public IStableStore {
   void reset() override;
   void append(const std::string& state) override;
   void compact() override;
-  RecoveredState recover() override;
   ReplayResult replay() override;
   std::uint64_t appends() const override;
 
@@ -150,34 +148,24 @@ class MemStore final : public IStableStore {
   std::uint64_t appends_ = 0;
 };
 
-/// Sync policy for FileStore.  With the defaults every append writes
-/// through (the pre-batching behaviour).  Raising sync_every_n or setting
-/// sync_interval batches appends in memory until the threshold trips, an
-/// explicit sync()/append_batch() lands, or a non-append operation needs
-/// a consistent on-disk image.  Buffered appends are deliberately lost
-/// when the store object is abandoned — that IS the crash model batching
-/// trades durability latency against (a batched tail loss).
-struct FileStoreConfig {
-  std::uint64_t sync_every_n = 1;            ///< flush after this many appends
-  std::chrono::milliseconds sync_interval{0};  ///< flush when this much time passed (0 = off)
-};
-
 /// File-backed stable store: a directory holding `log`, `snapshot`,
 /// `snapshot.old`, and `log.old`.  The bytes on disk are the single
-/// source of truth — a second FileStore opened on the same directory
-/// recovers exactly the synced state.  Appends go to the log file in
-/// append mode (records are self-framing); snapshot rewrites happen only
-/// on compaction.
+/// source of truth, and every append writes through: a second FileStore
+/// opened on the same directory recovers every record appended so far.
+/// append() writes its framed record to the log file in append mode
+/// (records are self-framing), append_batch() writes the whole framed
+/// batch with one write, and snapshot rewrites happen only on
+/// compaction.  Writes go through std::ofstream with no fsync, so the
+/// crash model is process death; an unsynced tail exists only as the
+/// lose-tail fault.
 class FileStore final : public IStableStore {
  public:
-  explicit FileStore(std::string dir, FileStoreConfig cfg = {});
+  explicit FileStore(std::string dir);
 
   void reset() override;
   void append(const std::string& state) override;
   void append_batch(const std::vector<std::string>& states) override;
-  void sync() override;
   void compact() override;
-  RecoveredState recover() override;
   ReplayResult replay() override;
   std::uint64_t appends() const override { return appends_; }
 
@@ -188,24 +176,14 @@ class FileStore final : public IStableStore {
 
   std::string name() const override { return "file"; }
   const std::string& dir() const { return dir_; }
-  /// Completed flushes of buffered appends (batching observability).
-  std::uint64_t syncs() const { return syncs_; }
-  /// Records buffered in memory, not yet on disk.
-  std::uint64_t pending_records() const { return pending_records_; }
 
  private:
   StoreImage load() const;
   void flush(const StoreImage& img) const;
-  std::string encode_next(const std::string& state);
 
   std::string dir_;
-  FileStoreConfig cfg_;
   bool torn_next_ = false;
   std::uint64_t appends_ = 0;
-  std::uint64_t syncs_ = 0;
-  std::string pending_;                 ///< framed records awaiting sync
-  std::uint64_t pending_records_ = 0;
-  std::chrono::steady_clock::time_point last_sync_{};
 };
 
 }  // namespace stpx::store

@@ -19,13 +19,15 @@ namespace {
 
 constexpr std::uint64_t kPlanSalt = 0xFAB51CULL;
 constexpr std::uint64_t kResilienceSalt = 0x4E501E9CULL;
+/// Data domain of every session's sequence and Stenning endpoint.
+constexpr int kDomain = 8;
 
-seq::Sequence seq_for(std::uint32_t id, std::size_t len, int domain) {
+seq::Sequence seq_for(std::uint32_t id, std::size_t len) {
   seq::Sequence x;
   x.reserve(len);
   for (std::size_t i = 0; i < len; ++i) {
     x.push_back(static_cast<seq::DataItem>(
-        (id + i) % static_cast<std::uint32_t>(domain)));
+        (id + i) % static_cast<std::uint32_t>(kDomain)));
   }
   return x;
 }
@@ -67,7 +69,6 @@ std::string to_string(const FabricFaultPlan& plan) {
 
 FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   FabricSoakResult res;
-  const int domain = cfg.domain;
 
   // One session log and one flight recorder per backend; the stores also
   // serve as the handoff source when their backend dies — and as the
@@ -84,21 +85,21 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
 
   fabric::FabricConfig fc;
   fc.backends = cfg.backends;
-  fc.router.health = cfg.health;
+  fc.health = cfg.health;
   fc.mux = cfg.mux;
   fc.mux.probe = nullptr;
   fc.mux.session_stores.clear();
-  fc.make_receiver = [domain](std::uint32_t, std::uint64_t tag)
+  fc.make_receiver = [](std::uint32_t, std::uint64_t tag)
       -> std::unique_ptr<sim::IReceiver> {
     // Tag 0 is the cold-add sentinel; anything else must be a receiver
     // manifest this harness can serve.
     if (tag != 0 && tag != store::proto_tag_of("stenning-receiver")) {
       return nullptr;
     }
-    return proto::make_stenning(domain).receiver;
+    return proto::make_stenning(kDomain).receiver;
   };
-  fc.expected_for = [cfg, domain](std::uint32_t sid) {
-    return seq_for(sid, cfg.seq_len, domain);
+  fc.expected_for = [seq_len = cfg.seq_len](std::uint32_t sid) {
+    return seq_for(sid, seq_len);
   };
   fc.stores_for = [&stores](std::uint32_t id) {
     return std::vector<store::IStableStore*>{stores[id - 1].get()};
@@ -118,14 +119,14 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   net::StpClient client(fab.client_endpoint(), client_cfg);
   for (std::size_t i = 0; i < cfg.sessions; ++i) {
     const std::uint32_t sid = static_cast<std::uint32_t>(i + 1);
-    const seq::Sequence x = seq_for(sid, cfg.seq_len, domain);
+    const seq::Sequence x = seq_for(sid, cfg.seq_len);
     // Stenning's data frame for the last item: seqno * |D| + item.
     const sim::MsgId last =
         x.empty() ? -1
-                  : static_cast<sim::MsgId>(x.size() - 1) * domain + x.back();
+                  : static_cast<sim::MsgId>(x.size() - 1) * kDomain + x.back();
     fab.add_session(sid);
     client.add_session(
-        sid, gate.wrap(proto::make_stenning(domain, true).sender, last), x);
+        sid, gate.wrap(proto::make_stenning(kDomain, true).sender, last), x);
   }
 
   // Script the plan as a switch list (window faults get an on and an off

@@ -62,7 +62,6 @@ struct FabricSoakConfig {
   std::size_t backends = 3;
   std::size_t sessions = 24;
   std::size_t seq_len = 5;
-  int domain = 8;
   fabric::HealthConfig health;
   /// Template for every cell and the client (session_stores /
   /// backend_id / probe are overwritten per mux).  A run takes

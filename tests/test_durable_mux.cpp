@@ -8,9 +8,8 @@
 //     fingerprints, folding by (epoch, seq) regardless of byte order, the
 //     delta-chain fold (gaps, epochs, repeats, lost full records), and
 //     drain-path compaction;
-//   * store replay + FileStore fsync batching — group commit, the
-//     sync_every_n / sync_interval knobs, and torn-write recovery after a
-//     batched tail loss;
+//   * store replay + FileStore group commit — one append_batch lands
+//     every record, and torn-write recovery after a torn tail;
 //   * endpoint save/restore — sender and receiver adapters, delta chains,
 //     the non-prefix-tape canary, unusable-blob cold starts;
 //   * SessionMux rehydration — graceful drain (flush + compaction) vs the
@@ -563,7 +562,7 @@ TEST(SessionLogCompact, KeepsExactlyNewestPerSession) {
 }
 
 // --------------------------------------------------------------------------
-// Store replay + FileStore fsync batching
+// Store replay + FileStore group commit
 // --------------------------------------------------------------------------
 
 TEST(StoreReplay, OldestFirstAndDamageCounted) {
@@ -592,86 +591,31 @@ TEST(StoreReplay, DefaultAppendBatchMatchesLoopedAppends) {
   EXPECT_EQ(rep.payloads[1], "2");
 }
 
-TEST(FileStoreBatching, SyncEveryNBuffersUntilThreshold) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "stpx_fs_batch").string();
-  store::FileStoreConfig cfg;
-  cfg.sync_every_n = 4;
-  {
-    store::FileStore s(dir, cfg);
-    s.reset();
-    s.append("1");
-    s.append("2");
-    s.append("3");
-    EXPECT_EQ(s.syncs(), 0u);
-    EXPECT_EQ(s.pending_records(), 3u);
-    // Another store on the same directory models the crash: only synced
-    // bytes survive, and nothing has been synced yet.
-    EXPECT_FALSE(store::FileStore(dir).recover().found);
-    s.append("4");  // threshold: the whole batch lands with one sync
-    EXPECT_EQ(s.syncs(), 1u);
-    EXPECT_EQ(s.pending_records(), 0u);
-  }
-  store::FileStore b(dir);
-  const auto rec = b.recover();
-  EXPECT_TRUE(rec.found);
-  EXPECT_EQ(rec.state, "4");
-  EXPECT_EQ(b.replay().payloads.size(), 4u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FileStoreBatching, AppendBatchIsOneSync) {
+TEST(FileStore, AppendBatchIsOneSync) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "stpx_fs_group").string();
-  store::FileStoreConfig cfg;
-  cfg.sync_every_n = 1000;  // batching would otherwise hold everything
-  store::FileStore s(dir, cfg);
+  store::FileStore s(dir);
   s.reset();
   s.append_batch({"1", "2", "3", "4", "5"});
-  EXPECT_EQ(s.syncs(), 1u);
-  EXPECT_EQ(s.pending_records(), 0u);
   EXPECT_EQ(store::FileStore(dir).replay().payloads.size(), 5u);
   std::filesystem::remove_all(dir);
 }
 
-TEST(FileStoreBatching, SyncIntervalFlushesByTime) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "stpx_fs_timer").string();
-  store::FileStoreConfig cfg;
-  cfg.sync_every_n = 1000;
-  cfg.sync_interval = 5ms;
-  store::FileStore s(dir, cfg);
-  s.reset();
-  s.append("1");
-  std::this_thread::sleep_for(10ms);
-  s.append("2");  // the elapsed interval trips the flush
-  EXPECT_GE(s.syncs(), 1u);
-  EXPECT_EQ(s.pending_records(), 0u);
-  std::filesystem::remove_all(dir);
-}
-
-// Satellite: torn-write recovery still resyncs after a batched tail loss.
-// The dying process flushed a batch whose last record was torn mid-write
-// AND had further appends buffered in memory; recovery must land on the
-// newest intact record, count the damage, and the reopened log must keep
+// Torn-write recovery resyncs after a torn tail.  The dying process's
+// last append was torn mid-write; recovery must land on the newest
+// intact record, count the damage, and the reopened log must keep
 // working past the torn bytes.
-TEST(FileStoreBatching, TornWriteRecoveryAfterBatchedTailLoss) {
+TEST(FileStore, TornWriteRecoveryAfterBatchedTailLoss) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "stpx_fs_torn").string();
-  store::FileStoreConfig cfg;
-  cfg.sync_every_n = 4;
   {
-    store::FileStore s(dir, cfg);
+    store::FileStore s(dir);
     s.reset();
     s.append("1");
     s.append("2");
     s.append("3");
     s.fault_torn_next_append();
-    s.append("4");  // torn record rides the batch to disk (one sync)
-    EXPECT_EQ(s.syncs(), 1u);
-    s.append("5");  // buffered…
-    s.append("6");  // …and lost with the process image
-    EXPECT_EQ(s.pending_records(), 2u);
+    s.append("4");  // torn mid-write: half the record reaches the log
   }
   store::FileStore b(dir);
   auto rec = b.recover();

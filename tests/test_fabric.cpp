@@ -71,14 +71,12 @@ net::StpServer::ReceiverFactory stenning_factory() {
 }
 
 /// Health tuned so only a genuinely dead backend is ever declared dead
-/// (needs ~1.5s of unbroken silence — scheduler jitter cannot fake that).
+/// (three strikes at 215, 430 and 860ms need ~1.5s of unbroken silence —
+/// scheduler jitter cannot fake that).
 fabric::HealthConfig lenient_health() {
   fabric::HealthConfig h;
   h.probe_interval = 2ms;
-  h.probe_timeout = 100ms;
-  h.max_strikes = 4;
-  h.backoff = 2.0;
-  h.max_timeout = 1s;
+  h.probe_timeout = 215ms;
   return h;
 }
 
@@ -91,9 +89,6 @@ fabric::HealthConfig aggressive_health() {
   fabric::HealthConfig h;
   h.probe_interval = kSanitized ? 5ms : 1ms;
   h.probe_timeout = kSanitized ? 100ms : 5ms;
-  h.max_strikes = 3;
-  h.backoff = 2.0;
-  h.max_timeout = kSanitized ? 1s : 50ms;
   return h;
 }
 
@@ -136,7 +131,7 @@ struct FabricRig {
     }
     fabric::FabricConfig fc;
     fc.backends = backends;
-    fc.router.health = health;
+    fc.health = health;
     fc.mux = mux;
     fc.make_receiver = [this](std::uint32_t sid, std::uint64_t tag) {
       if (const std::uint32_t id = kill_in_next_absorb.exchange(0)) {
@@ -315,9 +310,6 @@ fabric::HealthConfig unit_health() {
   fabric::HealthConfig h;
   h.probe_interval = std::chrono::microseconds(1000);
   h.probe_timeout = std::chrono::microseconds(5000);
-  h.max_strikes = 3;
-  h.backoff = 2.0;
-  h.max_timeout = std::chrono::microseconds(15000);
   return h;
 }
 
@@ -360,8 +352,11 @@ TEST(Health, TimeoutStrikesBackOffExponentiallyThenDeclareDeath) {
   t += std::chrono::microseconds(10000);
   ASSERT_TRUE(hm.next_probe(1, t).has_value());
   EXPECT_EQ(hm.strikes(1), 2u);
-  // Third timeout (clamped to max_timeout 15ms) is fatal.
-  t += std::chrono::microseconds(15000);
+  // 19ms later the twice-doubled timeout has NOT expired yet.
+  EXPECT_EQ(hm.health(1, t + std::chrono::microseconds(19000)),
+            fabric::BackendHealth::kSuspect);
+  // The third timeout (20ms) is fatal.
+  t += std::chrono::microseconds(20000);
   EXPECT_EQ(hm.health(1, t), fabric::BackendHealth::kDead);
   EXPECT_EQ(hm.stats().deaths, 1u);
   EXPECT_EQ(hm.stats().timeouts, 3u);

@@ -222,13 +222,13 @@ TEST(MetricsGolden, EngineRuns) {
       R"j("stabilization.scrambles.rejected":1,"steps":205,"verdict.completed":2,)j"
       R"j("writes":8},"gauges":{"inflight.rs":{"value":-32,"max":1},)j"
       R"j("inflight.sr":{"value":-50,"max":1}},"histograms":{)j"
-      R"j("ack_rtt":{"count":7,"sum":33,"max":13,"p50":4,"p90":16,"p99":16},)j"
+      R"j("ack_rtt":{"count":7,"sum":33,"max":13,"p50":3,"p90":13,"p99":13},)j"
       R"j("occupancy.rs":{"count":205,"sum":6,"max":1,"p50":1,"p90":1,"p99":1},)j"
       R"j("occupancy.sr":{"count":205,"sum":5,"max":1,"p50":1,"p90":1,"p99":1},)j"
-      R"j("recovery.latency":{"count":1,"sum":3,"max":3,"p50":4,"p90":4,"p99":4},)j"
-      R"j("stabilization.latency":{"count":1,"sum":163,"max":163,"p50":256,)j"
-      R"j("p90":256,"p99":256},)j"
-      R"j("write_latency":{"count":8,"sum":203,"max":60,"p50":32,"p90":64,"p99":64}}})j";
+      R"j("recovery.latency":{"count":1,"sum":3,"max":3,"p50":3,"p90":3,"p99":3},)j"
+      R"j("stabilization.latency":{"count":1,"sum":163,"max":163,"p50":168,)j"
+      R"j("p90":168,"p99":168},)j"
+      R"j("write_latency":{"count":8,"sum":203,"max":60,"p50":17,"p90":60,"p99":60}}})j";
   EXPECT_EQ(reg.to_json(), want);
 }
 

@@ -19,11 +19,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -41,6 +39,8 @@
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 #include "util/sanitized.hpp"
+
+#include "delivery_gate.hpp"
 
 namespace stpx {
 namespace {
@@ -671,35 +671,10 @@ TEST(NetMux, StrayControlFramesNeverReachASession) {
   EXPECT_EQ(reports[0].items, 0u);
 }
 
-/// Holds the worker in its first delivery until open(): the pump then
-/// routes the rest of a flood against a full inbox, however the threads
-/// are scheduled.
-class DeliveryGate final : public obs::IProbe {
- public:
-  void record(const obs::TraceEvent& ev) override {
-    if (ev.kind != obs::TraceEventKind::kFrameReceived) return;  // worker
-    std::unique_lock<std::mutex> lock(mu_);
-    opened_.wait(lock, [this] { return open_; });
-  }
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    opened_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable opened_;
-  bool open_ = false;
-};
-
 TEST(NetMux, InboxBackpressureSheds) {
   auto wire = net::make_loopback();
-  DeliveryGate gate;
+  test::DeliveryGate gate;
   net::MuxConfig cfg;
-  cfg.inbox_limit = 2;
   cfg.workers = 1;  // both sessions share one shard inbox
   cfg.probe = &gate;
   net::StpServer server(wire.b.get(), cfg);
@@ -708,9 +683,9 @@ TEST(NetMux, InboxBackpressureSheds) {
   server.add_session(1, std::move(p1.receiver), seq_for(1, 3));
   server.add_session(2, std::move(p2.receiver), seq_for(2, 3));
   // The flood is queued before start(), and the gate holds the worker in
-  // the first delivery, so the pump routes it against a two-frame share.
-  // Session 2's inbox_limit frames follow it: the flood must not take
-  // their share.
+  // the first delivery, so the pump routes it against a kInboxLimit-frame
+  // share (64 of 200).  Session 2's two frames follow it: the flood must
+  // not take their share.
   for (int i = 0; i < 200; ++i) wire.a->send(frame_bytes(1, 0));
   for (int i = 0; i < 2; ++i) wire.a->send(frame_bytes(2, 0));
   server.mux().start();
@@ -1020,7 +995,6 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
   PrefixOrderProbe probe(kSessions);
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.inbox_limit = 64;
 
   net::MuxConfig server_cfg = cfg;
   server_cfg.probe = &probe;

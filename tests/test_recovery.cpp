@@ -200,6 +200,11 @@ TEST(FileStore, PersistsAcrossInstances) {
     a.append("3 4");
     a.compact();
     a.append("5 6");
+    // Every append writes through: a store opened while `a` is still
+    // alive already recovers the newest record.
+    const auto live = FileStore(dir).recover();
+    EXPECT_TRUE(live.found);
+    EXPECT_EQ(live.state, "5 6");
   }
   // A second store on the same directory sees the same bytes: the files,
   // not the object, are the source of truth.

@@ -136,10 +136,6 @@ fabric::HealthConfig edge_health() {
   fabric::HealthConfig h;
   h.probe_interval = 1ms;
   h.probe_timeout = 10ms;
-  h.max_strikes = 3;
-  h.backoff = 4.0;
-  h.max_timeout = 1s;
-  h.probation_acks = 2;
   return h;
 }
 
@@ -147,7 +143,7 @@ TEST(HealthEdges, PauseForgivesStrikesAndResetsBackoffToBase) {
   fabric::HealthMonitor hm(edge_health());
   hm.add_backend(1, at(0us));
   ASSERT_TRUE(hm.next_probe(1, at(0us)));
-  // First strike at +11ms: the timeout ladder grows 10ms -> 40ms.
+  // First strike at +11ms: the timeout ladder grows 10ms -> 20ms.
   ASSERT_TRUE(hm.next_probe(1, at(11ms)));
   EXPECT_EQ(hm.strikes(1), 1u);
   // Maintenance pause mid-ladder: strikes forgiven.
@@ -158,8 +154,8 @@ TEST(HealthEdges, PauseForgivesStrikesAndResetsBackoffToBase) {
   EXPECT_FALSE(hm.next_probe(1, at(20ms)));
   ASSERT_TRUE(hm.next_probe(1, at(21ms)));
   // The backoff must be back at BASE: a 10ms timeout charges a strike at
-  // +32ms.  Had the pre-pause 40ms ladder survived, this probe would
-  // still be comfortably outstanding and no strike could be charged.
+  // +32ms.  Had the pre-pause 20ms ladder survived, this probe would
+  // stay outstanding until +41ms and no strike could be charged.
   ASSERT_TRUE(hm.next_probe(1, at(32ms)));
   EXPECT_EQ(hm.strikes(1), 1u);
 }
@@ -181,44 +177,46 @@ TEST(HealthEdges, AckDuringPauseIsNeitherLateNorStray) {
 TEST(HealthEdges, ProbationLiftsOnlyAfterConsecutiveAcks) {
   fabric::HealthMonitor hm(edge_health());
   hm.add_backend(1, at(0us));
-  // Ride the ladder to death: strikes at 10/40/160ms boundaries.
+  // Ride the ladder to death: timeouts of 10/20/40ms, so strikes at
+  // +11, +32 and +73ms.
   ASSERT_TRUE(hm.next_probe(1, at(0us)));
   ASSERT_TRUE(hm.next_probe(1, at(11ms)));
-  ASSERT_TRUE(hm.next_probe(1, at(52ms)));
-  EXPECT_FALSE(hm.next_probe(1, at(213ms)));  // third strike: dead
-  EXPECT_EQ(fabric::BackendHealth::kDead, hm.health(1, at(213ms)));
-  EXPECT_FALSE(hm.rejoin(99, at(214ms)));  // unknown backend
+  ASSERT_TRUE(hm.next_probe(1, at(32ms)));
+  EXPECT_FALSE(hm.next_probe(1, at(73ms)));  // third strike: dead
+  EXPECT_EQ(fabric::BackendHealth::kDead, hm.health(1, at(73ms)));
+  EXPECT_FALSE(hm.rejoin(99, at(74ms)));  // unknown backend
   // Probation opens; verdict stays kSuspect until BOTH acks are in.
-  ASSERT_TRUE(hm.rejoin(1, at(214ms)));
-  EXPECT_FALSE(hm.rejoin(1, at(214ms)));  // no longer dead: no-op
+  ASSERT_TRUE(hm.rejoin(1, at(74ms)));
+  EXPECT_FALSE(hm.rejoin(1, at(74ms)));  // no longer dead: no-op
   EXPECT_TRUE(hm.on_probation(1));
-  const auto n1 = hm.next_probe(1, at(214ms));
+  const auto n1 = hm.next_probe(1, at(74ms));
   ASSERT_TRUE(n1);
-  hm.on_ack(1, *n1, at(215ms));
-  EXPECT_EQ(fabric::BackendHealth::kSuspect, hm.health(1, at(215ms)));
+  hm.on_ack(1, *n1, at(75ms));
+  EXPECT_EQ(fabric::BackendHealth::kSuspect, hm.health(1, at(75ms)));
   EXPECT_TRUE(hm.on_probation(1));
-  const auto n2 = hm.next_probe(1, at(216ms));
+  const auto n2 = hm.next_probe(1, at(76ms));
   ASSERT_TRUE(n2);
-  hm.on_ack(1, *n2, at(217ms));
-  EXPECT_EQ(fabric::BackendHealth::kAlive, hm.health(1, at(217ms)));
+  hm.on_ack(1, *n2, at(77ms));
+  EXPECT_EQ(fabric::BackendHealth::kAlive, hm.health(1, at(77ms)));
   EXPECT_FALSE(hm.on_probation(1));
   EXPECT_EQ(hm.stats().probation_passes, 1u);
 }
 
 TEST(HealthEdges, ProbationStrikeOutIsASecondStickyDeath) {
-  auto cfg = edge_health();
-  cfg.max_strikes = 2;
-  fabric::HealthMonitor hm(cfg);
+  fabric::HealthMonitor hm(edge_health());
   hm.add_backend(1, at(0us));
   ASSERT_TRUE(hm.next_probe(1, at(0us)));
   ASSERT_TRUE(hm.next_probe(1, at(11ms)));   // strike 1
-  EXPECT_FALSE(hm.next_probe(1, at(52ms)));  // strike 2: dead
-  ASSERT_TRUE(hm.rejoin(1, at(60ms)));
-  ASSERT_TRUE(hm.next_probe(1, at(60ms)));
-  // Silence through probation: the ladder condemns again (strike 1 at
-  // +10ms re-probes with a 40ms timeout; its expiry is the second death).
-  ASSERT_TRUE(hm.next_probe(1, at(71ms)));
-  EXPECT_FALSE(hm.next_probe(1, at(112ms)));
+  ASSERT_TRUE(hm.next_probe(1, at(32ms)));   // strike 2
+  EXPECT_FALSE(hm.next_probe(1, at(73ms)));  // strike 3: dead
+  ASSERT_TRUE(hm.rejoin(1, at(80ms)));
+  ASSERT_TRUE(hm.next_probe(1, at(80ms)));
+  // Silence through probation: the ladder condemns again (the probes
+  // sent at +80, +91 and +112ms time out after 10, 20 and 40ms; the
+  // third expiry is the second death).
+  ASSERT_TRUE(hm.next_probe(1, at(91ms)));
+  ASSERT_TRUE(hm.next_probe(1, at(112ms)));
+  EXPECT_FALSE(hm.next_probe(1, at(153ms)));
   EXPECT_EQ(fabric::BackendHealth::kDead, hm.health(1, at(200ms)));
   EXPECT_EQ(hm.stats().probation_failures, 1u);
   EXPECT_FALSE(hm.on_probation(1));
@@ -365,9 +363,6 @@ fabric::HealthConfig fast_health() {
   fabric::HealthConfig h;
   h.probe_interval = kSanitized ? 5ms : 1ms;
   h.probe_timeout = kSanitized ? 100ms : 5ms;
-  h.max_strikes = 3;
-  h.backoff = 2.0;
-  h.max_timeout = kSanitized ? 1s : 50ms;
   return h;
 }
 

@@ -40,6 +40,8 @@
 #include "proto/suite.hpp"
 #include "store/stable_store.hpp"
 
+#include "delivery_gate.hpp"
+
 namespace stpx {
 namespace {
 
@@ -588,12 +590,12 @@ TEST(FlightRecorder, CensusMatchesMuxCountersIncludingKeepalives) {
 
   net::FlightRecorder client_rec;
   net::FlightRecorder server_rec;
+  test::DeliveryGate gate(&server_rec);
   net::MuxConfig cfg;
   net::MuxConfig ccfg = cfg;
   ccfg.probe = &client_rec;
   net::MuxConfig scfg = cfg;
-  scfg.probe = &server_rec;
-  scfg.inbox_limit = 2;
+  scfg.probe = &gate;
   scfg.session_stores = {&log};
   net::StpClient client(wire.a.get(), ccfg);
   net::StpServer server(&server_side, scfg);
@@ -623,6 +625,18 @@ TEST(FlightRecorder, CensusMatchesMuxCountersIncludingKeepalives) {
   for (int i = 0; i < 300; ++i) wire.a->send(net::encode(first_item));
 
   server.mux().start();
+  // The gate holds the server's worker in its first delivery until the
+  // pump has routed or shed the whole flood, so at most two inbox shares
+  // of it get in, whatever the scheduling.
+  const auto flood_deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < flood_deadline) {
+    const auto st = server.mux().stats();
+    if (st[MuxCounter::kFramesReceived] + st[MuxCounter::kFramesShed] >= 300) {
+      break;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  gate.open();
   client.mux().start();
   const auto deadline = std::chrono::steady_clock::now() + 20s;
   while (std::chrono::steady_clock::now() < deadline &&
@@ -989,7 +1003,6 @@ TracedRun traced_run(std::size_t n, std::size_t len) {
   net::FlightRecorder recorder;
   net::MuxConfig cfg;
   cfg.workers = 2;
-  cfg.inbox_limit = 64;
   net::MuxConfig server_cfg = cfg;
   server_cfg.probe = &recorder;
 
