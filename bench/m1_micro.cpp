@@ -4,8 +4,9 @@
 // rate of the kernel, channel op costs, protocol step costs, ranking, the
 // throughput of the two analysis engines (exploration, mirror attack), the
 // cost of building and reading one session checkpoint record, a
-// restart's scan of a whole session log and one group commit into a
-// FileStore (full records against delta records), the transport layer
+// restart's scan of a whole session log phase by phase (replay, fold,
+// restore) and one group commit into a FileStore (full records against
+// delta records), the transport layer
 // (one send+poll, and one round trip through two wait+poll hops, sleeping
 // against waking), and one flight-recorder record.
 #include <benchmark/benchmark.h>
@@ -334,18 +335,37 @@ double bytes_per_record(const std::vector<std::string>& payloads) {
   return bytes / static_cast<double>(payloads.size());
 }
 
-/// Rehydrate's storage half: scan the log, then restore every session.
-void BM_SessionLogScan(benchmark::State& state) {
+/// Rehydrate's storage half, one phase at a time: `replay` is
+/// MemStore::replay(), `scan` is scan_session_logs() (the replay and the
+/// fold into chains), `restore` is restore_state() of every session's
+/// chain into a fresh receiver.  Each phase's input (the store, the scan,
+/// the fresh receivers) is built outside the timed region, so scan +
+/// restore is what a restart spends before its first frame.
+enum class ScanPhase { kReplay, kScan, kRestore };
+
+void BM_SessionLogScan(benchmark::State& state, ScanPhase phase) {
+  using Receivers =
+      std::vector<std::unique_ptr<proto::ReceiverSessionEndpoint>>;
   const std::vector<std::string> log = session_log(state.range(0) == 1);
   store::MemStore st;
   st.reset();
   st.append_batch(log);
-  const auto restore_all = [&st] {
+  const store::SessionLogScan scan = store::scan_session_logs({&st});
+  const auto fresh_receivers = [&scan] {
+    Receivers eps;
+    eps.reserve(scan.newest.size());
+    for (const auto& [id, m] : scan.newest) {
+      eps.push_back(std::make_unique<proto::ReceiverSessionEndpoint>(
+          proto::make_stenning(kLogDomain).receiver, log_sequence(id)));
+    }
+    return eps;
+  };
+  const auto restore_all = [&scan](const Receivers& eps) {
     std::size_t items = 0;
-    for (const auto& [id, m] : store::scan_session_logs({&st}).newest) {
-      proto::ReceiverSessionEndpoint ep(
-          proto::make_stenning(kLogDomain).receiver, log_sequence(id));
-      if (ep.restore_state(m.endpoint_state)) items += ep.items_done();
+    auto ep = eps.begin();
+    for (const auto& [id, m] : scan.newest) {
+      if ((*ep)->restore_state(m.endpoint_state)) items += (*ep)->items_done();
+      ++ep;
     }
     return items;
   };
@@ -353,24 +373,52 @@ void BM_SessionLogScan(benchmark::State& state) {
   for (std::uint32_t id = 0; id < kLogSessions; ++id) {
     want += log_records(id) - 1;
   }
-  if (restore_all() != want) {
+  if (restore_all(fresh_receivers()) != want) {
     state.SkipWithError("the log did not restore every tape");
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) benchmark::DoNotOptimize(restore_all());
-  const double ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+  double ns = 0;
+  for (auto _ : state) {
+    Receivers eps;
+    if (phase == ScanPhase::kRestore) eps = fresh_receivers();
+    const auto t0 = std::chrono::steady_clock::now();
+    switch (phase) {
+      case ScanPhase::kReplay:
+        benchmark::DoNotOptimize(st.replay().payloads.size());
+        break;
+      case ScanPhase::kScan:
+        benchmark::DoNotOptimize(store::scan_session_logs({&st}).newest.size());
+        break;
+      case ScanPhase::kRestore:
+        benchmark::DoNotOptimize(restore_all(eps));
+        break;
+    }
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count());
+    ns += dt.count() * 1e9;
+  }
   state.counters["ns_per_record"] =
       ns / static_cast<double>(state.iterations() * log.size());
   state.counters["bytes_per_record"] = bytes_per_record(log);
 }
-BENCHMARK(BM_SessionLogScan)
+BENCHMARK_CAPTURE(BM_SessionLogScan, replay, ScanPhase::kReplay)
     ->ArgName("delta")
     ->Arg(0)
     ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SessionLogScan, scan, ScanPhase::kScan)
+    ->ArgName("delta")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SessionLogScan, restore, ScanPhase::kRestore)
+    ->ArgName("delta")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 /// One shard's group commit: 12 records (mux_restart averages 11.6 per

@@ -64,9 +64,9 @@ stage_net() {
 }
 
 stage_durable_mux() {
-  echo "== durable-mux smoke: crash-restart rehydration suite + SessionLogScan/FileStoreAppendBatch benches + bench report =="
+  echo "== durable-mux smoke: crash-restart rehydration suite + SessionLogScan replay/scan/restore phase benches + FileStoreAppendBatch bench + bench report =="
   ctest --test-dir build -L durable_mux_smoke --output-on-failure -j "${JOBS}" --timeout "${TEST_TIMEOUT}"
-  ./build/bench/m1_micro --benchmark_filter='SessionLogScan|FileStoreAppendBatch'
+  ./build/bench/m1_micro --benchmark_filter='SessionLogScan/(replay|scan|restore)/|FileStoreAppendBatch'
   ./build/bench/r5_durable_mux --quiet --json BENCH_r5_durable_mux.json
   ./build/bench/validate_bench_json BENCH_r5_durable_mux.json
 }

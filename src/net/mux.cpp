@@ -634,19 +634,26 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
     s.dirty = false;
     const std::uint64_t position = s.endpoint->items_done();
     const bool completed = s.state == SessionState::kCompleted;
-    // The endpoint's state without the output it holds (a sender holds
-    // none): what the dedupe compares, as small as the protocol's state.
-    std::string state = s.endpoint->save_state(position);
     // Session, role, epoch, proto_tag and owner are fixed for the
-    // generation, so an unchanged (position, completed, state) means
-    // nothing moved: no record (a retransmission costs no log growth).
-    // A drain still replaces a newest delta with a full record, so that
-    // compaction leaves one record per session.
+    // generation.  So when position and verdict stand, the endpoint's
+    // state rendered from the last record's key base equals that record's
+    // key unless the protocol state or the safety flag moved: no record
+    // (a retransmission costs no log growth).  A drain still replaces a
+    // newest delta with a full record, so that compaction leaves one
+    // record per session.
+    std::optional<std::string> probe;  // save_state(probe_base), if rendered
+    const std::uint64_t probe_base = s.ckpt_base;
     if (s.checkpointed && position == s.ckpt_position &&
-        completed == s.ckpt_completed && state == s.ckpt_state &&
-        !(force && s.ckpt_delta)) {
-      continue;
+        completed == s.ckpt_completed && !(force && s.ckpt_delta)) {
+      probe = s.endpoint->save_state(probe_base);
+      if (*probe == s.ckpt_state) continue;
     }
+    // Each blob is rendered once: the probe already is the one it
+    // starts at.
+    const auto render = [&](std::uint64_t from) -> std::string {
+      if (probe && probe_base == from) return std::move(*probe);
+      return s.endpoint->save_state(from);
+    };
     store::SessionManifest m;
     m.session = s.id;
     m.is_sender = s.is_sender;
@@ -663,15 +670,20 @@ void SessionMux::flush_shard(Shard& shard, time_point now, bool force) {
     // backend's log).  So are the drain's records, and any whose previous
     // record was at position 0 (base 0 means full).
     m.base = s.checkpointed && !s.is_sender && !force ? s.ckpt_position : 0;
-    m.endpoint_state = s.is_sender || m.base == position
-                           ? state
-                           : s.endpoint->save_state(m.base);
+    m.endpoint_state = render(m.base);
     std::string payload = m.to_payload();
+    // Each record is keyed on its own blob, except a receiver's full
+    // record: its key is the tapeless save_state(position), so no
+    // per-session string grows with the tape.
+    const std::uint64_t key_base =
+        s.is_sender || m.base != 0 ? m.base : position;
     s.checkpointed = true;
     s.ckpt_delta = m.base != 0;
     s.ckpt_position = position;
+    s.ckpt_base = key_base;
     s.ckpt_completed = completed;
-    s.ckpt_state = std::move(state);
+    s.ckpt_state = key_base == m.base ? std::move(m.endpoint_state)
+                                      : render(key_base);
     batch_bytes += payload.size();
     batch.push_back(std::move(payload));
   }

@@ -350,11 +350,14 @@ class SessionMux {
     bool in_pass = false;            // already queued for the current pass
     // What the last manifest record said — the only fields that move
     // within a generation — so an unchanged session writes no record.
-    // ckpt_state is save_state(ckpt_position): the protocol state without
-    // the tape, so it stays as small as the protocol's own state.
+    // ckpt_state is the record's key, save_state(ckpt_base): its own blob
+    // (a delta holds only the items since the record before it), or for
+    // a receiver's full record the tapeless save_state(position), so it
+    // never grows with the tape.
     bool checkpointed = false;
     bool ckpt_delta = false;  // the last record was a delta (base > 0)
     std::uint64_t ckpt_position = 0;
+    std::uint64_t ckpt_base = 0;
     bool ckpt_completed = false;
     std::string ckpt_state;
     std::optional<sim::MsgId> last_msg;  // payload of the last data frame

@@ -16,10 +16,14 @@ namespace {
 constexpr std::int64_t kManifestTag = 7001;
 constexpr std::int64_t kDeltaTag = 7002;
 
-/// The fixed fields of a record, in payload order: tag, session,
-/// is_sender, epoch, seq, proto_tag, position, completed, owner, and (a
-/// delta's only) base.
+/// The fixed fields of a record, in payload order (a full record leaves
+/// kBase at 0).  The fold keeps them as they were read: one record costs
+/// these ten words and a view of its endpoint state.
 using FixedFields = std::array<std::int64_t, 10>;
+enum Field : std::size_t {
+  kTag, kSession, kIsSender, kEpoch, kSeq, kProtoTag, kPosition, kCompleted,
+  kOwner, kBase
+};
 /// Room for the fixed fields and the blob length, each at most 20 chars
 /// plus a separator, so to_payload() allocates once.
 constexpr std::size_t kFixedBytes = 11 * 21;
@@ -29,30 +33,33 @@ std::size_t field_count(std::int64_t tag) {
   return tag == kManifestTag ? 9 : tag == kDeltaTag ? 10 : 0;
 }
 
-/// The manifest the fixed fields describe (endpoint_state left empty), or
-/// nullopt when one is out of its range.
-std::optional<SessionManifest> from_fields(const FixedFields& f) {
-  const auto [tag, session, is_sender, epoch, seq, proto_tag, position,
-              completed, owner, base] = f;
+/// True when every fixed field is in its range: the one check both
+/// from_payload() and the fold apply.
+bool in_range(const FixedFields& f) {
   constexpr std::int64_t kMaxU32 = 0xFFFFFFFF;
   const auto flag = [](std::int64_t v) { return v == 0 || v == 1; };
-  const bool delta = tag == kDeltaTag;
-  if (field_count(tag) == 0 || session < 0 || session > kMaxU32 ||
-      !flag(is_sender) || epoch < 0 || seq < 0 || proto_tag < 0 ||
-      position < 0 || !flag(completed) || owner < 0 || owner > kMaxU32 ||
-      (delta && (base < 1 || base > position))) {
-    return std::nullopt;
-  }
+  const std::size_t n = field_count(f[kTag]);
+  return n != 0 && f[kSession] >= 0 && f[kSession] <= kMaxU32 &&
+         flag(f[kIsSender]) && f[kEpoch] >= 0 && f[kSeq] >= 0 &&
+         f[kProtoTag] >= 0 && f[kPosition] >= 0 && flag(f[kCompleted]) &&
+         f[kOwner] >= 0 && f[kOwner] <= kMaxU32 &&
+         (n == 9 || (f[kBase] >= 1 && f[kBase] <= f[kPosition]));
+}
+
+/// The manifest in-range fixed fields describe, with `state` as its
+/// endpoint state.
+SessionManifest manifest_of(const FixedFields& f, std::string state) {
   SessionManifest m;
-  m.session = static_cast<std::uint32_t>(session);
-  m.is_sender = is_sender == 1;
-  m.epoch = static_cast<std::uint64_t>(epoch);
-  m.seq = static_cast<std::uint64_t>(seq);
-  m.proto_tag = static_cast<std::uint64_t>(proto_tag);
-  m.position = static_cast<std::uint64_t>(position);
-  m.completed = completed == 1;
-  m.owner = static_cast<std::uint32_t>(owner);
-  m.base = delta ? static_cast<std::uint64_t>(base) : 0;
+  m.session = static_cast<std::uint32_t>(f[kSession]);
+  m.is_sender = f[kIsSender] == 1;
+  m.epoch = static_cast<std::uint64_t>(f[kEpoch]);
+  m.seq = static_cast<std::uint64_t>(f[kSeq]);
+  m.proto_tag = static_cast<std::uint64_t>(f[kProtoTag]);
+  m.position = static_cast<std::uint64_t>(f[kPosition]);
+  m.completed = f[kCompleted] == 1;
+  m.owner = static_cast<std::uint32_t>(f[kOwner]);
+  m.base = static_cast<std::uint64_t>(f[kBase]);
+  m.endpoint_state = std::move(state);
   return m;
 }
 
@@ -63,8 +70,8 @@ std::optional<SessionManifest> from_fields(const FixedFields& f) {
 bool read_canonical(std::string_view payload, FixedFields& f,
                     std::string_view& state) {
   util::CanonicalScanner scan(payload);
-  if (!scan.next(f[0]) || field_count(f[0]) == 0) return false;
-  for (std::size_t i = 1; i < field_count(f[0]); ++i) {
+  if (!scan.next(f[kTag]) || field_count(f[kTag]) == 0) return false;
+  for (std::size_t i = 1; i < field_count(f[kTag]); ++i) {
     if (!scan.next(f[i])) return false;
   }
   std::int64_t length = 0;
@@ -72,12 +79,37 @@ bool read_canonical(std::string_view payload, FixedFields& f,
          scan.tokens(static_cast<std::size_t>(length), state) && scan.done();
 }
 
-/// One valid record: its fields (endpoint_state left empty), a view of
-/// its endpoint state, and the payload it was read from.
+/// Reads any other payload with the normalising parser: its fixed fields,
+/// and its endpoint state rejoined into canonical text.
+bool read_normalised(const std::string& payload, FixedFields& f,
+                     std::string& state) {
+  f = {};
+  util::BlobReader r(payload);
+  if (!r.i64(f[kTag]) || field_count(f[kTag]) == 0) return false;
+  for (std::size_t i = 1; i < field_count(f[kTag]); ++i) {
+    if (!r.i64(f[i])) return false;
+  }
+  std::vector<std::int64_t> inner;
+  if (!r.vec(inner) || !r.done()) return false;
+  state = util::blob_join(inner);
+  return true;
+}
+
+/// One valid record: its fixed fields, a view of its endpoint state, and
+/// the payload it was read from.
 struct Record {
-  SessionManifest m;
+  FixedFields f;
   std::string_view state;
   const std::string* payload;
+
+  std::int64_t epoch() const { return f[kEpoch]; }
+  std::int64_t position() const { return f[kPosition]; }
+  std::int64_t base() const { return f[kBase]; }
+  /// True when (epoch, seq) orders this record after `other`.
+  bool newer_than(const Record& other) const {
+    return f[kEpoch] != other.f[kEpoch] ? f[kEpoch] > other.f[kEpoch]
+                                        : f[kSeq] > other.f[kSeq];
+  }
 };
 
 /// Every valid record of `stores`, and per session the indices of its
@@ -102,33 +134,34 @@ Histories read_histories(const std::vector<IStableStore*>& stores) {
     h.records_skipped += h.replays.back().records_skipped;
   }
   h.records.reserve(payloads);
+  std::int64_t max_epoch = 0;
   for (const ReplayResult& r : h.replays) {
     for (const std::string& payload : r.payloads) {
-      FixedFields f{};
-      std::string_view state;
-      std::optional<SessionManifest> m;
-      if (read_canonical(payload, f, state)) {
-        m = from_fields(f);
-      } else if ((m = SessionManifest::from_payload(payload))) {
-        state = h.normalised.emplace_back(std::move(m->endpoint_state));
+      Record rec{{}, {}, &payload};
+      bool ok = read_canonical(payload, rec.f, rec.state);
+      if (!ok) {
+        std::string state;
+        ok = read_normalised(payload, rec.f, state);
+        if (ok) rec.state = h.normalised.emplace_back(std::move(state));
       }
-      if (!m) {
+      if (!ok || !in_range(rec.f)) {
         ++h.records_skipped;
         continue;
       }
-      h.max_epoch = std::max(h.max_epoch, m->epoch);
-      h.sessions[m->session].push_back(
+      max_epoch = std::max(max_epoch, rec.epoch());
+      h.sessions[static_cast<std::uint32_t>(rec.f[kSession])].push_back(
           static_cast<std::uint32_t>(h.records.size()));
-      h.records.push_back({std::move(*m), state, &payload});
+      h.records.push_back(rec);
     }
   }
+  h.max_epoch = static_cast<std::uint64_t>(max_epoch);
   const auto older = [&h](std::uint32_t a, std::uint32_t b) {
-    return h.records[b].m.newer_than(h.records[a].m);
+    return h.records[b].newer_than(h.records[a]);
   };
   const auto same_point = [&h](std::uint32_t a, std::uint32_t b) {
-    const SessionManifest& x = h.records[a].m;
-    const SessionManifest& y = h.records[b].m;
-    return x.epoch == y.epoch && x.seq == y.seq;
+    const FixedFields& x = h.records[a].f;
+    const FixedFields& y = h.records[b].f;
+    return x[kEpoch] == y[kEpoch] && x[kSeq] == y[kSeq];
   };
   for (auto& [id, idx] : h.sessions) {
     // Stable, so the first copy of a resurrected record is the one kept.
@@ -147,16 +180,16 @@ Histories read_histories(const std::vector<IStableStore*>& stores) {
 /// when no full record survived.
 std::pair<std::size_t, std::size_t> live_chain(
     const std::vector<Record>& records, const std::vector<std::uint32_t>& idx) {
-  const auto at = [&](std::size_t i) -> const SessionManifest& {
-    return records[idx[i]].m;
+  const auto at = [&](std::size_t i) -> const Record& {
+    return records[idx[i]];
   };
   std::size_t first = idx.size();
-  while (first > 0 && at(first - 1).base != 0) --first;
+  while (first > 0 && at(first - 1).base() != 0) --first;
   if (first == 0) return {0, 0};
   --first;  // every record after the newest full one is a delta
   std::size_t last = first + 1;
-  while (last < idx.size() && at(last).epoch == at(first).epoch &&
-         at(last).base == at(last - 1).position) {
+  while (last < idx.size() && at(last).epoch() == at(first).epoch() &&
+         at(last).base() == at(last - 1).position()) {
     ++last;
   }
   return {first, last};
@@ -196,30 +229,20 @@ std::optional<SessionManifest> SessionManifest::from_payload(
     const std::string& payload) {
   FixedFields f{};
   // Canonical text is read in place and its endpoint state copied
-  // verbatim.
-  std::string_view state;
-  if (read_canonical(payload, f, state)) {
-    auto m = from_fields(f);
-    if (m) m->endpoint_state.assign(state);
-    return m;
+  // verbatim; anything else is read by the normalising parser, which
+  // rejoins the endpoint state into canonical text.
+  std::string_view view;
+  if (read_canonical(payload, f, view)) {
+    if (!in_range(f)) return std::nullopt;
+    return manifest_of(f, std::string(view));
   }
-  // Anything else is read by the normalising parser, which rejoins the
-  // endpoint state into canonical text.
-  f = {};
-  util::BlobReader r(payload);
-  if (!r.i64(f[0]) || field_count(f[0]) == 0) return std::nullopt;
-  for (std::size_t i = 1; i < field_count(f[0]); ++i) {
-    if (!r.i64(f[i])) return std::nullopt;
-  }
-  std::vector<std::int64_t> inner;
-  if (!r.vec(inner) || !r.done()) return std::nullopt;
-  auto m = from_fields(f);
-  if (m) m->endpoint_state = util::blob_join(inner);
-  return m;
+  std::string state;
+  if (!read_normalised(payload, f, state) || !in_range(f)) return std::nullopt;
+  return manifest_of(f, std::move(state));
 }
 
 SessionLogScan scan_session_logs(const std::vector<IStableStore*>& stores) {
-  Histories h = read_histories(stores);
+  const Histories h = read_histories(stores);
   SessionLogScan scan;
   scan.records_scanned = h.records.size();
   scan.records_skipped = h.records_skipped;
@@ -238,9 +261,11 @@ SessionLogScan scan_session_logs(const std::vector<IStableStore*>& stores) {
       if (!chain.empty() && !state.empty()) chain.push_back(' ');
       chain.append(state);
     }
-    SessionManifest m = std::move(h.records[idx[last - 1]].m);
+    // Only the chain's last record becomes a manifest: its fields, as a
+    // full record holding the whole chain.
+    SessionManifest m =
+        manifest_of(h.records[idx[last - 1]].f, std::move(chain));
     m.base = 0;
-    m.endpoint_state = std::move(chain);
     scan.newest.emplace_hint(scan.newest.end(), id, std::move(m));
   }
   return scan;
@@ -248,11 +273,14 @@ SessionLogScan scan_session_logs(const std::vector<IStableStore*>& stores) {
 
 std::vector<std::uint32_t> manifested_sessions(
     const std::vector<IStableStore*>& stores) {
-  const SessionLogScan scan = scan_session_logs(stores);
+  const Histories h = read_histories(stores);
   std::vector<std::uint32_t> out;
-  out.reserve(scan.newest.size());
-  for (const auto& [id, m] : scan.newest) {
-    if (!m.is_sender) out.push_back(id);  // map iteration: already id order
+  for (const auto& [id, idx] : h.sessions) {
+    const auto [first, last] = live_chain(h.records, idx);
+    // Map iteration: already id order.
+    if (first != last && h.records[idx[last - 1]].f[kIsSender] == 0) {
+      out.push_back(id);
+    }
   }
   return out;
 }
@@ -267,7 +295,7 @@ std::uint64_t compact_session_log(IStableStore& store) {
     }
   }
   std::sort(kept.begin(), kept.end(), [](const Record* a, const Record* b) {
-    return b->m.newer_than(a->m);
+    return b->newer_than(*a);
   });
   std::vector<std::string> payloads;
   payloads.reserve(kept.size());

@@ -46,7 +46,9 @@
 // Payloads are canonical blob text (util/blob.hpp): to_payload() counts a
 // canonical endpoint_state and copies it verbatim, and the readers take
 // it out of a canonical payload as it stands, so a record costs a copy of
-// its bytes rather than a parse-and-print of the state inside it.
+// its bytes rather than a parse-and-print of the state inside it.  The
+// scan keeps, per record, its fixed fields and a view of its endpoint
+// state; only each chain's last record becomes a SessionManifest.
 
 #include <cstdint>
 #include <map>

@@ -1,7 +1,9 @@
 #include "store/stable_store.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "util/expect.hpp"
 
@@ -11,12 +13,15 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'P', 'X', 'R'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+constexpr std::size_t kLanes = 4;  // payloads checksummed per loop
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = kFnvBasis;
   for (unsigned char c : bytes) {
     h ^= c;
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -29,29 +34,112 @@ void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
 }
 
-std::uint32_t get_u32(const std::string& buf, std::size_t pos) {
+std::uint32_t get_u32(std::string_view buf, std::size_t pos) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i)
     v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos + i])) << (8 * i);
   return v;
 }
 
-std::uint64_t get_u64(const std::string& buf, std::size_t pos) {
+std::uint64_t get_u64(std::string_view buf, std::size_t pos) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i)
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos + i])) << (8 * i);
   return v;
 }
 
-bool magic_at(const std::string& buf, std::size_t pos) {
+bool magic_at(std::string_view buf, std::size_t pos) {
   return pos + 4 <= buf.size() && buf[pos] == kMagic[0] && buf[pos + 1] == kMagic[1] &&
          buf[pos + 2] == kMagic[2] && buf[pos + 3] == kMagic[3];
 }
 
-std::size_t next_magic(const std::string& buf, std::size_t from) {
+std::size_t next_magic(std::string_view buf, std::size_t from) {
   for (std::size_t p = from; p + 4 <= buf.size(); ++p)
     if (magic_at(buf, p)) return p;
   return buf.size();
+}
+
+/// The record framed at `pos`, if its header is whole and its length
+/// fits the buffer: its payload and the checksum its header claims.
+bool framed_at(std::string_view buf, std::size_t pos, std::string_view& payload,
+               std::uint64_t& sum) {
+  if (!magic_at(buf, pos) || pos + kHeaderSize > buf.size()) return false;
+  const std::uint32_t len = get_u32(buf, pos + 4);
+  if (len > buf.size() - pos - kHeaderSize) return false;
+  sum = get_u64(buf, pos + 8);
+  payload = buf.substr(pos + kHeaderSize, len);
+  return true;
+}
+
+/// fnv1a() of the first `n` (<= kLanes) payloads.  Four at a time they
+/// are hashed in one loop over their common length, so that the four
+/// multiply chains interleave instead of waiting on each other; the same
+/// hashes as n calls to fnv1a().
+void fnv1a_lanes(const std::string_view* in, std::size_t n,
+                 std::uint64_t* out) {
+  std::size_t i = 0;
+  if (n == kLanes) {
+    const std::size_t common = std::min(std::min(in[0].size(), in[1].size()),
+                                        std::min(in[2].size(), in[3].size()));
+    const auto bytes = [in](std::size_t k) {
+      return reinterpret_cast<const unsigned char*>(in[k].data());
+    };
+    const unsigned char *b0 = bytes(0), *b1 = bytes(1), *b2 = bytes(2),
+                        *b3 = bytes(3);
+    std::uint64_t h0 = kFnvBasis, h1 = kFnvBasis, h2 = kFnvBasis,
+                  h3 = kFnvBasis;
+    for (; i < common; ++i) {
+      h0 = (h0 ^ b0[i]) * kFnvPrime;
+      h1 = (h1 ^ b1[i]) * kFnvPrime;
+      h2 = (h2 ^ b2[i]) * kFnvPrime;
+      h3 = (h3 ^ b3[i]) * kFnvPrime;
+    }
+    out[0] = h0;
+    out[1] = h1;
+    out[2] = h2;
+    out[3] = h3;
+  } else {
+    for (std::size_t k = 0; k < n; ++k) out[k] = kFnvBasis;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t j = i; j < in[k].size(); ++j) {
+      out[k] = (out[k] ^ static_cast<unsigned char>(in[k][j])) * kFnvPrime;
+    }
+  }
+}
+
+/// The framing and re-sync rules, in one place: walks `buffer` once and
+/// calls `unit(offset, size, payload)` for each region in order, where
+/// `payload` is a view of a valid record's payload in `buffer`, or
+/// nullptr for a damaged span (which runs to the next magic).
+template <class Unit>
+void walk_records(std::string_view buffer, Unit&& unit) {
+  std::size_t pos = 0;
+  while (pos < buffer.size()) {
+    // Frame up to kLanes records back to back, each where the one before
+    // it would end if intact, and checksum them in one pass.  They are
+    // taken in order up to the first that fails; the rest are framed
+    // again from wherever the walk goes on.
+    std::string_view payload[kLanes];
+    std::uint64_t sum[kLanes];
+    std::size_t n = 0;
+    for (std::size_t at = pos;
+         n < kLanes && framed_at(buffer, at, payload[n], sum[n]); ++n) {
+      at += kHeaderSize + payload[n].size();
+    }
+    std::uint64_t hash[kLanes];
+    fnv1a_lanes(payload, n, hash);
+    std::size_t valid = 0;
+    for (; valid < n && hash[valid] == sum[valid]; ++valid) {
+      unit(pos, kHeaderSize + payload[valid].size(), &payload[valid]);
+      pos += kHeaderSize + payload[valid].size();
+    }
+    if (n > 0 && valid == n) continue;
+    // Damaged region: re-sync to the next magic strictly after pos.
+    const std::size_t resync = next_magic(buffer, pos + 1);
+    unit(pos, resync - pos, nullptr);
+    pos = resync;
+  }
 }
 
 /// Append `payload` to `out` as one framed record.  A pending torn-write
@@ -95,25 +183,12 @@ std::string encode_record(const std::string& payload) {
 
 std::vector<RecordUnit> parse_records(const std::string& buffer) {
   std::vector<RecordUnit> units;
-  std::size_t pos = 0;
-  while (pos < buffer.size()) {
-    if (magic_at(buffer, pos) && pos + kHeaderSize <= buffer.size()) {
-      const std::uint32_t len = get_u32(buffer, pos + 4);
-      const std::uint64_t sum = get_u64(buffer, pos + 8);
-      if (pos + kHeaderSize + len <= buffer.size()) {
-        std::string payload = buffer.substr(pos + kHeaderSize, len);
-        if (fnv1a(payload) == sum) {
-          units.push_back({pos, kHeaderSize + len, std::move(payload), true});
-          pos += kHeaderSize + len;
-          continue;
-        }
-      }
-    }
-    // Damaged region: re-sync to the next magic strictly after pos.
-    const std::size_t resync = next_magic(buffer, pos + 1);
-    units.push_back({pos, resync - pos, std::string{}, false});
-    pos = resync;
-  }
+  walk_records(buffer, [&units](std::size_t offset, std::size_t size,
+                                const std::string_view* payload) {
+    units.push_back({offset, size,
+                     payload ? std::string(*payload) : std::string{},
+                     payload != nullptr});
+  });
   return units;
 }
 
@@ -142,15 +217,18 @@ void StoreImage::compact() {
 }
 
 ReplayResult StoreImage::replay() const {
+  // One walk per buffer: each payload is checksummed where it lies and
+  // copied once, straight into the result.
   ReplayResult out;
   for (const std::string* buf : {&snapshot, &log}) {
-    for (auto& u : parse_records(*buf)) {
-      if (u.valid) {
-        out.payloads.push_back(std::move(u.payload));
+    walk_records(*buf, [&out](std::size_t, std::size_t,
+                              const std::string_view* payload) {
+      if (payload != nullptr) {
+        out.payloads.emplace_back(*payload);
       } else {
         ++out.records_skipped;
       }
-    }
+    });
   }
   return out;
 }

@@ -99,7 +99,8 @@ struct RecordUnit {
   bool valid = false;
 };
 
-/// Split a buffer into records, re-syncing past damaged regions.
+/// Split a buffer into records, re-syncing past damaged regions.  The
+/// same walk as StoreImage::replay(), which copies only valid payloads.
 std::vector<RecordUnit> parse_records(const std::string& buffer);
 
 /// The logical image both concrete stores operate on: the live log and

@@ -3,68 +3,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
-#include <limits>
 
 namespace stpx::util {
-
-namespace {
-// An int64 prints in at most 19 digits (plus a sign).
-constexpr std::ptrdiff_t kMaxDigits = 19;
-
-/// The canonical token that starts at `p`: stores its value and returns
-/// one past its last digit, which is `end` or a space.  nullptr when the
-/// text at `p` is not a canonical token.
-const char* scan_token(const char* p, const char* end, std::int64_t& out) {
-  const bool neg = p != end && *p == '-';
-  if (neg) ++p;
-  const char* const first = p;
-  std::uint64_t mag = 0;
-  while (p != end && *p >= '0' && *p <= '9') {
-    if (p - first == kMaxDigits) return nullptr;
-    mag = mag * 10 + static_cast<std::uint64_t>(*p - '0');
-    ++p;
-  }
-  const std::ptrdiff_t digits = p - first;
-  if (digits == 0 || (p != end && *p != ' ')) return nullptr;
-  if (*first == '0' && (digits > 1 || neg)) return nullptr;  // 007, -0
-  const std::uint64_t limit =
-      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
-      (neg ? 1 : 0);
-  if (mag > limit) return nullptr;
-  out = neg ? static_cast<std::int64_t>(std::uint64_t{0} - mag)
-            : static_cast<std::int64_t>(mag);
-  return p;
-}
-}  // namespace
-
-bool CanonicalScanner::next(std::int64_t& out) {
-  const char* const end = text_.data() + text_.size();
-  const char* p = text_.data() + pos_;
-  if (pos_ != 0) {
-    // A read only ever stops at a space or at the end of the text: step
-    // over the one separator, or report the end.
-    if (p == end) return false;
-    ++p;
-  }
-  const char* const stop = scan_token(p, end, out);
-  if (stop == nullptr) return false;
-  pos_ = static_cast<std::size_t>(stop - text_.data());
-  return true;
-}
-
-bool CanonicalScanner::tokens(std::size_t n, std::string_view& out) {
-  const std::size_t from = pos_;
-  std::int64_t v = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!next(v)) {
-      pos_ = from;
-      return false;
-    }
-  }
-  const std::size_t start = from == 0 ? 0 : from + 1;  // past the separator
-  out = n == 0 ? std::string_view{} : text_.substr(start, pos_ - start);
-  return true;
-}
 
 std::optional<std::size_t> canonical_token_count(std::string_view text) {
   CanonicalScanner scan(text);

@@ -19,7 +19,9 @@
 // it.  CanonicalScanner is the one place that decides what is canonical;
 // anything else goes through the normalising parser in blob_tokens().
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,18 +42,76 @@ std::string blob_join(const std::vector<std::int64_t>& values);
 /// Walks canonical blob text token by token, in place (a view: the text
 /// must outlive the scanner).  A read fails, and leaves the position where
 /// it was, at the end of the text or where the text stops being canonical.
+/// Inline: a restart's scan reads every token of every record through it.
 class CanonicalScanner {
  public:
   explicit CanonicalScanner(std::string_view text) : text_(text) {}
 
   /// The next token's value.
-  bool next(std::int64_t& out);
+  bool next(std::int64_t& out) {
+    const char* const end = text_.data() + text_.size();
+    const char* p = text_.data() + pos_;
+    if (pos_ != 0) {
+      // A read only ever stops at a space or at the end of the text: step
+      // over the one separator, or report the end.
+      if (p == end) return false;
+      ++p;
+    }
+    const char* const stop = scan_token(p, end, out);
+    if (stop == nullptr) return false;
+    pos_ = static_cast<std::size_t>(stop - text_.data());
+    return true;
+  }
+
   /// The next `n` tokens, as the verbatim text that holds them.
-  bool tokens(std::size_t n, std::string_view& out);
+  bool tokens(std::size_t n, std::string_view& out) {
+    const std::size_t from = pos_;
+    std::int64_t v = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!next(v)) {
+        pos_ = from;
+        return false;
+      }
+    }
+    const std::size_t start = from == 0 ? 0 : from + 1;  // past the separator
+    out = n == 0 ? std::string_view{} : text_.substr(start, pos_ - start);
+    return true;
+  }
+
   /// Every byte has been read.
   bool done() const { return pos_ == text_.size(); }
 
  private:
+  /// The canonical token that starts at `p`: stores its value and returns
+  /// one past its last digit, which is `end` or a space.  nullptr when the
+  /// text at `p` is not a canonical token.
+  static const char* scan_token(const char* p, const char* end,
+                                std::int64_t& out) {
+    constexpr std::ptrdiff_t kMaxDigits = 19;  // an int64 prints in <= 19
+    const bool neg = p != end && *p == '-';
+    if (neg) ++p;
+    const char* const first = p;
+    // At most 19 digits are read, so `mag` cannot wrap; a 20th digit
+    // fails the separator check below.
+    const char* const last =
+        end - first > kMaxDigits ? first + kMaxDigits : end;
+    std::uint64_t mag = 0;
+    while (p != last && static_cast<unsigned>(*p - '0') < 10u) {
+      mag = mag * 10 + static_cast<std::uint64_t>(*p - '0');
+      ++p;
+    }
+    const std::ptrdiff_t digits = p - first;
+    if (digits == 0 || (p != end && *p != ' ')) return nullptr;
+    if (*first == '0' && (digits > 1 || neg)) return nullptr;  // 007, -0
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+        (neg ? 1 : 0);
+    if (mag > limit) return nullptr;
+    out = neg ? static_cast<std::int64_t>(std::uint64_t{0} - mag)
+              : static_cast<std::int64_t>(mag);
+    return p;
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;  // end of the last token read (0: none read yet)
 };

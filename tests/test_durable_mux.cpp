@@ -8,17 +8,21 @@
 //     fingerprints, folding by (epoch, seq) regardless of byte order, the
 //     delta-chain fold (gaps, epochs, repeats, lost full records), and
 //     drain-path compaction;
-//   * store replay + FileStore group commit — one append_batch lands
-//     every record, and torn-write recovery after a torn tail;
-//   * endpoint save/restore — sender and receiver adapters, delta chains,
-//     the non-prefix-tape canary, unusable-blob cold starts;
+//   * store replay + FileStore group commit — replay() against
+//     parse_records() on damaged buffers, one append_batch lands every
+//     record, and torn-write recovery after a torn tail;
+//   * endpoint save/restore — sender and receiver adapters, delta chains
+//     (the one-pass canonical read against the normalising parser, on
+//     random and broken chains), the non-prefix-tape canary,
+//     unusable-blob cold starts;
 //   * SessionMux rehydration — graceful drain (flush + compaction) vs the
 //     crash-shaped kill(), restart racing a FIN, the storage-fault matrix
 //     biting the session log (detected and healed by bounded
 //     retransmission, never silent corruption), kRecoveryViolation kept
 //     distinct end-to-end (poisoned manifest; completion record destroyed
 //     by a tail fault while the peer is gone), record bytes flat as the
-//     tape grows; and the acceptance run:
+//     tape grows, one save_state() per checkpoint record; and the
+//     acceptance run:
 //     kill + restart a server holding >= 1000 active sessions mid-traffic
 //     under loss + reorder, every manifested session rehydrated with
 //     per-session prefix attestation across both server generations.
@@ -581,6 +585,142 @@ TEST(StoreReplay, OldestFirstAndDamageCounted) {
   EXPECT_GE(rep.records_skipped, 1u);
 }
 
+/// The record framing as a plain sequential walk, independent of the
+/// store: [SPXR][u32 length][u64 FNV-1a][payload], little-endian; a
+/// region that does not frame or checksum runs to the next magic.
+std::vector<store::RecordUnit> ref_records(const std::string& buf) {
+  const auto fnv = [](const std::string& bytes) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ULL;
+    return h;
+  };
+  const auto le = [&buf](std::size_t at, int n) {
+    std::uint64_t v = 0;
+    for (int i = n - 1; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(buf[at + i]);
+    }
+    return v;
+  };
+  std::vector<store::RecordUnit> out;
+  std::size_t pos = 0;
+  while (pos < buf.size()) {
+    if (buf.compare(pos, 4, "SPXR") == 0 && pos + 16 <= buf.size()) {
+      const std::uint64_t len = le(pos + 4, 4);
+      if (pos + 16 + len <= buf.size()) {
+        std::string payload = buf.substr(pos + 16, len);
+        if (fnv(payload) == le(pos + 8, 8)) {
+          out.push_back({pos, 16 + len, std::move(payload), true});
+          pos += 16 + len;
+          continue;
+        }
+      }
+    }
+    const std::size_t next = buf.find("SPXR", pos + 1);
+    const std::size_t end = next == std::string::npos ? buf.size() : next;
+    out.push_back({pos, end - pos, std::string{}, false});
+    pos = end;
+  }
+  return out;
+}
+
+std::string show(const std::vector<store::RecordUnit>& units) {
+  std::string out;
+  for (const store::RecordUnit& u : units) {
+    out += std::to_string(u.offset) + "+" + std::to_string(u.size) +
+           (u.valid ? " [" + u.payload + "]\n" : " damaged\n");
+  }
+  return out;
+}
+
+/// What replay() must return for `img`: parse_records() over the snapshot
+/// and then the log, the valid payloads in order and the damaged regions
+/// counted.
+store::ReplayResult replay_by_units(const store::StoreImage& img) {
+  store::ReplayResult out;
+  for (const std::string* buf : {&img.snapshot, &img.log}) {
+    for (const store::RecordUnit& u : store::parse_records(*buf)) {
+      if (u.valid) {
+        out.payloads.push_back(u.payload);
+      } else {
+        ++out.records_skipped;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(StoreReplay, MatchesParseRecordsOnDamagedBuffers) {
+  // replay() checksums and copies each payload where it lies;
+  // parse_records() keeps every unit.  Both run on one walker, so on
+  // torn, corrupted, stale-snapshot and resynced buffers they agree, and
+  // the walker, which checksums records four at a time, splits every
+  // buffer as a plain one-record-at-a-time walk does.
+  const auto check = [](const store::StoreImage& img, const std::string& what) {
+    for (const std::string* buf : {&img.snapshot, &img.log}) {
+      ASSERT_EQ(show(store::parse_records(*buf)), show(ref_records(*buf)))
+          << what;
+    }
+    const store::ReplayResult want = replay_by_units(img);
+    const store::ReplayResult got = img.replay();
+    EXPECT_EQ(got.payloads, want.payloads) << what;
+    EXPECT_EQ(got.records_skipped, want.records_skipped) << what;
+  };
+  store::StoreImage img;
+  for (int i = 1; i <= 5; ++i) img.append(std::to_string(i) + " 7");
+  check(img, "clean");
+  img.torn_next = true;
+  img.append("6 7");
+  img.append("8 7");
+  check(img, "torn");
+  EXPECT_EQ(img.replay().records_skipped, 1u);
+  img.corrupt_record();
+  check(img, "corrupted");
+  img.compact();
+  img.append("9 7");
+  img.stale_snapshot();
+  check(img, "stale snapshot");
+  // The five intact records the compaction folded in come back, and "9 7".
+  EXPECT_EQ(img.replay().payloads.size(), 5u + 1u);
+
+  // Resynced: junk between records, a stray magic, an empty payload, a
+  // header whose length runs past the end, and a header cut short.
+  store::StoreImage junk;
+  junk.log = store::encode_record("1") + "xx" + store::encode_record("2") +
+             "SPXR" + store::encode_record("") + "SPXRxxxxxxxxxxxxxxxx" +
+             store::encode_record("3") + "SPXR\xff\xff\xff\x7f" +
+             store::encode_record("4") +
+             store::encode_record("5").substr(0, 10);
+  check(junk, "resynced");
+  EXPECT_EQ(junk.replay().payloads,
+            (std::vector<std::string>{"1", "2", "", "3", "4"}));
+
+  // Random damage: flipped bytes, cut records and inserted junk.
+  Rng rng(0xD1CE);
+  for (int trial = 0; trial < 500; ++trial) {
+    store::StoreImage r;
+    const std::size_t n = rng.below(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.chance(0.1)) {
+        r.snapshot += store::encode_record(std::to_string(i));
+      }
+      r.append(ref_join(random_tokens(rng)));
+    }
+    for (std::string* buf : {&r.snapshot, &r.log}) {
+      for (std::size_t k = rng.below(4); k > 0 && !buf->empty(); --k) {
+        const std::size_t at = rng.below(buf->size());
+        switch (rng.below(3)) {
+          case 0:
+            (*buf)[at] = static_cast<char>((*buf)[at] ^ (1 << rng.below(8)));
+            break;
+          case 1: buf->erase(at, 1 + rng.below(20)); break;
+          default: buf->insert(at, rng.chance(0.5) ? "SPXR" : "x"); break;
+        }
+      }
+    }
+    check(r, "trial " + std::to_string(trial));
+  }
+}
+
 TEST(StoreReplay, DefaultAppendBatchMatchesLoopedAppends) {
   store::MemStore st;
   st.reset();
@@ -763,6 +903,160 @@ TEST(EndpointDurability, ReceiverDeltaChainRestoresTheTape) {
   // So does a chain that starts with a delta.
   EXPECT_FALSE(gap.restore_state(live.save_state(2)));
   EXPECT_EQ(gap.items_done(), 0u);
+}
+
+/// The tokens of blob text split at single spaces, and back.
+std::vector<std::string> words(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    if (i == text.size() || text[i] == ' ') {
+      out.push_back(text.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  return out;
+}
+
+std::string unwords(const std::vector<std::string>& ws) {
+  std::string out;
+  for (const std::string& w : ws) {
+    if (!out.empty()) out += ' ';
+    out += w;
+  }
+  return out;
+}
+
+/// What a fresh receiver expecting `x` makes of `blob`.
+std::string restore_outcome(const seq::Sequence& x, const std::string& blob) {
+  auto fresh = proto::make_stenning(kDomain);
+  proto::ReceiverSessionEndpoint ep(std::move(fresh.receiver), x);
+  const bool ok = ep.restore_state(blob);
+  return (ok ? "restored " : "cold ") +
+         std::string(ep.safety_ok() ? "safe" : "unsafe") + " | " +
+         ep.save_state();
+}
+
+/// A cold start: nothing restored, nothing broken.
+std::string cold_outcome(const seq::Sequence& x) {
+  return restore_outcome(x, "");
+}
+
+TEST(EndpointDurability, ChainRestoreMatchesTheNormalisingParser_Property) {
+  // A canonical chain is read in one pass, anything else by the
+  // normalising parser; both must land on the same tape, safety flag and
+  // state.  Random chains: one full blob and 0-40 deltas at random tape
+  // lengths, each with a random safety flag, restored against the
+  // sequence they were written from or, now and then, another one.
+  Rng rng(0xC4A1);
+  std::size_t rough_parsed = 0;
+  for (std::uint32_t trial = 0; trial < 400; ++trial) {
+    const auto x = seq_for(trial, 1 + rng.below(120));
+    auto pair = proto::make_stenning(kDomain);
+    proto::ReceiverSessionEndpoint live(std::move(pair.receiver), x);
+    const auto advance = [&](std::size_t k) {
+      for (; k > 0 && live.items_done() < x.size(); --k) {
+        const std::size_t i = live.items_done();
+        live.on_deliver(data_id(i, x[i]));
+        (void)live.step();
+      }
+    };
+    const std::size_t deltas = rng.below(41);
+    // A delta starts past 0 (from 0 is a full blob), so a chain with
+    // deltas opens at position 1 or later.
+    advance(std::max<std::size_t>(deltas > 0, rng.below(x.size() + 1)));
+    std::vector<std::vector<std::string>> blobs{words(live.save_state())};
+    for (std::size_t d = deltas; d > 0; --d) {
+      const std::size_t from = live.items_done();
+      advance(rng.below(4));
+      blobs.push_back(words(live.save_state(from)));
+    }
+    for (auto& b : blobs) {
+      if (rng.chance(0.15)) b[1] = "0";  // the safety flag
+    }
+    std::string chain;
+    for (const auto& b : blobs) {
+      chain += (chain.empty() ? "" : " ") + unwords(b);
+    }
+    const seq::Sequence target =
+        rng.chance(0.1) ? seq_for(trial + 1, x.size()) : x;
+
+    auto fresh = proto::make_stenning(kDomain);
+    proto::ReceiverSessionEndpoint back(std::move(fresh.receiver), target);
+    ASSERT_TRUE(back.restore_state(chain)) << chain;
+    EXPECT_EQ(back.output(), live.output()) << chain;
+    const bool safe =
+        blobs.back()[1] == "1" && seq::is_prefix(live.output(), target);
+    EXPECT_EQ(back.safety_ok(), safe) << chain;
+    if (safe && target == x) {
+      EXPECT_EQ(back.save_state(), live.save_state());
+    }
+    const std::string canonical = restore_outcome(target, chain);
+
+    const std::string rough = roughen(rng, chain);
+    if (ref_tokens(rough)) {
+      ++rough_parsed;
+      EXPECT_EQ(restore_outcome(target, rough), canonical)
+          << "[" << rough << "]";
+    } else {
+      EXPECT_EQ(restore_outcome(target, rough), cold_outcome(target))
+          << "[" << rough << "]";
+    }
+
+    // Broken chains cold-start on both paths.  Token positions: a full
+    // blob is [202 flag n items.. m protocol..], a delta [203 flag from n
+    // items.. m protocol..].
+    const auto count_at = [&](std::size_t b) { return b == 0 ? 2u : 3u; };
+    const auto nested_at = [&](std::size_t b) {
+      return count_at(b) + 1 + std::stoul(blobs[b][count_at(b)]);
+    };
+    const auto join_with = [&](std::size_t b, std::vector<std::string> w) {
+      std::string out;
+      for (std::size_t i = 0; i < blobs.size(); ++i) {
+        out += (out.empty() ? "" : " ") + unwords(i == b ? w : blobs[i]);
+      }
+      return out;
+    };
+    std::vector<std::pair<std::string, std::string>> broken;
+    const std::size_t last = blobs.size() - 1;
+    if (last > 0) {
+      const std::size_t d = 1 + rng.below(last);
+      auto w = blobs[d];
+      const std::uint64_t from = std::stoull(w[2]);
+      w[2] = std::to_string(from == 0 || rng.chance(0.5) ? from + 1 : from - 1);
+      broken.emplace_back("a delta that does not start at the tape's end",
+                          join_with(d, w));
+      std::string leading;
+      for (std::size_t i = 1; i < blobs.size(); ++i) {
+        leading += (leading.empty() ? "" : " ") + unwords(blobs[i]);
+      }
+      broken.emplace_back("a leading delta", leading);
+    }
+    {
+      auto w = blobs[last];
+      w.resize(w.size() - 1 - rng.below(w.size() - 1));
+      broken.emplace_back("a truncated last blob", join_with(last, w));
+    }
+    {
+      const std::size_t b = rng.below(blobs.size());
+      auto w = blobs[b];
+      w[count_at(b)] = "-1";
+      broken.emplace_back("a negative item count", join_with(b, w));
+    }
+    {
+      auto w = blobs[last];
+      w[nested_at(last)] = std::to_string(w.size() - nested_at(last));
+      broken.emplace_back("a nested length past the end", join_with(last, w));
+    }
+    for (const auto& [what, text] : broken) {
+      EXPECT_EQ(restore_outcome(target, text), cold_outcome(target))
+          << what << " [" << text << "]";
+      const std::string rough_text = roughen(rng, text);
+      EXPECT_EQ(restore_outcome(target, rough_text), cold_outcome(target))
+          << what << " [" << rough_text << "]";
+    }
+  }
+  EXPECT_GT(rough_parsed, 100u);  // the normalising path was exercised
 }
 
 // --------------------------------------------------------------------------
@@ -1706,6 +2000,109 @@ TEST(DurableMux, SenderRecordsFollowItsStateWhilePositionStandsStill) {
     }
   }
   EXPECT_GT(states.size(), 2u);
+}
+
+/// Forwards every call to an endpoint and counts its save_state() calls:
+/// all of them, the full blobs among them (from == 0), and the runs of
+/// them with no other endpoint call in between.
+class CountingEndpoint final : public proto::ISessionEndpoint {
+ public:
+  struct Counts {
+    std::uint64_t calls = 0;
+    std::uint64_t full = 0;
+    std::uint64_t runs = 0;
+  };
+
+  CountingEndpoint(std::unique_ptr<proto::ISessionEndpoint> inner,
+                   Counts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  void on_deliver(sim::MsgId msg) override {
+    other();
+    inner_->on_deliver(msg);
+  }
+  void on_fin() override {
+    other();
+    inner_->on_fin();
+  }
+  std::optional<sim::MsgId> step() override {
+    other();
+    return inner_->step();
+  }
+  bool done() const override {
+    other();
+    return inner_->done();
+  }
+  bool safety_ok() const override {
+    other();
+    return inner_->safety_ok();
+  }
+  std::size_t items_done() const override {
+    other();
+    return inner_->items_done();
+  }
+  std::string name() const override {
+    other();
+    return inner_->name();
+  }
+  std::string save_state(std::size_t from = 0) const override {
+    if (!in_run_) ++counts_->runs;
+    in_run_ = true;
+    ++counts_->calls;
+    if (from == 0) ++counts_->full;
+    return inner_->save_state(from);
+  }
+  bool restore_state(const std::string& blob) override {
+    other();
+    return inner_->restore_state(blob);
+  }
+
+ private:
+  void other() const { in_run_ = false; }
+
+  std::unique_ptr<proto::ISessionEndpoint> inner_;
+  Counts* counts_;
+  mutable bool in_run_ = false;
+};
+
+TEST(DurableMux, OneSaveStatePerCheckpointRecord) {
+  // The flush renders each record's blob once and keys the record on it,
+  // so a flushed dirty session costs one save_state(), and a receiver's
+  // full record one more (its key is the tapeless save_state(position)).
+  // The flush reads items_done() before it renders a session's record,
+  // so each flushed session is one run of save_state() calls.
+  constexpr std::size_t kSessions = 6;
+  constexpr std::size_t kLen = 48;
+  store::MemStore st;
+  st.reset();
+  auto wire = net::make_loopback();
+  net::StpClient client(wire.a.get(), net::MuxConfig{});
+  net::MuxConfig scfg;
+  scfg.session_stores = {&st};
+  net::StpServer server(wire.b.get(), scfg);
+  std::vector<CountingEndpoint::Counts> counts(kSessions);
+  for (std::uint32_t id = 0; id < kSessions; ++id) {
+    auto pair = proto::make_stenning(kDomain, true);
+    const auto x = seq_for(id, kLen);
+    client.add_session(id, std::move(pair.sender), x);
+    server.mux().add_session(
+        id,
+        std::make_unique<CountingEndpoint>(
+            std::make_unique<proto::ReceiverSessionEndpoint>(
+                std::move(pair.receiver), x),
+            &counts[id]),
+        /*is_sender=*/false);
+  }
+  // Drained, so the final pass also writes a full record per session.
+  ASSERT_TRUE(net::run_service_pair(client, server, 20s));
+  expect_all_completed(server.mux(), kSessions, kLen, false);
+  for (std::uint32_t id = 0; id < kSessions; ++id) {
+    const CountingEndpoint::Counts& c = counts[id];
+    EXPECT_GT(c.calls - c.full, kLen / 2) << "session " << id;  // deltas
+    EXPECT_LE(c.calls, c.runs + c.full)
+        << "session " << id << ": " << c.calls << " save_state calls in "
+        << c.runs << " flushes with " << c.full << " full blobs";
+  }
 }
 
 // --------------------------------------------------------------------------

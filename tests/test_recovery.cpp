@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,56 @@ TEST(Blob, ReaderIsDefensive) {
   std::vector<std::int64_t> v;
   EXPECT_FALSE(long_vec.vec(v));
   EXPECT_TRUE(v.empty());
+}
+
+TEST(Blob, CanonicalScannerEdgeTokens) {
+  // What counts as one canonical token: the int64 extremes and zero are,
+  // any other spelling of a number, an out-of-range value and stray
+  // spaces are not.  The scanner decides which records and chains are
+  // read in place, so its edge is pinned token by token.
+  const std::vector<std::pair<std::string, std::int64_t>> accepted = {
+      {"0", 0},
+      {"-1", -1},
+      {"9223372036854775807", std::numeric_limits<std::int64_t>::max()},
+      {"-9223372036854775808", std::numeric_limits<std::int64_t>::min()}};
+  for (const auto& [text, value] : accepted) {
+    CanonicalScanner scan(text);
+    std::int64_t v = 42;
+    ASSERT_TRUE(scan.next(v)) << "[" << text << "]";
+    EXPECT_EQ(v, value) << "[" << text << "]";
+    EXPECT_TRUE(scan.done()) << "[" << text << "]";
+    EXPECT_FALSE(scan.next(v)) << "[" << text << "]";
+    EXPECT_EQ(canonical_token_count(text), 1u) << "[" << text << "]";
+  }
+  const std::vector<std::string> rejected = {
+      "-0", "007", "+1", "9223372036854775808", "-9223372036854775809",
+      "12345678901234567890", "", "1 ", " 1", "1  2", "1a"};
+  for (const std::string& text : rejected) {
+    CanonicalScanner scan(text);
+    std::int64_t v = 42;
+    EXPECT_FALSE(scan.next(v) && scan.done()) << "[" << text << "]";
+    if (!text.empty()) {
+      EXPECT_EQ(canonical_token_count(text), std::nullopt)
+          << "[" << text << "]";
+    }
+  }
+  // The empty text is canonical, with no token to read.
+  EXPECT_EQ(canonical_token_count(""), 0u);
+  std::int64_t v = 42;
+  // A failed read leaves the position where it was: the tokens before a
+  // bad one still read, and tokens() takes all of its tokens or none.
+  CanonicalScanner partial("5 1a");
+  std::string_view run;
+  EXPECT_FALSE(partial.tokens(2, run));
+  ASSERT_TRUE(partial.next(v));
+  EXPECT_EQ(v, 5);
+  EXPECT_FALSE(partial.next(v));
+  EXPECT_FALSE(partial.done());
+  CanonicalScanner two("3 -4 5");
+  ASSERT_TRUE(two.next(v));
+  ASSERT_TRUE(two.tokens(2, run));
+  EXPECT_EQ(run, "-4 5");
+  EXPECT_TRUE(two.done());
 }
 
 }  // namespace
