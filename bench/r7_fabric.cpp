@@ -15,8 +15,9 @@
 //      must MATCH the live one.
 //
 //   2. Restore-latency distribution: seeded crash trials; each re-home's
-//      fence -> rehydrate -> serving latency is collected and reported
-//      as p50/p90/max.  A second, resilience sweep runs
+//      fence -> rehydrate -> serving latency, and its rehydrate call
+//      alone, are collected and reported as p50/p90/max.  A second,
+//      resilience sweep runs
 //      sample_resilience_plan seeds (crash -> rejoin spines under
 //      partition windows) and reports reclaim latency the same way; a
 //      failing seed is shrunk to a 1-minimal plan and written — with the
@@ -793,6 +794,7 @@ int main(int argc, char** argv) {
 
   // --- Phase 2: restore-latency distribution over seeded crash trials ----
   std::vector<std::uint64_t> restore;
+  std::vector<std::uint64_t> rehydrate;
   std::size_t crash_trials = 0;
   std::size_t crashes = 0;
   std::size_t crashes_mid_traffic = 0;  // the victim still had sessions
@@ -816,6 +818,8 @@ int main(int argc, char** argv) {
         [](std::size_t active) { return active > 0; }));
     restore.insert(restore.end(), r.restore_latency_us.begin(),
                    r.restore_latency_us.end());
+    rehydrate.insert(rehydrate.end(), r.rehydrate_us.begin(),
+                     r.rehydrate_us.end());
     if (!r.ok) {
       std::cout << "\nseed " << seed << " plan [" << stp::to_string(cfg.plan)
                 << "] FAILED: " << r.failure << "\n";
@@ -827,19 +831,30 @@ int main(int argc, char** argv) {
   const auto pmax = restore.empty()
                         ? 0
                         : *std::max_element(restore.begin(), restore.end());
+  const auto hp50 = percentile(rehydrate, 0.50);
+  const auto hp90 = percentile(rehydrate, 0.90);
+  const auto hpmax =
+      rehydrate.empty() ? 0
+                        : *std::max_element(rehydrate.begin(), rehydrate.end());
   bench.metric("crashes", static_cast<double>(crashes), "count");
   bench.metric("crashes_mid_traffic",
                static_cast<double>(crashes_mid_traffic), "count");
   bench.metric("restore_p50_us", static_cast<double>(p50), "us");
   bench.metric("restore_p90_us", static_cast<double>(p90), "us");
   bench.metric("restore_max_us", static_cast<double>(pmax), "us");
+  bench.metric("rehydrate_p50_us", static_cast<double>(hp50), "us");
+  bench.metric("rehydrate_p90_us", static_cast<double>(hp90), "us");
+  bench.metric("rehydrate_max_us", static_cast<double>(hpmax), "us");
   analysis::Table t2({"crash trials", "crashes", "mid-traffic", "rehomes",
-                      "p50 us", "p90 us", "max us"});
+                      "p50 us", "p90 us", "max us", "rehydrate p50 us",
+                      "rehydrate p90 us", "rehydrate max us"});
   t2.add_row({std::to_string(crash_trials), std::to_string(crashes),
               std::to_string(crashes_mid_traffic),
               std::to_string(restore.size()), std::to_string(p50),
-              std::to_string(p90), std::to_string(pmax)});
-  std::cout << "\nrestore latency (fence -> rehydrated -> serving):\n"
+              std::to_string(p90), std::to_string(pmax), std::to_string(hp50),
+              std::to_string(hp90), std::to_string(hpmax)});
+  std::cout << "\nrestore latency (fence -> rehydrated -> serving; rehydrate: "
+               "the log scan and restores alone):\n"
             << t2.to_ascii();
 
   // --- Phase 2b: resilience sweep (crash -> rejoin spines under

@@ -11,7 +11,8 @@
 #
 # Every ctest invocation runs with a per-test timeout so a livelocked
 # schedule fails the stage instead of hanging it.  The bench-smoke stages
-# also leave BENCH_smoke.json, BENCH_r4_mux.json, BENCH_r5_durable_mux.json,
+# also leave BENCH_smoke.json, BENCH_r2_recovery.json,
+# BENCH_r3_stabilization.json, BENCH_r4_mux.json, BENCH_r5_durable_mux.json,
 # BENCH_r6_trace.json, and BENCH_r7_fabric.json reports at the repo root
 # (CI uploads them as artifacts).  The perfbench stage runs the benchmark
 # (perfbench/run.py, built into .bench_build/) on mux_restart and sim_soak
@@ -47,13 +48,17 @@ stage_bench() {
 }
 
 stage_recovery() {
-  echo "== recovery smoke: the durable-recovery conformance suite =="
+  echo "== recovery smoke: the durable-recovery conformance suite + protocol x storage-fault bench report =="
   ctest --test-dir build -L recovery_smoke --output-on-failure -j "${JOBS}" --timeout "${TEST_TIMEOUT}"
+  ./build/bench/r2_recovery --quiet --json BENCH_r2_recovery.json
+  ./build/bench/validate_bench_json BENCH_r2_recovery.json
 }
 
 stage_stabilization() {
-  echo "== stabilization smoke: the self-stabilization conformance suite =="
+  echo "== stabilization smoke: the self-stabilization conformance suite + corruption-matrix bench report =="
   ctest --test-dir build -L stabilization_smoke --output-on-failure -j "${JOBS}" --timeout "${TEST_TIMEOUT}"
+  ./build/bench/r3_stabilization --quiet --json BENCH_r3_stabilization.json
+  ./build/bench/validate_bench_json BENCH_r3_stabilization.json
 }
 
 stage_net() {

@@ -8,6 +8,15 @@
 
 namespace stpx::fabric {
 
+namespace {
+std::uint64_t us_since(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t)
+          .count());
+}
+}  // namespace
+
 BackendCell::BackendCell(net::ITransport* transport, CellConfig cfg)
     : transport_(transport), cfg_(std::move(cfg)) {
   STPX_EXPECT(transport_ != nullptr, "BackendCell: null transport");
@@ -82,6 +91,7 @@ std::optional<AbsorbReport> BackendCell::absorb(
   server_ = make_generation();
   std::set<std::uint32_t> missing(hosted.begin(), hosted.end());
   AbsorbReport rep;
+  const auto t1 = std::chrono::steady_clock::now();
   rep.rehydrate = server_->rehydrate(
       [this, &missing](std::uint32_t sid, std::uint64_t tag)
           -> std::unique_ptr<sim::IReceiver> {
@@ -89,6 +99,7 @@ std::optional<AbsorbReport> BackendCell::absorb(
         return cfg_.make_receiver(sid, tag);
       },
       cfg_.expected_for, handoff);
+  rep.rehydrate_us = us_since(t1);
   // Hosted sessions no log manifests (assigned, never checkpointed before
   // the stop) start cold — they re-earn everything from the wire.
   for (const auto& r : server_->mux().reports()) missing.erase(r.id);
@@ -99,10 +110,7 @@ std::optional<AbsorbReport> BackendCell::absorb(
     rep.cold_added.push_back(sid);
   }
   server_->mux().start();
-  rep.latency_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+  rep.latency_us = us_since(t0);
   return rep;
 }
 

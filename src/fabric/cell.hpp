@@ -66,6 +66,7 @@ struct AbsorbReport {
   net::RehydrateReport rehydrate;
   std::vector<std::uint32_t> cold_added;  // hosted but never manifested
   std::uint64_t latency_us = 0;           // stop -> serving again
+  std::uint64_t rehydrate_us = 0;         // the rehydrate call alone
 };
 
 /// Announce generation `generation` of a dead backend on `link`: kJoin on

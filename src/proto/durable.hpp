@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "seq/types.hpp"
@@ -28,9 +29,19 @@ inline void write_items(util::BlobWriter& w,
   w.vec(tmp);
 }
 
+/// True when a restored token is a value a seq::DataItem holds.  Tokens
+/// are int64 and items int32: a token outside that range is damage, to
+/// refuse, never an item to narrow.
+inline bool fits_item(std::int64_t v) {
+  return v >= std::numeric_limits<seq::DataItem>::min() &&
+         v <= std::numeric_limits<seq::DataItem>::max();
+}
+
 inline bool read_items(util::BlobReader& r, std::vector<seq::DataItem>& out) {
   std::vector<std::int64_t> tmp;
-  if (!r.vec(tmp)) return false;
+  if (!r.vec(tmp) || !std::all_of(tmp.begin(), tmp.end(), fits_item)) {
+    return false;
+  }
   out.assign(tmp.begin(), tmp.end());
   return true;
 }

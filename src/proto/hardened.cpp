@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
+#include <string_view>
 
 #include "proto/durable.hpp"
+#include "util/blob.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -56,28 +57,29 @@ std::int64_t ack_body(std::uint64_t epoch, std::size_t frontier) {
          (static_cast<std::int64_t>(frontier) << kItemBits);
 }
 
+/// The seal token of `payload`: masked so it round-trips through the
+/// signed-int64 blob text.
+std::int64_t blob_hash(std::string_view payload) {
+  std::uint64_t h = kBlobSalt ^ mix(payload.size());
+  for (unsigned char c : payload) h = mix(h ^ c);
+  return static_cast<std::int64_t>(h & 0x3FFF'FFFF'FFFF'FFFFULL);
+}
+
 }  // namespace
 
 std::string hardened_seal_blob(const std::string& payload) {
-  std::uint64_t h = kBlobSalt ^ mix(payload.size());
-  for (unsigned char c : payload) h = mix(h ^ c);
-  // Masked so the token round-trips through the signed-int64 blob text.
-  h &= 0x3FFF'FFFF'FFFF'FFFFULL;
-  return payload + ' ' + std::to_string(h);
+  return payload + ' ' + std::to_string(blob_hash(payload));
 }
 
 bool hardened_unseal_blob(const std::string& blob, std::string& payload) {
   const std::size_t pos = blob.find_last_of(' ');
   if (pos == std::string::npos) return false;
-  std::istringstream is(blob.substr(pos + 1));
+  const std::string_view candidate = std::string_view(blob).substr(0, pos);
+  util::CanonicalScanner scan(std::string_view(blob).substr(pos + 1));
   std::int64_t stored = 0;
-  char extra = 0;
-  if (!(is >> stored) || (is >> extra)) return false;
-  const std::string candidate = blob.substr(0, pos);
-  std::uint64_t h = kBlobSalt ^ mix(candidate.size());
-  for (unsigned char c : candidate) h = mix(h ^ c);
-  h &= 0x3FFF'FFFF'FFFF'FFFFULL;
-  if (static_cast<std::int64_t>(h) != stored) return false;
+  if (!scan.next(stored) || !scan.done() || stored != blob_hash(candidate)) {
+    return false;
+  }
   payload = candidate;
   return true;
 }

@@ -1,10 +1,10 @@
 #include "proto/session_adapter.hpp"
 
-#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "proto/durable.hpp"
 #include "util/blob.hpp"
 #include "util/expect.hpp"
 
@@ -26,84 +26,39 @@ struct Chain {
   std::string protocol;
 };
 
-/// Reads one blob of a chain from canonical text: the tag `tag` (202 for
-/// the full blob that opens a chain, 203 for each delta after it), the
-/// safety flag, a delta's start (which must be where the tape ends), the
-/// items, straight onto the tape, and the protocol state, as a view.
-bool read_canonical_blob(util::CanonicalScanner& scan, std::int64_t tag,
-                         seq::Sequence& tape, bool& safety_ok,
-                         std::string_view& protocol) {
-  std::int64_t v = 0;
-  if (!scan.next(v) || v != tag || !scan.next(v) || (v != 0 && v != 1)) {
-    return false;
-  }
-  safety_ok = v == 1;
-  if (tag == kReceiverDeltaTag) {
-    std::int64_t from = 0;
-    if (!scan.next(from) || from < 0 ||
-        static_cast<std::uint64_t>(from) != tape.size()) {
-      return false;
-    }
-  }
-  std::int64_t n = 0;
-  if (!scan.next(n) || n < 0) return false;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!scan.next(v)) return false;
-    tape.push_back(static_cast<seq::DataItem>(v));
-  }
-  return scan.next(n) && n >= 0 &&
-         scan.tokens(static_cast<std::size_t>(n), protocol);
-}
-
-/// Reads a chain in one pass over canonical text.  nullopt when the text
-/// is not canonical, for the normalising reader to decide; a false
-/// value when it is canonical as far as it goes and does not hold a
-/// chain, which the normalising reader would refuse too.
-std::optional<bool> read_canonical_chain(const std::string& blob,
-                                         std::size_t tape_hint, Chain& out) {
+/// Reads a chain in one pass: one full blob (tag 202), then the deltas
+/// after it (203).  Each blob holds its tag, the safety flag, a delta's
+/// start (which must be where the tape so far ends), the items, read
+/// straight onto the tape, and the protocol state, kept as a view until
+/// the last blob.  False for anything else, non-canonical text included.
+bool read_chain(const std::string& blob, std::size_t tape_hint, Chain& out) {
   util::CanonicalScanner scan(blob);
   out.tape.reserve(tape_hint);
   std::string_view protocol;
-  bool ok = read_canonical_blob(scan, kReceiverAdapterTag, out.tape,
-                                out.safety_ok, protocol);
-  while (ok && !scan.done()) {
-    ok = read_canonical_blob(scan, kReceiverDeltaTag, out.tape, out.safety_ok,
-                             protocol);
-  }
-  if (!ok) {
-    // A read stops at the end of the text or where it stops being
-    // canonical; a structural failure in between is the normalising
-    // reader's to confirm.
-    if (!scan.done()) return std::nullopt;
-    return false;
-  }
-  out.protocol.assign(protocol);
-  return true;
-}
-
-/// Reads a chain from any text, through the normalising parser: one full
-/// blob, then the deltas after it, each starting where the tape so far
-/// ends.  Every field of `out` is overwritten when it succeeds.
-bool read_chain(const std::string& blob, Chain& out) {
-  util::BlobReader r(blob);
-  std::int64_t tag = 0;
-  std::vector<std::int64_t> items;
-  std::vector<std::int64_t> inner_toks;
-  if (!r.i64(tag) || tag != kReceiverAdapterTag || !r.boolean(out.safety_ok) ||
-      !r.vec(items) || !r.vec(inner_toks)) {
-    return false;
-  }
-  out.tape.assign(items.begin(), items.end());
-  while (!r.done()) {
-    std::uint64_t from = 0;
-    if (!r.i64(tag) || tag != kReceiverDeltaTag || !r.boolean(out.safety_ok) ||
-        !r.u64(from) || from != out.tape.size() || !r.vec(items) ||
-        !r.vec(inner_toks)) {
+  std::int64_t tag = kReceiverAdapterTag;
+  do {
+    std::int64_t v = 0;
+    if (!scan.next(v) || v != tag || !scan.next(v) || (v != 0 && v != 1)) {
       return false;
     }
-    out.tape.insert(out.tape.end(), items.begin(), items.end());
-  }
-  out.protocol = util::blob_join(inner_toks);
+    out.safety_ok = v == 1;
+    if (tag == kReceiverDeltaTag &&
+        (!scan.next(v) || v != static_cast<std::int64_t>(out.tape.size()))) {
+      return false;
+    }
+    std::int64_t n = 0;
+    if (!scan.next(n) || n < 0) return false;
+    for (; n > 0; --n) {
+      if (!scan.next(v) || !fits_item(v)) return false;
+      out.tape.push_back(static_cast<seq::DataItem>(v));
+    }
+    if (!scan.next(n) || n < 0 ||
+        !scan.tokens(static_cast<std::size_t>(n), protocol)) {
+      return false;
+    }
+    tag = kReceiverDeltaTag;
+  } while (!scan.done());
+  out.protocol.assign(protocol);
   return true;
 }
 }  // namespace
@@ -200,13 +155,10 @@ std::string ReceiverSessionEndpoint::save_state(std::size_t from) const {
 }
 
 bool ReceiverSessionEndpoint::restore_state(const std::string& blob) {
-  // A chain is one full blob, then the deltas after it.  Canonical text —
-  // everything save_state() writes — is read in one pass; anything else
-  // goes through the normalising parser.
+  // A chain is one full blob, then the deltas after it, read in one pass
+  // over canonical text (everything save_state() writes).
   Chain chain;
-  const std::optional<bool> canonical =
-      read_canonical_chain(blob, expected_.size(), chain);
-  if (!(canonical ? *canonical : read_chain(blob, chain))) return false;
+  if (!read_chain(blob, expected_.size(), chain)) return false;
   y_ = std::move(chain.tape);
   safety_ok_ = chain.safety_ok;
   // The tape is externalized state.  A restored tape that is not a prefix

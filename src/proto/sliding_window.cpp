@@ -227,7 +227,7 @@ bool SelectiveRepeatReceiver::restore_state(const std::string& blob,
   written_ = written;
   buffer_.clear();
   for (std::size_t i = 0; i + 1 < buf.size(); i += 2) {
-    if (buf[i] < 0 || buf[i + 1] < 0) return false;
+    if (buf[i] < 0 || buf[i + 1] < 0 || !fits_item(buf[i + 1])) return false;
     buffer_.emplace(buf[i], static_cast<seq::DataItem>(buf[i + 1]));
   }
   pending_acks_.clear();

@@ -1,8 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <sstream>
 
+#include "util/blob.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -330,12 +330,8 @@ void Engine::note_corruption() {
 void Engine::scramble_state(Proc who, std::uint64_t salt) {
   const std::string blob = who == Proc::kSender ? sender_->save_state()
                                                 : receiver_->save_state();
-  std::vector<std::int64_t> tokens;
-  {
-    std::istringstream is(blob);
-    std::int64_t v = 0;
-    while (is >> v) tokens.push_back(v);
-  }
+  const std::vector<std::int64_t> tokens =
+      util::blob_tokens(blob).value_or(std::vector<std::int64_t>{});
   bool accepted = false;
   // A process without durable state (or an unparseable blob) is immune.
   if (tokens.size() >= 2) {
@@ -358,12 +354,7 @@ void Engine::scramble_state(Proc who, std::uint64_t salt) {
                                       rng.below(mut.size() - 1));
         mut[i] ^= 1;
       }
-      std::ostringstream os;
-      for (std::size_t i = 0; i < mut.size(); ++i) {
-        if (i > 0) os << ' ';
-        os << mut[i];
-      }
-      const std::string scrambled = os.str();
+      const std::string scrambled = util::blob_join(mut);
       accepted = who == Proc::kSender
                      ? sender_->restore_state(scrambled)
                      : receiver_->restore_state(scrambled, y_);

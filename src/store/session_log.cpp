@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <string_view>
 #include <utility>
 
@@ -63,10 +62,9 @@ SessionManifest manifest_of(const FixedFields& f, std::string state) {
   return m;
 }
 
-/// Reads a canonical payload (everything to_payload() writes) in place:
-/// its fixed fields, and its endpoint state as a view into `payload`.
-/// False for anything else, which may still be a record in a spelling
-/// only the normalising parser reads.
+/// Reads a payload in place: its fixed fields, and its endpoint state as a
+/// view into `payload`.  False for anything but canonical text, which is
+/// everything to_payload() writes.
 bool read_canonical(std::string_view payload, FixedFields& f,
                     std::string_view& state) {
   util::CanonicalScanner scan(payload);
@@ -77,22 +75,6 @@ bool read_canonical(std::string_view payload, FixedFields& f,
   std::int64_t length = 0;
   return scan.next(length) && length >= 0 &&
          scan.tokens(static_cast<std::size_t>(length), state) && scan.done();
-}
-
-/// Reads any other payload with the normalising parser: its fixed fields,
-/// and its endpoint state rejoined into canonical text.
-bool read_normalised(const std::string& payload, FixedFields& f,
-                     std::string& state) {
-  f = {};
-  util::BlobReader r(payload);
-  if (!r.i64(f[kTag]) || field_count(f[kTag]) == 0) return false;
-  for (std::size_t i = 1; i < field_count(f[kTag]); ++i) {
-    if (!r.i64(f[i])) return false;
-  }
-  std::vector<std::int64_t> inner;
-  if (!r.vec(inner) || !r.done()) return false;
-  state = util::blob_join(inner);
-  return true;
 }
 
 /// One valid record: its fixed fields, a view of its endpoint state, and
@@ -116,7 +98,6 @@ struct Record {
 /// records in (epoch, seq) order, repeats of one (epoch, seq) dropped.
 struct Histories {
   std::vector<ReplayResult> replays;  // owns the payloads records point at
-  std::deque<std::string> normalised;  // states of non-canonical payloads
   std::vector<Record> records;
   std::map<std::uint32_t, std::vector<std::uint32_t>> sessions;
   std::uint64_t records_skipped = 0;
@@ -138,13 +119,7 @@ Histories read_histories(const std::vector<IStableStore*>& stores) {
   for (const ReplayResult& r : h.replays) {
     for (const std::string& payload : r.payloads) {
       Record rec{{}, {}, &payload};
-      bool ok = read_canonical(payload, rec.f, rec.state);
-      if (!ok) {
-        std::string state;
-        ok = read_normalised(payload, rec.f, state);
-        if (ok) rec.state = h.normalised.emplace_back(std::move(state));
-      }
-      if (!ok || !in_range(rec.f)) {
+      if (!read_canonical(payload, rec.f, rec.state) || !in_range(rec.f)) {
         ++h.records_skipped;
         continue;
       }
@@ -219,8 +194,8 @@ std::string SessionManifest::to_payload() const {
   w.u64(owner);
   if (base != 0) w.u64(base);
   // save_state() produces canonical blob text by construction, copied
-  // as-is; anything else is normalised, and unparseable text becomes an
-  // empty (cold-start) state rather than corrupting the record.
+  // as-is; anything else becomes an empty (cold-start) state rather than
+  // corrupting the record.
   w.nested(endpoint_state);
   return std::move(w).take();
 }
@@ -228,17 +203,9 @@ std::string SessionManifest::to_payload() const {
 std::optional<SessionManifest> SessionManifest::from_payload(
     const std::string& payload) {
   FixedFields f{};
-  // Canonical text is read in place and its endpoint state copied
-  // verbatim; anything else is read by the normalising parser, which
-  // rejoins the endpoint state into canonical text.
-  std::string_view view;
-  if (read_canonical(payload, f, view)) {
-    if (!in_range(f)) return std::nullopt;
-    return manifest_of(f, std::string(view));
-  }
-  std::string state;
-  if (!read_normalised(payload, f, state) || !in_range(f)) return std::nullopt;
-  return manifest_of(f, std::move(state));
+  std::string_view state;
+  if (!read_canonical(payload, f, state) || !in_range(f)) return std::nullopt;
+  return manifest_of(f, std::string(state));
 }
 
 SessionLogScan scan_session_logs(const std::vector<IStableStore*>& stores) {

@@ -44,11 +44,13 @@
 // ISessionEndpoint::restore_state() takes whole.
 //
 // Payloads are canonical blob text (util/blob.hpp): to_payload() counts a
-// canonical endpoint_state and copies it verbatim, and the readers take
-// it out of a canonical payload as it stands, so a record costs a copy of
-// its bytes rather than a parse-and-print of the state inside it.  The
-// scan keeps, per record, its fixed fields and a view of its endpoint
-// state; only each chain's last record becomes a SessionManifest.
+// canonical endpoint_state and copies it verbatim, and the one reader
+// takes it out as it stands, so a record costs a copy of its bytes rather
+// than a parse-and-print of the state inside it.  A payload in any other
+// spelling is malformed: from_payload() refuses it and the scan skips it
+// like damage.  The scan keeps, per record, its fixed fields and a view
+// of its endpoint state; only each chain's last record becomes a
+// SessionManifest.
 
 #include <cstdint>
 #include <map>
@@ -87,8 +89,8 @@ struct SessionManifest {
 
   /// A full record (tag 7001) when base == 0, a delta (7002) otherwise.
   std::string to_payload() const;
-  /// nullopt on malformed blobs (wrong tag, truncation, junk tokens, a
-  /// delta whose base is 0 or past its position).
+  /// nullopt on malformed blobs (wrong tag, truncation, junk tokens,
+  /// non-canonical text, a delta whose base is 0 or past its position).
   static std::optional<SessionManifest> from_payload(const std::string& payload);
 };
 

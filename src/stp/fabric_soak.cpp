@@ -315,6 +315,7 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
     }
     ++res.rehomes;
     res.restore_latency_us.push_back(r.absorb.latency_us);
+    res.rehydrate_us.push_back(r.absorb.rehydrate_us);
   }
   res.rejoins = rejoined.size();
   std::size_t failed_reclaims = 0;

@@ -85,6 +85,9 @@ struct FabricSoakResult {
   std::size_t rejoins = 0;          ///< kJoin handshakes acked
   std::size_t reclaims = 0;         ///< successful rejoin-and-reclaims
   std::vector<std::uint64_t> restore_latency_us;  ///< per re-home absorb
+  /// Per re-home absorb: its rehydrate call alone (the log scan and the
+  /// restores), without the generation's stop and start around it.
+  std::vector<std::uint64_t> rehydrate_us;
   std::vector<std::uint64_t> reclaim_latency_us;  ///< per reclaim absorb
   /// Router drop/forward accounting.
   obs::CounterTable<fabric::RouterCounter>::Snapshot router;

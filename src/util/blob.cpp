@@ -1,8 +1,6 @@
 #include "util/blob.hpp"
 
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
 
 namespace stpx::util {
 
@@ -20,22 +18,7 @@ std::optional<std::vector<std::int64_t>> blob_tokens(std::string_view blob) {
   CanonicalScanner scan(blob);
   std::int64_t v = 0;
   while (scan.next(v)) tokens.push_back(v);
-  if (scan.done()) return tokens;
-  // Not canonical: the normalising parser, for text no BlobWriter wrote.
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < blob.size()) {
-    while (i < blob.size() && blob[i] == ' ') ++i;
-    if (i >= blob.size()) break;
-    const std::size_t start = i;
-    while (i < blob.size() && blob[i] != ' ') ++i;
-    const std::string tok(blob.substr(start, i - start));
-    errno = 0;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(tok.c_str(), &end, 10);
-    if (errno != 0 || end == tok.c_str() || *end != '\0') return std::nullopt;
-    tokens.push_back(static_cast<std::int64_t>(parsed));
-  }
+  if (!scan.done()) return std::nullopt;
   return tokens;
 }
 
@@ -66,13 +49,9 @@ void BlobWriter::canonical(std::string_view text) {
 }
 
 void BlobWriter::nested(std::string_view blob) {
-  if (const auto n = canonical_token_count(blob)) {
-    u64(*n);
-    canonical(blob);
-    return;
-  }
-  const auto toks = blob_tokens(blob);
-  vec(toks ? *toks : std::vector<std::int64_t>{});
+  const auto n = canonical_token_count(blob);
+  u64(n.value_or(0));
+  if (n) canonical(blob);
 }
 
 BlobReader::BlobReader(const std::string& blob) {

@@ -14,10 +14,11 @@
 // Blob text is *canonical* when it is exactly what BlobWriter and
 // blob_join() render: decimal int64 tokens separated by single spaces, no
 // leading or trailing space, no '+', no leading zeros, no "-0".  Canonical
-// text round-trips through blob_tokens()/blob_join() byte for byte, so the
-// hot checkpoint paths copy it verbatim instead of parsing and re-printing
-// it.  CanonicalScanner is the one place that decides what is canonical;
-// anything else goes through the normalising parser in blob_tokens().
+// text is the only spelling any reader accepts: every other spelling is
+// malformed, like a junk token.  It round-trips through
+// blob_tokens()/blob_join() byte for byte, so the hot checkpoint paths
+// copy it verbatim instead of parsing and re-printing it.
+// CanonicalScanner is the one tokenizer of blob text.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,10 +31,8 @@
 
 namespace stpx::util {
 
-/// Tokenize blob text into its raw values; nullopt on any malformed token.
-/// Exposed so composite records (e.g. session manifests) can nest a whole
-/// inner blob as one length-prefixed vec() and round-trip it losslessly.
-/// Lenient beyond the canonical form: runs of spaces, '+', leading zeros.
+/// Tokenize canonical blob text into its raw values; nullopt when the
+/// text is not canonical.
 std::optional<std::vector<std::int64_t>> blob_tokens(std::string_view blob);
 
 /// Inverse of blob_tokens: render raw values back into canonical blob text.
@@ -132,9 +131,8 @@ class BlobWriter {
   /// prefix): the same bytes as one i64() per token.
   void canonical(std::string_view text);
 
-  /// A whole inner blob as one length-prefixed vec — the bytes of
-  /// vec(blob_tokens(blob)), with an unparseable blob written as empty.
-  /// Canonical text is counted and copied, not re-rendered.
+  /// A whole inner blob as one length-prefixed vec: its token count, then
+  /// its text verbatim.  Non-canonical text is written as an empty vec.
   void nested(std::string_view blob);
 
   void reserve(std::size_t bytes) { out_.reserve(bytes); }

@@ -2,18 +2,18 @@
 // (ctest -L durable_mux_smoke):
 //
 //   * session manifest records — golden full and delta payloads, codec
-//     round-trip, malformed rejection, byte identity of the canonical-text
-//     paths against a reference codec (random and non-canonical input,
-//     adapters through writes, restores and cold starts), protocol
-//     fingerprints, folding by (epoch, seq) regardless of byte order, the
-//     delta-chain fold (gaps, epochs, repeats, lost full records), and
-//     drain-path compaction;
+//     round-trip, malformed rejection (non-canonical spellings included),
+//     byte identity against a strict reference codec (random and
+//     non-canonical input, adapters through writes, restores and cold
+//     starts), protocol fingerprints, folding by (epoch, seq) regardless of
+//     byte order, the delta-chain fold (gaps, epochs, repeats, lost full
+//     records), and drain-path compaction;
 //   * store replay + FileStore group commit — replay() against
 //     parse_records() on damaged buffers, one append_batch lands every
 //     record, and torn-write recovery after a torn tail;
 //   * endpoint save/restore — sender and receiver adapters, delta chains
-//     (the one-pass canonical read against the normalising parser, on
-//     random and broken chains), the non-prefix-tape canary,
+//     (random chains restore exactly; broken or non-canonical ones, and
+//     items outside DataItem, cold-start), the non-prefix-tape canary,
 //     unusable-blob cold starts;
 //   * SessionMux rehydration — graceful drain (flush + compaction) vs the
 //     crash-shaped kill(), restart racing a FIN, the storage-fault matrix
@@ -21,7 +21,8 @@
 //     retransmission, never silent corruption), kRecoveryViolation kept
 //     distinct end-to-end (poisoned manifest; completion record destroyed
 //     by a tail fault while the peer is gone), record bytes flat as the
-//     tape grows, one save_state() per checkpoint record; and the
+//     tape grows, every logged record and adapter blob canonical, one
+//     save_state() per checkpoint record; and the
 //     acceptance run:
 //     kill + restart a server holding >= 1000 active sessions mid-traffic
 //     under loss + reorder, every manifested session rehydrated with
@@ -54,6 +55,7 @@
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 #include "stp/last_item_gate.hpp"
+#include "util/blob.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -174,9 +176,8 @@ TEST(SessionManifest, RejectsMalformedPayloads) {
   // Trailing garbage never parses (r.done() is part of the contract).
   EXPECT_FALSE(store::SessionManifest::from_payload(good + " 9").has_value());
 
-  // Text the canonical reader hands over to the full parser, which still
-  // rejects it: an out-of-range token, junk inside the endpoint state, a
-  // blob length past the end or below zero, a negative unsigned field.
+  // An out-of-range token, junk inside the endpoint state, a blob length
+  // past the end or below zero, a negative unsigned field.
   const auto replaced = [&](const std::string& from, const std::string& to) {
     std::string p = good;
     p.replace(p.find(from), from.size(), to);
@@ -188,18 +189,16 @@ TEST(SessionManifest, RejectsMalformedPayloads) {
         replaced(" 9 202 ", " -1 202 "), replaced(" 41 ", " -41 ")}) {
     EXPECT_FALSE(store::SessionManifest::from_payload(bad).has_value()) << bad;
   }
-  // Non-canonical spellings of the same record still parse, to the same
-  // manifest, with the endpoint state rejoined canonically.
+  // Non-canonical spellings of the same record are malformed too.
   for (const std::string& rough :
        {" " + good, good + " ", replaced(" 3 41 ", "  3 +41 "),
         replaced(" 7 1 0 ", " 007 1 -0 "), replaced(" 102 3", " 102  +3")}) {
-    const auto m = store::SessionManifest::from_payload(rough);
-    ASSERT_TRUE(m.has_value()) << rough;
-    EXPECT_EQ(m->to_payload(), good) << rough;
+    EXPECT_FALSE(store::SessionManifest::from_payload(rough).has_value())
+        << rough;
   }
 
   // Delta records: base 0 is spelled as a full record, and a base past
-  // the position extends nothing — on either reader.  Truncations never
+  // the position extends nothing, in any spelling.  Truncations never
   // parse.
   const std::string delta = sample_delta().to_payload();
   ASSERT_TRUE(store::SessionManifest::from_payload(delta).has_value());
@@ -224,26 +223,29 @@ TEST(SessionManifest, RejectsMalformedPayloads) {
 
 // Reference codec: the blob format as plain strtoll / to_string code,
 // independent of util/blob, so the cached-text paths are held byte for
-// byte against what records have always been.
+// byte against what records have always been.  It is strict, as every
+// reader is: a token counts only if it is exactly std::to_string of its
+// value, tokens are separated by single spaces, and there is no leading
+// or trailing space.
 
 std::optional<std::vector<std::int64_t>> ref_tokens(const std::string& text) {
   std::vector<std::int64_t> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    if (text[i] == ' ') {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    while (i < text.size() && text[i] != ' ') ++i;
-    const std::string tok = text.substr(start, i - start);
+  if (text.empty()) return out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t stop = std::min(text.find(' ', start), text.size());
+    const std::string tok = text.substr(start, stop - start);
     errno = 0;
     char* end = nullptr;
     const long long v = std::strtoll(tok.c_str(), &end, 10);
-    if (errno != 0 || end == tok.c_str() || *end != '\0') return std::nullopt;
+    if (errno != 0 || end == tok.c_str() || *end != '\0' ||
+        std::to_string(v) != tok) {
+      return std::nullopt;
+    }
     out.push_back(v);
+    if (stop == text.size()) return out;
+    start = stop + 1;
   }
-  return out;
 }
 
 std::string ref_join(const std::vector<std::int64_t>& values) {
@@ -429,8 +431,8 @@ TEST(SessionManifest, EndpointBlobsMatchReference_Property) {
       write_next(ep);
       check(ep, inner);
     }
-    // Restore: the text is rebuilt from the restored tape, whether the
-    // blob was canonical or had to be normalised.
+    // Restore: the text is rebuilt from the restored tape, or, when a
+    // roughened blob is refused, stays the cold endpoint's.
     std::string blob = ep.save_state();
     if (rng.chance(0.5)) blob = roughen(rng, blob);
     auto fresh = proto::make_stenning(kDomain);
@@ -942,14 +944,14 @@ std::string cold_outcome(const seq::Sequence& x) {
   return restore_outcome(x, "");
 }
 
-TEST(EndpointDurability, ChainRestoreMatchesTheNormalisingParser_Property) {
-  // A canonical chain is read in one pass, anything else by the
-  // normalising parser; both must land on the same tape, safety flag and
-  // state.  Random chains: one full blob and 0-40 deltas at random tape
-  // lengths, each with a random safety flag, restored against the
-  // sequence they were written from or, now and then, another one.
+TEST(EndpointDurability, ChainRestore_Property) {
+  // A chain is read in one pass over canonical text and lands on the tape,
+  // safety flag and state it was written from; any other spelling of it
+  // is refused like damage, and the endpoint cold-starts.  Random chains:
+  // one full blob and 0-40 deltas at random tape lengths, each with a
+  // random safety flag, restored against the sequence they were written
+  // from or, now and then, another one.
   Rng rng(0xC4A1);
-  std::size_t rough_parsed = 0;
   for (std::uint32_t trial = 0; trial < 400; ++trial) {
     const auto x = seq_for(trial, 1 + rng.below(120));
     auto pair = proto::make_stenning(kDomain);
@@ -991,21 +993,14 @@ TEST(EndpointDurability, ChainRestoreMatchesTheNormalisingParser_Property) {
     if (safe && target == x) {
       EXPECT_EQ(back.save_state(), live.save_state());
     }
-    const std::string canonical = restore_outcome(target, chain);
 
     const std::string rough = roughen(rng, chain);
-    if (ref_tokens(rough)) {
-      ++rough_parsed;
-      EXPECT_EQ(restore_outcome(target, rough), canonical)
-          << "[" << rough << "]";
-    } else {
-      EXPECT_EQ(restore_outcome(target, rough), cold_outcome(target))
-          << "[" << rough << "]";
-    }
+    EXPECT_EQ(restore_outcome(target, rough), cold_outcome(target))
+        << "[" << rough << "]";
 
-    // Broken chains cold-start on both paths.  Token positions: a full
-    // blob is [202 flag n items.. m protocol..], a delta [203 flag from n
-    // items.. m protocol..].
+    // Broken chains cold-start, in either spelling.  Token positions: a
+    // full blob is [202 flag n items.. m protocol..], a delta [203 flag
+    // from n items.. m protocol..].
     const auto count_at = [&](std::size_t b) { return b == 0 ? 2u : 3u; };
     const auto nested_at = [&](std::size_t b) {
       return count_at(b) + 1 + std::stoul(blobs[b][count_at(b)]);
@@ -1048,6 +1043,17 @@ TEST(EndpointDurability, ChainRestoreMatchesTheNormalisingParser_Property) {
       w[nested_at(last)] = std::to_string(w.size() - nested_at(last));
       broken.emplace_back("a nested length past the end", join_with(last, w));
     }
+    // The last item of the chain, moved by 2^32: an int64 token that
+    // narrows back onto the very same DataItem.
+    for (std::size_t b = blobs.size(); b-- > 0;) {
+      const std::size_t n = std::stoul(blobs[b][count_at(b)]);
+      if (n == 0) continue;
+      auto w = blobs[b];
+      std::string& item = w[count_at(b) + n];
+      item = std::to_string(std::stoll(item) + (std::int64_t{1} << 32));
+      broken.emplace_back("an item outside DataItem", join_with(b, w));
+      break;
+    }
     for (const auto& [what, text] : broken) {
       EXPECT_EQ(restore_outcome(target, text), cold_outcome(target))
           << what << " [" << text << "]";
@@ -1056,7 +1062,6 @@ TEST(EndpointDurability, ChainRestoreMatchesTheNormalisingParser_Property) {
           << what << " [" << rough_text << "]";
     }
   }
-  EXPECT_GT(rough_parsed, 100u);  // the normalising path was exercised
 }
 
 // --------------------------------------------------------------------------
@@ -1582,6 +1587,19 @@ TEST(DurableMux, BareStopWithoutDrainLeavesACleanlyRehydratableLog) {
   EXPECT_EQ(rep.records_skipped, 0u);
 }
 
+/// The tag of a logged record's endpoint blob, once the record and the
+/// blob are checked to be canonical text: the only spelling any reader
+/// accepts, so the only one a writer may produce.
+std::int64_t canonical_blob_tag(const std::string& payload,
+                                const store::SessionManifest& m) {
+  EXPECT_TRUE(util::canonical_token_count(payload).has_value()) << payload;
+  EXPECT_TRUE(util::canonical_token_count(m.endpoint_state).has_value())
+      << payload;
+  std::int64_t tag = 0;
+  util::CanonicalScanner(m.endpoint_state).next(tag);
+  return tag;
+}
+
 TEST(DurableMux, RecordBytesStayFlatAsTheTapeGrows) {
   // After its first record, each receiver record carries only the items
   // since the one before: its size does not grow with the tape.
@@ -1610,11 +1628,14 @@ TEST(DurableMux, RecordBytesStayFlatAsTheTapeGrows) {
   client.mux().stop();
 
   std::map<std::uint64_t, std::size_t> bytes_at;  // position -> first size
+  std::set<std::int64_t> tags;  // of the receiver adapter's blobs
   for (const std::string& p : st.replay().payloads) {
     const auto m = store::SessionManifest::from_payload(p);
     ASSERT_TRUE(m.has_value());
     bytes_at.emplace(m->position, p.size());
+    tags.insert(canonical_blob_tag(p, *m));
   }
+  EXPECT_EQ(tags, (std::set<std::int64_t>{202, 203}));  // full and delta
   const auto record_at = [&bytes_at](std::uint64_t position) {
     const auto it = bytes_at.lower_bound(position);
     return it == bytes_at.end() ? std::size_t{0} : it->second;
@@ -1994,6 +2015,7 @@ TEST(DurableMux, SenderRecordsFollowItsStateWhilePositionStandsStill) {
   std::set<std::string> states;
   for (const std::string& p : st.replay().payloads) {
     const auto m = store::SessionManifest::from_payload(p);
+    EXPECT_EQ(m ? canonical_blob_tag(p, *m) : 0, 201) << p;  // the sender's
     if (m && m->is_sender && !m->completed) {
       EXPECT_EQ(m->position, 0u);
       states.insert(m->endpoint_state);

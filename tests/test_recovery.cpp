@@ -22,6 +22,7 @@
 #include "proto/suite.hpp"
 #include "stp/recovery.hpp"
 #include "stp/soak.hpp"
+#include "stp/stabilization.hpp"
 #include "store/stable_store.hpp"
 #include "util/blob.hpp"
 #include "util/expect.hpp"
@@ -73,6 +74,11 @@ TEST(Blob, ReaderIsDefensive) {
   std::vector<std::int64_t> v;
   EXPECT_FALSE(long_vec.vec(v));
   EXPECT_TRUE(v.empty());
+
+  // Canonical text is the only spelling read: any other is malformed.
+  for (const std::string text : {"+5", "007", "-0", "1  2", " 3", "3 "}) {
+    EXPECT_FALSE(BlobReader(text).ok()) << "[" << text << "]";
+  }
 }
 
 TEST(Blob, CanonicalScannerEdgeTokens) {
@@ -366,6 +372,53 @@ TEST(Rehydration, RepFreeReceiverStoreDefusesTheAmnesiaHazard) {
   EXPECT_TRUE(r.safety_ok);
   EXPECT_EQ(r.stats.crashes[1], 1u);
   EXPECT_EQ(r.stats.recoveries, 1u);
+}
+
+TEST(Rehydration, RestoreRefusesAnItemOutsideDataItem) {
+  // Blob tokens are int64 and items int32: a restored item outside
+  // DataItem is damage, refused, never narrowed onto another item
+  // (2^32 + 3 narrows to 3).  Stenning restores its pending writes
+  // through read_items(); selective repeat also restores a reorder buffer
+  // of (seqno, item) pairs.
+  const std::string wide = std::to_string((std::int64_t{1} << 32) + 3);
+  auto stenning = proto::make_stenning(4).receiver;
+  ASSERT_TRUE(stenning->restore_state("102 0 1 3", {}));
+  EXPECT_EQ(stenning->on_step().writes, seq::Sequence{3});
+  EXPECT_FALSE(
+      proto::make_stenning(4).receiver->restore_state("102 0 1 " + wide, {}));
+  EXPECT_TRUE(proto::make_selective_repeat(4, 2).receiver->restore_state(
+      "143 0 2 0 3 0 0", {}));
+  EXPECT_FALSE(proto::make_selective_repeat(4, 2).receiver->restore_state(
+      "143 0 2 0 " + wide + " 0 0", {}));
+}
+
+TEST(Rehydration, EveryCheckpointIsCanonicalText) {
+  // Every reader accepts canonical blob text only, so every checkpoint a
+  // protocol writes must be canonical: one clean run of each protocol in
+  // the recovery matrix, and of the hardened one (its sealed blobs) from
+  // the stabilization matrix.
+  const auto check = [](const std::string& name, SystemSpec spec,
+                        const seq::Sequence& input) {
+    store::MemStore sstore, rstore;
+    spec.engine.sender_store = &sstore;
+    spec.engine.receiver_store = &rstore;
+    EXPECT_EQ(run_one(spec, input, 1).verdict, sim::RunVerdict::kCompleted)
+        << name;
+    for (store::MemStore* st : {&sstore, &rstore}) {
+      const auto replayed = st->replay();
+      EXPECT_FALSE(replayed.payloads.empty()) << name;
+      for (const std::string& p : replayed.payloads) {
+        EXPECT_TRUE(util::canonical_token_count(p).has_value())
+            << name << " [" << p << "]";
+      }
+    }
+  };
+  for (const RecoveryCase& c : default_recovery_cases()) {
+    check(c.name, c.spec, c.input);
+  }
+  for (const StabilizationCase& c : default_stabilization_cases()) {
+    if (c.name == "hardened") check(c.name, c.spec, c.input);
+  }
 }
 
 // ---------------------------------------------------------- observability --

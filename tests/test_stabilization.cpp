@@ -144,6 +144,14 @@ TEST(Hardened, SealedBlobRoundTripAndTamperDetection) {
   }
   EXPECT_FALSE(hardened_unseal_blob(payload, out));  // hash token missing
   EXPECT_FALSE(hardened_unseal_blob("", out));
+  // The seal token is read as canonical text only: the same value
+  // respelled is no seal.
+  const std::size_t seal = blob.find_last_of(' ') + 1;
+  for (const std::string prefix : {"0", "+"}) {
+    std::string respelled = blob;
+    respelled.insert(seal, prefix);
+    EXPECT_FALSE(hardened_unseal_blob(respelled, out)) << respelled;
+  }
 }
 
 TEST(Hardened, ReceiverShedsMangledAndForgedIds) {
