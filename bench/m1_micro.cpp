@@ -1,8 +1,9 @@
 // M1 — microbenchmarks of the substrate itself (google-benchmark).
 //
 // Not a paper result; these keep the simulator honest as an artifact: step
-// rate of the kernel, channel op costs, protocol step costs, ranking, the
-// throughput of the two analysis engines (exploration, mirror attack), the
+// rate of the kernel (bare, and shaped like perfbench's sim_soak), channel
+// op costs, protocol step costs, ranking, the throughput of the two
+// analysis engines (exploration, mirror attack), the
 // cost of building and reading one session checkpoint record, a
 // restart's scan of a whole session log phase by phase (replay, fold,
 // restore) and one group commit into a FileStore (full records against
@@ -25,6 +26,7 @@
 #include "channel/schedulers.hpp"
 #include "common.hpp"
 #include "fabric/router.hpp"
+#include "fault/chaos_channel.hpp"
 #include "knowledge/explorer.hpp"
 #include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
@@ -36,6 +38,7 @@
 #include "sim/engine.hpp"
 #include "spec/temporal.hpp"
 #include "stp/attack.hpp"
+#include "stp/soak.hpp"
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 
@@ -65,6 +68,38 @@ void BM_EngineStepRoundRobin(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineStepRoundRobin);
+
+/// One engine step shaped like perfbench's sim_soak: a sampled channel-level
+/// fault plan over the reorder+delete channel, the fair scheduler, and
+/// Stenning (repfree:0) or repfree-del (repfree:1) carrying 8 items over 12
+/// symbols.  The trial restarts when it completes, outside the timing.
+void BM_EngineStepChaosSoak(benchmark::State& state) {
+  const int m = 12;
+  const std::uint64_t seed = 1;
+  const seq::Sequence x{3, 7, 0, 11, 5, 1, 9, 4};
+  proto::ProtocolPair pair = state.range(0) == 1 ? proto::make_repfree_del(m)
+                                                 : proto::make_stenning(m);
+  sim::EngineConfig cfg;
+  cfg.max_steps = ~std::uint64_t{0};
+  cfg.stop_when_complete = false;
+  sim::Engine engine(
+      std::move(pair.sender), std::move(pair.receiver),
+      std::make_unique<fault::ChaosChannel>(
+          std::make_unique<channel::DelChannel>(0.0, seed),
+          stp::plan_for_trial(seed, fault::SamplerConfig{})),
+      std::make_unique<channel::FairRandomScheduler>(seed), cfg);
+  engine.begin(x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.step_once());
+    if (engine.completed()) {
+      state.PauseTiming();
+      engine.begin(x);
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineStepChaosSoak)->ArgName("repfree")->Arg(0)->Arg(1);
 
 void BM_FullRunRepFreeDel(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

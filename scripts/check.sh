@@ -41,10 +41,11 @@ stage_tier1() {
 }
 
 stage_bench() {
-  echo "== bench smoke: a bench binary emits a valid JSON report =="
+  echo "== bench smoke: a bench binary emits a valid JSON report + EngineStep (round-robin, sim_soak-shaped chaos), DelChannelSendDeliver and FullRunRepFreeDel simulator benches =="
   ctest --test-dir build -L bench_smoke --output-on-failure --timeout "${TEST_TIMEOUT}"
   ./build/bench/t1_alpha_table --quiet --json BENCH_smoke.json
   ./build/bench/validate_bench_json BENCH_smoke.json
+  ./build/bench/m1_micro --benchmark_filter='EngineStep|DelChannelSendDeliver|FullRunRepFreeDel'
 }
 
 stage_recovery() {

@@ -1,8 +1,22 @@
 #include "channel/del_channel.hpp"
 
+#include <algorithm>
+
 #include "util/expect.hpp"
 
 namespace stpx::channel {
+
+namespace {
+
+/// The first entry of `bag` whose id is not below `msg`.
+template <class Bag>
+auto slot(Bag& bag, sim::MsgId msg) {
+  return std::lower_bound(
+      bag.begin(), bag.end(), msg,
+      [](const auto& entry, sim::MsgId id) { return entry.msg < id; });
+}
+
+}  // namespace
 
 DelChannel::DelChannel(double loss_prob, std::uint64_t seed)
     : loss_prob_(loss_prob), rng_(seed) {
@@ -19,28 +33,39 @@ void DelChannel::send(sim::Dir dir, sim::MsgId msg) {
   if (loss_prob_ > 0.0 && rng_.chance(loss_prob_)) {
     return;  // the adversary deletes this copy at once
   }
-  ++bag(dir)[msg];
+  Bag& b = bag(dir);
+  const auto it = slot(b, msg);
+  if (it != b.end() && it->msg == msg) {
+    ++it->count;
+  } else {
+    b.insert(it, Entry{msg, 1});
+  }
 }
 
 std::vector<sim::MsgId> DelChannel::deliverable(sim::Dir dir) const {
   std::vector<sim::MsgId> out;
-  out.reserve(bag(dir).size());
-  for (const auto& [msg, count] : bag(dir)) {
-    if (count > 0) out.push_back(msg);
-  }
+  deliverable_into(dir, out);
   return out;
 }
 
+void DelChannel::deliverable_into(sim::Dir dir,
+                                  std::vector<sim::MsgId>& out) const {
+  out.clear();
+  out.reserve(bag(dir).size());  // one allocation for a fresh `out`
+  for (const Entry& e : bag(dir)) out.push_back(e.msg);
+}
+
 std::uint64_t DelChannel::copies(sim::Dir dir, sim::MsgId msg) const {
-  auto it = bag(dir).find(msg);
-  return it == bag(dir).end() ? 0 : it->second;
+  const auto it = slot(bag(dir), msg);
+  return it != bag(dir).end() && it->msg == msg ? it->count : 0;
 }
 
 void DelChannel::remove_copy(sim::Dir dir, sim::MsgId msg, const char* what) {
-  auto it = bag(dir).find(msg);
-  STPX_EXPECT(it != bag(dir).end() && it->second > 0,
+  Bag& b = bag(dir);
+  const auto it = slot(b, msg);
+  STPX_EXPECT(it != b.end() && it->msg == msg,
               std::string("DelChannel::") + what + ": no copy in flight");
-  if (--it->second == 0) bag(dir).erase(it);
+  if (--it->count == 0) b.erase(it);
 }
 
 void DelChannel::deliver(sim::Dir dir, sim::MsgId msg) {
@@ -52,23 +77,15 @@ void DelChannel::drop(sim::Dir dir, sim::MsgId msg) {
 }
 
 std::uint64_t DelChannel::drop_everything() {
-  std::uint64_t dropped = 0;
-  for (auto& dir_bag : pending_) {
-    for (const auto& [msg, count] : dir_bag) {
-      (void)msg;
-      dropped += count;
-    }
-    dir_bag.clear();
-  }
+  const std::uint64_t dropped = in_flight(sim::Dir::kSenderToReceiver) +
+                                in_flight(sim::Dir::kReceiverToSender);
+  reset();
   return dropped;
 }
 
 std::uint64_t DelChannel::in_flight(sim::Dir dir) const {
   std::uint64_t total = 0;
-  for (const auto& [msg, count] : bag(dir)) {
-    (void)msg;
-    total += count;
-  }
+  for (const Entry& e : bag(dir)) total += e.count;
   return total;
 }
 

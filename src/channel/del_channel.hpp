@@ -8,8 +8,6 @@
 // to an adversary that deletes independently, used by the cost experiments).
 #pragma once
 
-#include <map>
-
 #include "sim/channel_iface.hpp"
 #include "util/rng.hpp"
 
@@ -23,7 +21,10 @@ class DelChannel final : public sim::IChannel {
 
   void reset() override;
   void send(sim::Dir dir, sim::MsgId msg) override;
+  /// Ids in ascending order.
   std::vector<sim::MsgId> deliverable(sim::Dir dir) const override;
+  void deliverable_into(sim::Dir dir,
+                        std::vector<sim::MsgId>& out) const override;
   std::uint64_t copies(sim::Dir dir, sim::MsgId msg) const override;
   void deliver(sim::Dir dir, sim::MsgId msg) override;
   bool can_drop() const override { return true; }
@@ -39,15 +40,23 @@ class DelChannel final : public sim::IChannel {
   std::uint64_t in_flight(sim::Dir dir) const;
 
  private:
-  const std::map<sim::MsgId, std::uint64_t>& bag(sim::Dir dir) const {
+  /// One in-flight id and its copy count (always > 0).
+  struct Entry {
+    sim::MsgId msg;
+    std::uint64_t count;
+  };
+  /// A direction's multiset: a flat vector sorted by id.  It holds a
+  /// handful of ids at a time, so a search beats a node-based map and a
+  /// send allocates only when the vector outgrows its capacity.
+  using Bag = std::vector<Entry>;
+
+  const Bag& bag(sim::Dir dir) const {
     return pending_[static_cast<std::size_t>(dir)];
   }
-  std::map<sim::MsgId, std::uint64_t>& bag(sim::Dir dir) {
-    return pending_[static_cast<std::size_t>(dir)];
-  }
+  Bag& bag(sim::Dir dir) { return pending_[static_cast<std::size_t>(dir)]; }
   void remove_copy(sim::Dir dir, sim::MsgId msg, const char* what);
 
-  std::map<sim::MsgId, std::uint64_t> pending_[2];
+  Bag pending_[2];
   double loss_prob_ = 0.0;
   Rng rng_{0};
 };

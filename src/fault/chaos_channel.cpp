@@ -233,8 +233,18 @@ void ChaosChannel::send(sim::Dir dir, sim::MsgId msg) {
 }
 
 std::vector<sim::MsgId> ChaosChannel::deliverable(sim::Dir dir) const {
-  if (frozen(dir)) return {};
-  return inner_->deliverable(dir);
+  std::vector<sim::MsgId> out;
+  deliverable_into(dir, out);
+  return out;
+}
+
+void ChaosChannel::deliverable_into(sim::Dir dir,
+                                    std::vector<sim::MsgId>& out) const {
+  if (frozen(dir)) {
+    out.clear();
+    return;
+  }
+  inner_->deliverable_into(dir, out);
 }
 
 std::uint64_t ChaosChannel::copies(sim::Dir dir, sim::MsgId msg) const {

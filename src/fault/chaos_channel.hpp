@@ -53,6 +53,8 @@ class ChaosChannel final : public sim::IChannel {
   sim::TickEffect tick(const sim::ChannelTick& t) override;
   void send(sim::Dir dir, sim::MsgId msg) override;
   std::vector<sim::MsgId> deliverable(sim::Dir dir) const override;
+  void deliverable_into(sim::Dir dir,
+                        std::vector<sim::MsgId>& out) const override;
   std::uint64_t copies(sim::Dir dir, sim::MsgId msg) const override;
   void deliver(sim::Dir dir, sim::MsgId msg) override;
   bool can_drop() const override { return inner_->can_drop(); }

@@ -202,7 +202,7 @@ bool BlockReceiver::restore_state(const std::string& blob,
       !r.i64(expected_bit) || !r.u64(received) || !read_items(r, queue) ||
       !r.vec(acks) || !r.done() || expected_len < -1 ||
       expected_len > max_len_ || (expected_bit != 0 && expected_bit != 1) ||
-      received < queue.size()) {
+      received < queue.size() || !all_within(acks, 0, 2)) {
     return false;
   }
   expected_len_ = expected_len;
@@ -216,11 +216,7 @@ bool BlockReceiver::restore_state(const std::string& blob,
   reconcile_with_tape(written, queue, tape);
   write_queue_ = std::move(queue);
   received_items_ = static_cast<std::size_t>(written) + write_queue_.size();
-  pending_acks_.clear();
-  for (std::int64_t a : acks) {
-    if (a < 0 || a > 2) return false;
-    pending_acks_.push_back(static_cast<sim::MsgId>(a));
-  }
+  pending_acks_.assign(acks.begin(), acks.end());
   return true;
 }
 

@@ -37,6 +37,16 @@ inline bool fits_item(std::int64_t v) {
          v <= std::numeric_limits<seq::DataItem>::max();
 }
 
+/// True when every token lies in [lo, hi].  Restores check every token
+/// this way before they assign a member, so a refused blob leaves the
+/// process as it was.
+inline bool all_within(
+    const std::vector<std::int64_t>& v, std::int64_t lo,
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  return std::all_of(v.begin(), v.end(),
+                     [&](std::int64_t t) { return t >= lo && t <= hi; });
+}
+
 inline bool read_items(util::BlobReader& r, std::vector<seq::DataItem>& out) {
   std::vector<std::int64_t> tmp;
   if (!r.vec(tmp) || !std::all_of(tmp.begin(), tmp.end(), fits_item)) {

@@ -62,22 +62,18 @@ bool restore_receiver_blob(const std::string& blob, std::int64_t want_tag,
   std::int64_t last = -1;
   if (!r.i64(tag) || tag != want_tag || !r.u64(written_raw) || !r.vec(recv) ||
       !read_items(r, pending) || !r.vec(acks) || !r.i64(last) || !r.done() ||
-      last < -1 || last >= alphabet) {
+      last < -1 || last >= alphabet || !all_within(recv, 0, alphabet - 1) ||
+      !all_within(acks, 0, alphabet - 1)) {
     return false;
   }
   // seen_ is exactly the set of symbols in received_ — rebuild, don't store.
   seen.assign(static_cast<std::size_t>(alphabet), false);
   received.clear();
   for (std::int64_t s : recv) {
-    if (s < 0 || s >= alphabet) return false;
     seen[static_cast<std::size_t>(s)] = true;
     received.push_back(static_cast<int>(s));
   }
-  pending_acks.clear();
-  for (std::int64_t a : acks) {
-    if (a < 0 || a >= alphabet) return false;
-    pending_acks.push_back(static_cast<sim::MsgId>(a));
-  }
+  pending_acks.assign(acks.begin(), acks.end());
   last_ack = last < 0 ? std::nullopt
                       : std::optional<sim::MsgId>(static_cast<sim::MsgId>(last));
   std::int64_t written64 = static_cast<std::int64_t>(written_raw);

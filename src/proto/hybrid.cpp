@@ -261,7 +261,7 @@ bool HybridReceiver::restore_state(const std::string& blob,
   }
   if (phase < 0 || phase > 3 || (expected_bit != 0 && expected_bit != 1) ||
       (expected_rev_bit != 0 && expected_rev_bit != 1) ||
-      written_count < pending.size()) {
+      written_count < pending.size() || !all_within(acks, 0, 4)) {
     return false;
   }
   phase_ = static_cast<HybridPhase>(phase);
@@ -269,11 +269,7 @@ bool HybridReceiver::restore_state(const std::string& blob,
   expected_rev_bit_ = static_cast<int>(expected_rev_bit);
   rev_buffer_ = std::move(rev_buffer);
   finalized_ = finalized;
-  pending_acks_.clear();
-  for (std::int64_t a : acks) {
-    if (a < 0 || a > 4) return false;
-    pending_acks_.push_back(static_cast<sim::MsgId>(a));
-  }
+  pending_acks_.assign(acks.begin(), acks.end());
   // written_count_ is the ACCEPTED count (externalized writes + pending);
   // split off the externalized part, let the tape arbitrate it, and restore
   // the invariant afterwards.

@@ -149,18 +149,14 @@ bool RepFreeReceiver::restore_state(const std::string& blob,
       written < 0 || seen.size() != static_cast<std::size_t>(domain_size_)) {
     return false;
   }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i] != 0 && seen[i] != 1) return false;
-    seen_[i] = seen[i] == 1;
+  if (!all_within(seen, 0, 1) || !all_within(acks, 0, domain_size_ - 1) ||
+      last < -1 || last >= domain_size_) {
+    return false;
   }
+  for (std::size_t i = 0; i < seen.size(); ++i) seen_[i] = seen[i] == 1;
   written_ = written;
   pending_writes_ = std::move(pending);
-  pending_acks_.clear();
-  for (std::int64_t a : acks) {
-    if (a < 0 || a >= domain_size_) return false;
-    pending_acks_.push_back(static_cast<sim::MsgId>(a));
-  }
-  if (last < -1 || last >= domain_size_) return false;
+  pending_acks_.assign(acks.begin(), acks.end());
   last_ack_ = last < 0 ? std::nullopt
                        : std::optional<sim::MsgId>(static_cast<sim::MsgId>(last));
   reconcile_with_tape(written_, pending_writes_, tape);

@@ -128,13 +128,10 @@ bool SelectiveRepeatSender::restore_state(const std::string& blob) {
       !r.done()) {
     return false;
   }
-  if (base > x_.size()) return false;
+  if (base > x_.size() || !all_within(acked, 0)) return false;
   base_ = static_cast<std::size_t>(base);
   acked_.clear();
-  for (std::int64_t a : acked) {
-    if (a < 0) return false;
-    acked_.insert(static_cast<std::size_t>(a));
-  }
+  for (std::int64_t a : acked) acked_.insert(static_cast<std::size_t>(a));
   // Re-run the cumulative advance in case the record predates it.
   while (base_ < x_.size() && acked_.count(base_)) ++base_;
   rotate_ = 0;
@@ -224,17 +221,16 @@ bool SelectiveRepeatReceiver::restore_state(const std::string& blob,
       buf.size() % 2 != 0) {
     return false;
   }
+  for (std::size_t i = 0; i + 1 < buf.size(); i += 2) {
+    if (buf[i] < 0 || buf[i + 1] < 0 || !fits_item(buf[i + 1])) return false;
+  }
+  if (!all_within(acks, 0)) return false;
   written_ = written;
   buffer_.clear();
   for (std::size_t i = 0; i + 1 < buf.size(); i += 2) {
-    if (buf[i] < 0 || buf[i + 1] < 0 || !fits_item(buf[i + 1])) return false;
     buffer_.emplace(buf[i], static_cast<seq::DataItem>(buf[i + 1]));
   }
-  pending_acks_.clear();
-  for (std::int64_t a : acks) {
-    if (a < 0) return false;
-    pending_acks_.push_back(static_cast<sim::MsgId>(a));
-  }
+  pending_acks_.assign(acks.begin(), acks.end());
   pending_writes_ = std::move(pending);
   reconcile_with_tape(written_, pending_writes_, tape);
   // Anything the tape proves externalized is stale in the reorder buffer.

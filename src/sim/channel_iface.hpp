@@ -83,6 +83,16 @@ class IChannel {
   /// regardless of copy count).  For FIFO channels: the head only.
   virtual std::vector<MsgId> deliverable(Dir dir) const = 0;
 
+  /// deliverable(dir), written into `out`: replaces its contents, same ids
+  /// in the same order.  A caller that keeps `out` from call to call
+  /// allocates nothing once its capacity suffices (the engine refills its
+  /// scheduler view this way every step).  Default: `out = deliverable(dir)`,
+  /// so a channel or decorator that implements only deliverable() stays
+  /// correct.
+  virtual void deliverable_into(Dir dir, std::vector<MsgId>& out) const {
+    out = deliverable(dir);
+  }
+
   /// Copies of `msg` currently deliverable in `dir` (the dlvrble vector).
   /// Dup channels report 1 for any ever-sent message.
   virtual std::uint64_t copies(Dir dir, MsgId msg) const = 0;

@@ -62,6 +62,7 @@ Engine::Engine(const Engine& other)
 void Engine::begin(const seq::Sequence& x) {
   x_ = x;
   y_.clear();
+  y_.reserve(x.size());
   safety_ok_ = true;
   stalled_ = false;
   last_progress_step_ = 0;
@@ -75,6 +76,7 @@ void Engine::begin(const seq::Sequence& x) {
   last_saved_[0].clear();
   last_saved_[1].clear();
   stats_ = RunStats{};
+  stats_.write_step.reserve(x.size());
   trace_.clear();
   receiver_hist_.clear();
   sender_hist_.clear();
@@ -95,14 +97,18 @@ void Engine::begin(const seq::Sequence& x) {
   }
 }
 
-SchedView Engine::view() const {
+void Engine::fill_view(SchedView& v) const {
   STPX_EXPECT(begun_, "Engine: begin() not called");
-  SchedView v;
   v.step = stats_.steps;
-  v.deliverable_to_receiver = channel_->deliverable(Dir::kSenderToReceiver);
-  v.deliverable_to_sender = channel_->deliverable(Dir::kReceiverToSender);
+  channel_->deliverable_into(Dir::kSenderToReceiver, v.deliverable_to_receiver);
+  channel_->deliverable_into(Dir::kReceiverToSender, v.deliverable_to_sender);
   v.items_written = y_.size();
   v.items_total = x_.size();
+}
+
+SchedView Engine::view() const {
+  SchedView v;
+  fill_view(v);
   return v;
 }
 
@@ -423,7 +429,8 @@ Action Engine::step_once() {
     stats_.corruptions += fx.corruptions;
     note_corruption();
   }
-  const Action a = scheduler_->choose(view());
+  fill_view(view_);
+  const Action a = scheduler_->choose(view_);
   apply(a);
   return a;
 }

@@ -110,7 +110,9 @@ class Engine {
   /// Reset everything and install input sequence `x`.
   void begin(const seq::Sequence& x);
 
-  /// Current scheduler view (legal deliveries etc.).
+  /// Current scheduler view (legal deliveries etc.).  step_once() refills
+  /// one kept view in place instead, so building the view allocates nothing
+  /// once its lists have grown to size.
   SchedView view() const;
 
   /// True iff `a` is applicable now (deliveries must name a deliverable
@@ -202,6 +204,8 @@ class Engine {
   }
 
  private:
+  /// Overwrite `v` with the current view, reusing its buffers.
+  void fill_view(SchedView& v) const;
   void note_send(Dir dir, MsgId msg);
   /// Append a checkpoint when `who`'s durable state changed this action.
   void persist(Proc who);
@@ -250,6 +254,8 @@ class Engine {
   LocalHistory receiver_hist_;
   LocalHistory sender_hist_;
   bool begun_ = false;
+  /// step_once()'s scheduler view; not run state, so a clone starts empty.
+  SchedView view_;
 };
 
 }  // namespace stpx::sim

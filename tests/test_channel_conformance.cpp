@@ -10,8 +10,13 @@
 //   C6 directions are independent;
 //   C7 sending never reduces what is deliverable (for policy-free
 //      configurations).
+//
+// A second suite pins the buffer form deliverable_into() to deliverable()
+// on every channel, the fault decorator and a decorator that relies on the
+// interface's default.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
@@ -20,6 +25,8 @@
 #include "channel/dup_channel.hpp"
 #include "channel/dupdel_channel.hpp"
 #include "channel/fifo_channel.hpp"
+#include "channel/sync_channel.hpp"
+#include "fault/chaos_channel.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -176,6 +183,132 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range<std::size_t>(0, cases().size()),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return cases()[info.param].name;
+    });
+
+// ------------------------------------------------------ deliverable_into --
+
+/// Forwards every call but deliverable_into(), which it leaves to the
+/// interface's default (perfbench's tracing decorator is one such).
+class ListOnlyDecorator final : public sim::IChannel {
+ public:
+  explicit ListOnlyDecorator(std::unique_ptr<sim::IChannel> inner)
+      : inner_(std::move(inner)) {}
+  void reset() override { inner_->reset(); }
+  void send(Dir dir, sim::MsgId msg) override { inner_->send(dir, msg); }
+  std::vector<sim::MsgId> deliverable(Dir dir) const override {
+    return inner_->deliverable(dir);
+  }
+  std::uint64_t copies(Dir dir, sim::MsgId msg) const override {
+    return inner_->copies(dir, msg);
+  }
+  void deliver(Dir dir, sim::MsgId msg) override { inner_->deliver(dir, msg); }
+  bool can_drop() const override { return inner_->can_drop(); }
+  void drop(Dir dir, sim::MsgId msg) override { inner_->drop(dir, msg); }
+  std::unique_ptr<sim::IChannel> clone() const override {
+    return std::make_unique<ListOnlyDecorator>(inner_->clone());
+  }
+  std::string name() const override { return "list-only"; }
+
+ private:
+  std::unique_ptr<sim::IChannel> inner_;
+};
+
+struct IntoCase {
+  std::string name;
+  std::function<std::unique_ptr<sim::IChannel>()> make;
+};
+
+std::vector<IntoCase> into_cases() {
+  return {
+      {"del", [] { return std::make_unique<DelChannel>(0.2, 5); }},
+      {"dup", [] { return std::make_unique<DupChannel>(); }},
+      {"dupdel", [] { return std::make_unique<DupDelChannel>(0.2, 5); }},
+      {"fifo", [] { return std::make_unique<FifoChannel>(0.2, 0.2, 5); }},
+      {"sync", [] { return std::make_unique<SyncLossChannel>(0.2, 5); }},
+      // Freeze windows open and close in both directions, and a cap
+      // sheds sends while five copies are in flight.
+      {"chaos_del",
+       [] {
+         return std::make_unique<fault::ChaosChannel>(
+             std::make_unique<DelChannel>(),
+             fault::plan_from_text("freeze @step 100 dir SR len 400\n"
+                                   "freeze @step 300 dir RS len 150\n"
+                                   "freeze @step 1200 dir SR len 300\n"
+                                   "cap @step 600 dir SR count 5\n"));
+       }},
+      {"list_only_del",
+       [] {
+         return std::make_unique<ListOnlyDecorator>(
+             std::make_unique<DelChannel>());
+       }},
+  };
+}
+
+class DeliverableInto : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DeliverableInto, MatchesDeliverableAfterEveryOp) {
+  // After each op of a seeded op sequence, in both directions, the buffer
+  // form lists what deliverable() lists, whatever `out` held before.
+  auto ch = into_cases()[GetParam()].make();
+  Rng rng(17 + GetParam());
+  std::vector<sim::MsgId> out;
+  std::size_t nonempty = 0;
+  for (std::uint64_t step = 0; step < 2000; ++step) {
+    ch->tick({step, 0});
+    const Dir dir =
+        rng.chance(0.5) ? Dir::kSenderToReceiver : Dir::kReceiverToSender;
+    const int op = static_cast<int>(rng.range(0, 2));
+    if (op == 0) {
+      ch->send(dir, static_cast<sim::MsgId>(rng.below(8)));
+    } else {
+      const auto avail = ch->deliverable(dir);
+      if (!avail.empty()) {
+        const sim::MsgId id = rng.pick(avail);
+        if (op == 1) {
+          ch->deliver(dir, id);
+        } else if (ch->can_drop()) {
+          ch->drop(dir, id);
+        }
+      }
+    }
+    for (const Dir d : {Dir::kSenderToReceiver, Dir::kReceiverToSender}) {
+      const auto want = ch->deliverable(d);
+      out.assign({-5, 99, 1234, 7});  // junk the call must replace
+      ch->deliverable_into(d, out);
+      ASSERT_EQ(out, want) << "step " << step;
+      nonempty += want.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+}
+
+TEST(DeliverableInto, DelChannelListsIdsAscending) {
+  // The fair scheduler picks a delivery by index into this list, so its
+  // order is part of every seeded run.
+  DelChannel ch;
+  Rng rng(23);
+  std::vector<sim::MsgId> out;
+  for (int i = 0; i < 3000; ++i) {
+    const Dir dir =
+        rng.chance(0.5) ? Dir::kSenderToReceiver : Dir::kReceiverToSender;
+    if (rng.chance(0.6)) {
+      ch.send(dir, static_cast<sim::MsgId>(rng.below(40)));
+    } else if (const auto avail = ch.deliverable(dir); !avail.empty()) {
+      ch.deliver(dir, rng.pick(avail));
+    }
+    ch.deliverable_into(dir, out);
+    ASSERT_TRUE(std::adjacent_find(out.begin(), out.end(),
+                                   std::greater_equal<sim::MsgId>()) ==
+                out.end())
+        << "op " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryChannel, DeliverableInto,
+    ::testing::Range<std::size_t>(0, into_cases().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return into_cases()[info.param].name;
     });
 
 }  // namespace

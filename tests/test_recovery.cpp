@@ -4,10 +4,12 @@
 // protocol x crash x storage-fault conformance sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,7 +21,10 @@
 #include "channel/sync_channel.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
+#include "proto/encoded.hpp"
 #include "proto/suite.hpp"
+#include "seq/encoding.hpp"
+#include "seq/family.hpp"
 #include "stp/recovery.hpp"
 #include "stp/soak.hpp"
 #include "stp/stabilization.hpp"
@@ -419,6 +424,105 @@ TEST(Rehydration, EveryCheckpointIsCanonicalText) {
   for (const StabilizationCase& c : default_stabilization_cases()) {
     if (c.name == "hardened") check(c.name, c.spec, c.input);
   }
+}
+
+/// The encoded-knowledge recovery case with the greedy receiver instead.
+SystemSpec encoded_greedy_spec(const SystemSpec& knowledge,
+                               const seq::Sequence& input) {
+  seq::Family fam;
+  fam.domain = seq::Domain{6};
+  for (std::size_t len = 0; len <= input.size(); ++len) {
+    fam.members.emplace_back(input.begin(),
+                             input.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  auto table = std::make_shared<const seq::Encoding>(
+      seq::try_build_encoding(fam, 6).value());
+  SystemSpec spec = knowledge;
+  spec.protocols = [table] {
+    return proto::ProtocolPair{
+        std::make_unique<proto::EncodedSender>(table, /*retransmit=*/false),
+        std::make_unique<proto::GreedyReceiver>(table, /*reack=*/false)};
+  };
+  return spec;
+}
+
+TEST(Rehydration, RefusedRestoreLeavesStateUnchanged_Property) {
+  // ISender/IReceiver::restore_state validate before they mutate, so a
+  // refused blob leaves the process exactly as it was (the engine then
+  // counts a cold restart from the state start() made).  Every checkpoint
+  // of three seeded runs per process, with each token replaced in turn by
+  // a hostile value: restore the good blob, then the mutated one, and
+  // when that is refused, save_state() must read as before it.
+  const std::vector<std::int64_t> hostile = {
+      -7, -1, 2, 3, 5, 9, 100, (std::int64_t{1} << 32) + 3};
+  const auto check = [&](const std::string& name, SystemSpec spec,
+                         const seq::Sequence& input) {
+    std::set<std::string> blobs[2];  // sender, receiver
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      store::MemStore sstore, rstore;
+      spec.engine.sender_store = &sstore;
+      spec.engine.receiver_store = &rstore;
+      spec.engine.compact_every = 0;  // keep every checkpoint in the log
+      run_one(spec, input, seed);
+      for (const std::string& p : sstore.replay().payloads) blobs[0].insert(p);
+      for (const std::string& p : rstore.replay().payloads) blobs[1].insert(p);
+    }
+    proto::ProtocolPair pair = spec.protocols();
+    const auto restart = [&](bool sender) {
+      if (sender) {
+        pair.sender->start(input);
+      } else {
+        pair.receiver->start();
+      }
+    };
+    const auto restore = [&](bool sender, const std::string& blob) {
+      return sender ? pair.sender->restore_state(blob)
+                    : pair.receiver->restore_state(blob, {});
+    };
+    const auto save = [&](bool sender) {
+      return sender ? pair.sender->save_state() : pair.receiver->save_state();
+    };
+    for (const bool sender : {true, false}) {
+      const char* who = sender ? " sender" : " receiver";
+      EXPECT_FALSE(blobs[sender ? 0 : 1].empty()) << name << who;
+      std::size_t refused = 0;
+      for (const std::string& good : blobs[sender ? 0 : 1]) {
+        const std::vector<std::int64_t> tokens =
+            util::blob_tokens(good).value();
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+          for (const std::int64_t v : hostile) {
+            if (tokens[i] == v) continue;
+            std::vector<std::int64_t> mutated = tokens;
+            mutated[i] = v;
+            const std::string bad = util::blob_join(mutated);
+            restart(sender);
+            ASSERT_TRUE(restore(sender, good)) << name << who << " [" << good
+                                               << "]";
+            const std::string before = save(sender);
+            if (restore(sender, bad)) continue;
+            ++refused;
+            ASSERT_EQ(save(sender), before)
+                << name << who << " refused [" << bad << "] after [" << good
+                << "]";
+          }
+        }
+      }
+      EXPECT_GT(refused, 0u) << name << who;
+    }
+  };
+  const auto recovery = default_recovery_cases();
+  for (const RecoveryCase& c : recovery) check(c.name, c.spec, c.input);
+  for (const StabilizationCase& c : default_stabilization_cases()) {
+    if (c.name == "hardened") check(c.name, c.spec, c.input);
+  }
+  const auto knowledge =
+      std::find_if(recovery.begin(), recovery.end(), [](const auto& c) {
+        return c.name == "encoded-knowledge";
+      });
+  ASSERT_NE(knowledge, recovery.end());
+  check("encoded-greedy",
+        encoded_greedy_spec(knowledge->spec, knowledge->input),
+        knowledge->input);
 }
 
 // ---------------------------------------------------------- observability --

@@ -14,6 +14,7 @@
 #include "channel/del_channel.hpp"
 #include "channel/dupdel_channel.hpp"
 #include "channel/schedulers.hpp"
+#include "soak_trials.hpp"
 #include "stp/soak.hpp"
 
 namespace stpx::stp {
@@ -129,6 +130,35 @@ TEST(SoakSmoke, MinimizerProducesOneMinimalSchedule) {
               sim::RunVerdict::kCompleted)
         << "minimized plan is not 1-minimal: action " << i << " is removable";
   }
+}
+
+TEST(Soak, SampledChaosTrialsReplayExactly) {
+  // 256 trials shaped like perfbench's sim_soak (soak_trials.hpp).  The
+  // pinned totals and the hash over every write step change if a channel
+  // lists its deliverable ids in another order (the fair scheduler picks
+  // by index) or any trial takes another path.
+  std::uint64_t steps = 0;
+  std::uint64_t sends = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit
+  const std::vector<test::SoakTrial> trials = test::sim_soak_trials(256);
+  for (std::size_t t = 0; t < trials.size(); ++t) {
+    const sim::RunResult r =
+        run_one(trials[t].spec, trials[t].input, trials[t].seed);
+    ASSERT_EQ(r.verdict, sim::RunVerdict::kCompleted) << "trial " << t;
+    steps += r.stats.steps;
+    sends += r.stats.sent[0] + r.stats.sent[1];
+    deliveries += r.stats.delivered[0] + r.stats.delivered[1];
+    for (std::uint64_t step : r.stats.write_step) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash = (hash ^ ((step >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(steps, 87730u);
+  EXPECT_EQ(sends, 53522u);
+  EXPECT_EQ(deliveries, 34021u);
+  EXPECT_EQ(hash, 11338464002778581469ULL);
 }
 
 }  // namespace
